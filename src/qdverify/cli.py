@@ -89,7 +89,7 @@ def cmd_verify_gaussian(args) -> int:
                 "max_abs_cross_block": fnum(float(np.max(np.abs(state.block_c)))),
             },
         },
-        "thresholds": {"peak_separation": fnum(args.tol)},
+        "thresholds": {"peak_shift_per_outcome_shift": fnum(args.tol)},
         "seeds": {},
     })
     sys.stdout.write(emit(doc))

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDimension, DimMismatch, MissingBipartition
+from .errors import BadDimension, DimMismatch, DomainError, MissingBipartition
 from .linalg import (
     DensityOperator,
     commutator,
@@ -38,6 +38,10 @@ PROB_FLOOR = 1e-12
 # eigenvalue gap exceeds this.
 DEGENERACY_THRESHOLD = 1e-8
 
+# A gap counts as larger than the best so far only when it exceeds it by
+# this relative margin, so gaps equal up to rounding tie to the lowest index.
+ANCHOR_TIE_RTOL = 1e-9
+
 DEFAULT_COMMUTATOR_THRESHOLD = 1e-9
 
 
@@ -57,9 +61,9 @@ class ConditionalEnsemble:
         if len(self.states) != self.probabilities.size:
             raise DimMismatch("one state slot per outcome probability")
         if np.any(self.probabilities < -1e-12):
-            raise ValueError("negative outcome probability")
+            raise DomainError("negative outcome probability")
         if abs(self.probabilities.sum() - 1.0) > 1e-10:
-            raise ValueError("outcome probabilities do not sum to 1")
+            raise DomainError("outcome probabilities do not sum to 1")
 
     def present_indices(self) -> List[int]:
         return [k for k, s in enumerate(self.states) if s is not None]
@@ -108,14 +112,15 @@ def select_anchor(e: ConditionalEnsemble,
     """Index of the least degenerate conditional state, or None.
 
     Returns the present state with the largest minimum eigenvalue gap,
-    provided that gap exceeds the degeneracy threshold. Ties break to the
+    provided that gap exceeds the degeneracy threshold. Gaps within a
+    relative ANCHOR_TIE_RTOL of each other tie, and ties break to the
     lowest index.
     """
     best_idx = None
     best_gap = degeneracy_threshold
     for k in e.present_indices():
         gap = degeneracy_gap(hermitian_eig(e.states[k].matrix))
-        if gap > best_gap:
+        if gap > best_gap * (1.0 + ANCHOR_TIE_RTOL):
             best_gap = gap
             best_idx = k
     return best_idx

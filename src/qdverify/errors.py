@@ -55,3 +55,7 @@ class InsufficientOutcomes(QdvError):
 
 class ParseError(QdvError):
     """State file is malformed or violates the format contract."""
+
+
+class DomainError(QdvError, ValueError):
+    """An argument or value lies outside the domain an operation accepts."""

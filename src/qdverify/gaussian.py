@@ -24,11 +24,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateOutcomes, SingularConditioning, Unphysical
+from .errors import (DegenerateOutcomes, DomainError, SingularConditioning,
+                     Unphysical)
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
 from .linalg import hermitian_eig
+from .phasespace import CONVENTION_TAG  # noqa: F401  (re-exported: Gaussian files carry it)
 
 VACUUM_VARIANCE = 0.25
-CONVENTION_TAG = "vacuum-variance=1/4"
 
 PHYSICALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -36,9 +38,6 @@ SINGULAR_TOL = 1e-12
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
-
-NONZERO_DISCORD = "NONZERO_DISCORD"
-CONSISTENT_WITH_ZERO = "CONSISTENT_WITH_ZERO"
 
 
 @dataclass
@@ -52,11 +51,11 @@ class GaussianState:
         self.mean = np.asarray(self.mean, dtype=float).reshape(4)
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov.shape != (4, 4):
-            raise ValueError(f"covariance must be 4x4, got {self.cov.shape}")
+            raise DomainError(f"covariance must be 4x4, got {self.cov.shape}")
         if not np.all(np.isfinite(self.cov)) or not np.all(np.isfinite(self.mean)):
-            raise ValueError("non-finite covariance or mean")
+            raise DomainError("non-finite covariance or mean")
         if np.max(np.abs(self.cov - self.cov.T)) > SYMMETRY_TOL:
-            raise ValueError("covariance matrix is not symmetric")
+            raise DomainError("covariance matrix is not symmetric")
 
     @property
     def block_a(self) -> np.ndarray:
@@ -261,15 +260,19 @@ def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
 
     The outcomes must differ in both quadratures; otherwise the test is
     blind to one of the two cross couplings and DegenerateOutcomes is
-    raised.
+    raised. The verdict is decided per quadrature, on the peak shift per
+    unit outcome shift against tol, so it does not depend on how far apart
+    the outcomes are; separation reports the raw peak distance.
     """
     if out1.real == out2.real or out1.imag == out2.imag:
         raise DegenerateOutcomes(
             "outcomes must differ in both quadratures to probe both c and d")
     p1 = peak(sf, out1)
     p2 = peak(sf, out2)
+    gain_x = abs(p1.real - p2.real) / abs(out1.real - out2.real)
+    gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
+    verdict = NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO
     sep = abs(p1 - p2)
-    verdict = NONZERO_DISCORD if sep > tol else CONSISTENT_WITH_ZERO
     return PeakTestResult(out1, out2, p1, p2, sep, verdict, tol)
 
 

@@ -2,7 +2,9 @@
 
 Matrices are plain complex numpy arrays. The only structured value is
 DensityOperator, which validates the physical invariants (Hermitian, unit
-trace, positive semidefinite) on construction. All functions are pure.
+trace, positive semidefinite) on construction. Every spectral question in
+the package goes through hermitian_eig, a checked wrapper over numpy's
+LAPACK eigh. All functions are pure.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, MissingBipartition, NotHermitian
+from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian
 
 # Structural checks (hermiticity, trace) and spectral checks (eigenvalues,
 # residuals) use different default tolerances; both are overridable.
@@ -66,63 +68,23 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ dag(v)
 
 
-def hermitian_eig(m: np.ndarray, herm_tol: float = SPECTRAL_TOL,
-                  sweep_tol: float = 1e-14, max_sweeps: int = 60) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(m: np.ndarray, herm_tol: float = SPECTRAL_TOL) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK's eigh.
 
-    The sweep order is fixed (row-major over the upper triangle), so the
-    result is reproducible across runs and platforms. Each rotation first
-    strips the phase of the pivot entry and then applies a real Jacobi
-    rotation, which keeps the transform unitary for complex input.
-
-    Raises NotHermitian if max |m - m^dagger| exceeds herm_tol.
+    The input is symmetrised before the call, and the result is reordered
+    to descending eigenvalues. Raises NotHermitian if m is not square, has
+    non-finite entries, or max |m - m^dagger| exceeds herm_tol.
     """
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"not a square matrix: {a.shape}")
-    n = a.shape[0]
+    if not np.all(np.isfinite(a)):
+        raise NotHermitian("matrix has non-finite entries")
     if np.max(np.abs(a - dag(a))) > herm_tol:
         raise NotHermitian("matrix is not Hermitian within tolerance "
                            f"{herm_tol:g}")
-    a = (a + dag(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    norm = frobenius_norm(a)
-    if norm == 0.0:
-        return EigenDecomposition(np.zeros(n), v)
-    skip = sweep_tol * norm / (n * n)
-    for _ in range(max_sweeps):
-        off = frobenius_norm(a - np.diag(np.diag(a)))
-        if off <= sweep_tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * np.conj(phase) * colq
-                a[:, q] = s * phase * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * phase * rowq
-                a[q, :] = s * np.conj(phase) * rowp + c * rowq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    return EigenDecomposition(w[order], v[:, order])
+    w, v = np.linalg.eigh((a + dag(a)) / 2.0)
+    return EigenDecomposition(w[::-1], v[:, ::-1])
 
 
 def degeneracy_gap(e: EigenDecomposition) -> float:
@@ -150,7 +112,7 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimMismatch(f"density operator must be square: {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("density operator has non-finite entries")
+            raise DomainError("density operator has non-finite entries")
         if self.bipartition is not None:
             da, db = self.bipartition
             if da * db != m.shape[0]:
@@ -162,10 +124,10 @@ class DensityOperator:
             raise NotHermitian(f"density operator not Hermitian: {herm:g}")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr}, not 1 within {TRACE_TOL:g}")
+            raise DomainError(f"trace is {tr}, not 1 within {TRACE_TOL:g}")
         w = hermitian_eig(m).eigenvalues
         if w[-1] < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {w[-1]:g} below -{PSD_TOL:g}")
+            raise DomainError(f"negative eigenvalue {w[-1]:g} below -{PSD_TOL:g}")
 
     @property
     def dim(self) -> int:
@@ -183,7 +145,7 @@ def partial_trace(rho: DensityOperator, subsystem: str) -> DensityOperator:
     elif subsystem == "B":
         reduced = np.einsum("abcb->ac", t)
     else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return DensityOperator(reduced)
 
 

@@ -29,9 +29,8 @@ from math import pi
 from typing import Tuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
-from .errors import DimMismatch, GeometryMismatch, TruncationTail
+from .errors import DimMismatch, DomainError, GeometryMismatch, TruncationTail
 from .linalg import dag
 
 CONVENTION_TAG = "vacuum-variance=1/4"
@@ -58,9 +57,9 @@ class GridGeometry:
 
     def __post_init__(self):
         if self.nx < 2 or self.np < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+            raise DomainError("grid needs at least 2 points per axis")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
-            raise ValueError("empty phase-space extent")
+            raise DomainError("empty phase-space extent")
 
     @property
     def dx(self) -> float:
@@ -95,7 +94,7 @@ class WignerGrid:
             raise DimMismatch(f"values shape {self.values.shape} does not "
                               f"match geometry {self.geometry.nx}x{self.geometry.np}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite grid values")
+            raise DomainError("non-finite grid values")
 
 
 @dataclass
@@ -139,7 +138,7 @@ class FockOperator:
             raise DimMismatch(f"matrix shape {self.matrix.shape} does not "
                               f"match cutoff {self.cutoff}")
         if not np.all(np.isfinite(self.matrix.view(float))):
-            raise ValueError("non-finite Fock matrix")
+            raise DomainError("non-finite Fock matrix")
 
     def tail_mass(self) -> float:
         """Absolute diagonal weight in the top two Fock levels."""
@@ -160,7 +159,7 @@ def pure_state(coeffs, cutoff: int) -> FockOperator:
     c[:len(coeffs)] = np.asarray(coeffs, dtype=complex)
     norm = np.sqrt(np.sum(np.abs(c) ** 2))
     if norm == 0:
-        raise ValueError("zero state vector")
+        raise DomainError("zero state vector")
     c /= norm
     return FockOperator(cutoff, np.outer(c, c.conj()))
 
@@ -197,8 +196,12 @@ def _displacement_table(cutoff: int, geom: GridGeometry, scale: float) -> np.nda
     """<n|D(scale * (x + i p))|m> over the grid, shape (nx, np, n, m).
 
     Matrix elements use the associated-Laguerre closed form; the lower
-    triangle follows from D(beta)^dagger = D(-beta).
+    triangle follows from D(beta)^dagger = D(-beta). scipy is imported
+    here, not at module level, so routes without a Fock transform never
+    load it.
     """
+    from scipy.special import eval_genlaguerre
+
     xs, ps = geom.xs(), geom.ps()
     beta = scale * (xs[:, None] + 1j * ps[None, :])
     absb2 = np.abs(beta) ** 2
@@ -239,8 +242,8 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
     w = (2.0 / pi) * np.einsum("mn,xpnm,m->xp", op.matrix, table, parity)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:
-        raise ValueError(f"imaginary residue {residue:g} in Wigner transform; "
-                         "operator is far from Hermitian")
+        raise DomainError(f"imaginary residue {residue:g} in Wigner transform; "
+                          "operator is far from Hermitian")
     return WignerGrid(geom, w.real)
 
 

@@ -12,7 +12,8 @@ from typing import List
 
 import numpy as np
 
-from .errors import CompletenessFailure, DimMismatch, NotInformationallyComplete
+from .errors import (CompletenessFailure, DimMismatch, DomainError,
+                     NotInformationallyComplete)
 from .linalg import (
     PSD_TOL,
     HERMITIAN_TOL,
@@ -57,13 +58,13 @@ class Povm:
             if e.shape != (self.dim, self.dim):
                 raise DimMismatch(f"effect {i} has shape {e.shape}")
             if np.max(np.abs(e - dag(e))) > HERMITIAN_TOL:
-                raise ValueError(f"effect {i} is not Hermitian")
+                raise DomainError(f"effect {i} is not Hermitian")
             w = hermitian_eig(e).eigenvalues
             if w[-1] < -PSD_TOL:
-                raise ValueError(f"effect {i} has eigenvalue {w[-1]:g}")
+                raise DomainError(f"effect {i} has eigenvalue {w[-1]:g}")
             total += e
         if frobenius_norm(total - np.eye(self.dim)) > 1e-10:
-            raise ValueError("effects do not sum to identity")
+            raise DomainError("effects do not sum to identity")
 
     def __len__(self) -> int:
         return len(self.effects)

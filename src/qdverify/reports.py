@@ -8,11 +8,10 @@ identical report.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Optional
 
 from . import __version__
-from .statefile import format_float
+from .statefile import format_float, render
 
 
 def file_digest(path: str) -> str:
@@ -39,12 +38,8 @@ def cnum(z: complex) -> list:
     return [fnum(z.real), fnum(z.imag)]
 
 
-def render_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def emit(doc: dict, path: Optional[str] = None) -> str:
-    text = render_report(doc)
+    text = render(doc)
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

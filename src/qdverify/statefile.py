@@ -15,9 +15,9 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ParseError
-from .gaussian import CONVENTION_TAG, GaussianState
+from .gaussian import GaussianState
 from .linalg import DensityOperator
-from .phasespace import GridGeometry, WignerGrid
+from .phasespace import CONVENTION_TAG, GridGeometry, WignerGrid
 from .povm import Povm
 from .tomo import ShotRecord
 

@@ -4,8 +4,9 @@ A joint IC-POVM measurement on both subsystems is sampled multinomially.
 Conditional states of B are rebuilt by linear inversion through the dual
 frame of the B-side POVM, projected back to the density-operator cone.
 Commutator norms between estimated conditionals get a first-order
-(delta-method) standard error from the multinomial covariance, cross
-checked by a parametric bootstrap, and the verdict is a z-score test.
+(delta-method) standard error from the multinomial covariance, or a
+parametric bootstrap one where that linearization degenerates, and the
+verdict is a z-score test.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, InsufficientOutcomes
+from .errors import DimMismatch, DomainError, InsufficientOutcomes
 from .linalg import DensityOperator, dag, frobenius_norm, hermitian_eig, tensor
 from .povm import DualFrame, Povm
 from .dv import (
@@ -49,7 +50,7 @@ class ShotRecord:
             raise DimMismatch(f"counts shape {self.counts.shape} does not "
                               f"match POVM sizes {ka}x{kb}")
         if np.any(self.counts < 0):
-            raise ValueError("negative counts")
+            raise DomainError("negative counts")
 
 
 @dataclass
@@ -92,6 +93,8 @@ def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.
 def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
                  shots: int, seed: int) -> ShotRecord:
     """Multinomial sample of the joint measurement, seeded and reproducible."""
+    if shots < 0:
+        raise DomainError(f"shots must be nonnegative, got {shots}")
     probs = joint_probabilities(rho, povm_a, povm_b)
     flat = np.clip(probs.reshape(-1), 0.0, None)
     flat = flat / flat.sum()
@@ -192,11 +195,12 @@ def significant_commutativity(est: EstimatedConditionals,
     """Z-score verdict on the largest pairwise commutator norm.
 
     Standard errors per pair come from the delta method on the linear
-    inversion; a parametric bootstrap over the full estimation pipeline
+    inversion. Where the linearization is degenerate (norm at or below
+    NORM_FLOOR), a parametric bootstrap over the full estimation pipeline
     (resampling counts from the estimated joint distribution) replaces the
-    delta value where the linearization is degenerate, and is also run for
-    cross-validation. When a norm has exactly zero standard error, the
-    z-score is +inf if the norm is above the floor and 0 otherwise.
+    delta value; it runs only for those pairs. When a norm has exactly zero
+    standard error, the z-score is +inf if the norm is above the floor and
+    0 otherwise.
     """
     present = est.ensemble.present_indices()
     if len(present) < 2:
@@ -205,22 +209,25 @@ def significant_commutativity(est: EstimatedConditionals,
 
     pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
     norms = {}
-    delta = {}
+    stderrs = {}
     for j, k in pairs:
         norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)
         norms[(j, k)] = norm
         if gj is None:
-            delta[(j, k)] = None
+            stderrs[(j, k)] = None
         else:
-            delta[(j, k)] = _delta_stderr(est.freqs[j], est.counts[j], gj,
-                                          est.freqs[k], est.counts[k], gk)
+            stderrs[(j, k)] = _delta_stderr(est.freqs[j], est.counts[j], gj,
+                                            est.freqs[k], est.counts[k], gk)
 
-    boot = _bootstrap_stderr(est, pairs, resamples, seed)
+    degenerate = [pair for pair in pairs if stderrs[pair] is None]
+    if degenerate:
+        stderrs.update(zip(degenerate,
+                           _bootstrap_stderr(est, degenerate, resamples, seed)))
 
     best = None
-    for idx, pair in enumerate(pairs):
+    for pair in pairs:
         norm = norms[pair]
-        stderr = delta[pair] if delta[pair] is not None else boot[idx]
+        stderr = stderrs[pair]
         if stderr == 0.0 or not np.isfinite(stderr):
             z = np.inf if norm > NORM_FLOOR else 0.0
         else:

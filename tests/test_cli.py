@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +95,18 @@ class TestVerifyGaussian:
         assert code == 2
         assert "quadrature" in err
 
+    def test_tiny_outcome_shift_still_detects(self, capsys, workdir):
+        # the decision is on the peak shift per unit outcome shift, so it
+        # does not fade with the distance between the outcomes
+        path = write_fixture(workdir / "tmsv_r05.state",
+                             statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
+        code, out, _ = run(capsys, "verify-gaussian", path,
+                           "--outcomes", "0,0;1e-300,1e-300")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "NONZERO_DISCORD"
+        assert doc["witnesses"]["cov_block_decision"]["zero_discord"] is False
+
     def test_golden(self, capsys, workdir):
         path = write_fixture(workdir / "g.state",
                              statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)))
@@ -165,6 +179,12 @@ class TestMoyal:
         assert doc["witnesses"]["significant"] is True
         assert float(doc["witnesses"]["uncertainty_band"]) > 0
 
+    def test_one_point_grid_exit_2(self, capsys, fock_files):
+        a, b = fock_files
+        code, _, err = run(capsys, "moyal", a, b, "--points", "1")
+        assert code == 2
+        assert "error:" in err
+
     def test_golden(self, capsys, fock_files):
         a, b = fock_files
         _, out1, _ = run(capsys, "moyal", a, b, "--points", "48")
@@ -200,6 +220,11 @@ class TestTomo:
         assert code == 2
         assert "no counts" in err
 
+    def test_negative_shots_exit_2(self, capsys, bell_file):
+        code, _, err = run(capsys, "tomo", bell_file, "--shots", "-5")
+        assert code == 2
+        assert "error:" in err
+
     def test_golden(self, capsys, bell_file):
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         _, out2, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
@@ -215,3 +240,14 @@ def test_fixture_dir_resolution(capsys, tmp_path, monkeypatch, bell):
     code, out, _ = run(capsys, "verify-dv", "bell.state")
     assert code == 0
     assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is needed only for Fock-space transforms and is imported there
+    code = ("import sys, qdverify.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -121,6 +121,11 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotHermitian):
+                hermitian_eig(np.array([[bad, 0], [0, 1]], dtype=complex))
+
     def test_density_eigenvalues_in_range(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)

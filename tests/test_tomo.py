@@ -154,6 +154,23 @@ class TestSignificance:
         b = tomo.bootstrap_norm_stderr(est, seed=5)
         np.testing.assert_array_equal(a, b)
 
+    def test_bootstrap_runs_only_for_degenerate_pairs(self, bell, sic, sic_duals,
+                                                     monkeypatch):
+        calls = []
+        original = tomo._bootstrap_stderr
+
+        def spy(est, pairs, resamples, seed):
+            calls.append(list(pairs))
+            return original(est, pairs, resamples, seed)
+
+        monkeypatch.setattr(tomo, "_bootstrap_stderr", spy)
+        rec = tomo.sample_joint(bell, sic, sic, 100000, seed=7)
+        tomo.significant_commutativity(tomo.estimate_conditionals(rec, sic_duals))
+        assert calls == []      # every Bell pair has a delta-method stderr
+        product = tomo.exact_conditionals(random_product_state(2), sic, sic, sic_duals)
+        tomo.significant_commutativity(product, resamples=5)
+        assert calls == [[(j, k) for j in range(4) for k in range(j + 1, 4)]]
+
     def test_insufficient_outcomes(self, sic, sic_duals):
         counts = np.zeros((4, 4), dtype=int)
         counts[1] = [25, 25, 25, 25]
