@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
-from .povm import default_ic_povm, dual_frame
+from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
 from .reports import base_report, cnum, emit, file_digest, fnum
 from .statefile import load, resolve_path, shot_record_doc, wigner_grid_doc, write
 
@@ -34,11 +34,25 @@ def _parse_outcomes(text: str):
         raise ParseError(f"bad outcomes {text!r}: {exc}") from None
 
 
-def cmd_verify_dv(args) -> int:
-    path = resolve_path(args.state)
+def _load(path_arg: str, command: str, *kinds: str):
+    """Resolve and parse a state file that must be one of the given kinds."""
+    path = resolve_path(path_arg)
     sf = load(path)
-    if sf.kind != "dv_density":
-        raise ParseError(f"verify-dv needs a dv_density file, got {sf.kind}")
+    if sf.kind not in kinds:
+        raise ParseError(f"{command} needs {' or '.join(kinds)}, got {sf.kind}")
+    return path, sf
+
+
+def _report(pipeline: str, path: str, fields: dict) -> int:
+    """Print the report for a pipeline run on the file at path; exit 0."""
+    doc = base_report(pipeline, file_digest(path))
+    doc.update(fields)
+    sys.stdout.write(emit(doc))
+    return 0
+
+
+def cmd_verify_dv(args) -> int:
+    path, sf = _load(args.state, "verify-dv", "dv_density")
     rho = sf.payload
     if rho.bipartition is None:
         raise ParseError("verify-dv needs a bipartition in the state file")
@@ -47,8 +61,7 @@ def cmd_verify_dv(args) -> int:
     povm = default_ic_povm(dim_a, seed=args.povm_seed, kind=kind)
     ensemble = dv.condition_on_povm(rho, povm)
     verdict = dv.verify_commutativity(ensemble, threshold=args.threshold)
-    doc = base_report("dv_exact", file_digest(path))
-    doc.update({
+    return _report("dv_exact", path, {
         "verdict": verdict.verdict,
         "witnesses": {
             "max_commutator_norm": fnum(verdict.max_commutator_norm),
@@ -59,22 +72,16 @@ def cmd_verify_dv(args) -> int:
         "thresholds": {"commutator_norm": fnum(verdict.threshold)},
         "seeds": {"povm_kind": kind, "povm_seed": args.povm_seed},
     })
-    sys.stdout.write(emit(doc))
-    return 0
 
 
 def cmd_verify_gaussian(args) -> int:
-    path = resolve_path(args.state)
-    sf = load(path)
-    if sf.kind != "gaussian":
-        raise ParseError(f"verify-gaussian needs a gaussian file, got {sf.kind}")
+    path, sf = _load(args.state, "verify-gaussian", "gaussian")
     state = sf.payload
     out1, out2 = _parse_outcomes(args.outcomes)
     form = gaussian.standard_form(state)
     result = gaussian.peak_coincidence_test(form, out1, out2, args.tol)
     cov_zero = gaussian.zero_discord_decision(state, args.tol)
-    doc = base_report("gaussian_peak", file_digest(path))
-    doc.update({
+    return _report("gaussian_peak", path, {
         "verdict": result.verdict,
         "witnesses": {
             "standard_form": {k: fnum(getattr(form, k)) for k in "abcd"},
@@ -92,21 +99,24 @@ def cmd_verify_gaussian(args) -> int:
         "thresholds": {"peak_shift_per_outcome_shift": fnum(args.tol)},
         "seeds": {},
     })
-    sys.stdout.write(emit(doc))
-    return 0
 
 
-def _load_wigner(path: str, geom):
-    sf = load(path)
+def _load_wigner(path_arg: str, geom):
+    """(path, Wigner grid, per-point stderr) of a moyal input.
+
+    The memory the Moyal route will need on the input's grid is admitted
+    before any grid-sized allocation.
+    """
+    path, sf = _load(path_arg, "moyal", "wigner_grid", "dv_density")
     if sf.kind == "wigner_grid":
-        return sf.payload, sf.value_stderr
-    if sf.kind == "dv_density":
-        if sf.fock_cutoff is None:
-            raise ParseError(f"{path}: dv_density input to moyal needs a "
-                             "fock_cutoff tag")
-        op = phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
-        return phasespace.wigner_from_fock(op, geom), None
-    raise ParseError(f"moyal cannot use kind {sf.kind}")
+        phasespace.admit_moyal(sf.payload.geometry)
+        return path, sf.payload, sf.value_stderr
+    if sf.fock_cutoff is None:
+        raise ParseError(f"{path}: dv_density input to moyal needs a "
+                         "fock_cutoff tag")
+    phasespace.admit_moyal(geom, sf.fock_cutoff)
+    op = phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
+    return path, phasespace.wigner_from_fock(op, geom), None
 
 
 # floor for calling a commutator grid nonzero when inputs are exact
@@ -115,16 +125,12 @@ MOYAL_NUMERICAL_FLOOR = 1e-9
 
 def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
-    path_a = resolve_path(args.state_a)
-    path_b = resolve_path(args.state_b)
-    grid_a, err_a = _load_wigner(path_a, geom)
-    grid_b, err_b = _load_wigner(path_b, geom)
+    path_a, grid_a, err_a = _load_wigner(args.state_a, geom)
+    path_b, grid_b, err_b = _load_wigner(args.state_b, geom)
     comm = phasespace.moyal_commutator(grid_a, grid_b)
     value, loc = phasespace.grid_max_abs(comm)
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(comm))
-    doc = base_report("cv_moyal", file_digest(path_a))
-    doc["input_digest_b"] = file_digest(path_b)
     witnesses = {
         "grid_max_abs": fnum(value),
         "location": [loc[0], loc[1]],
@@ -141,14 +147,13 @@ def cmd_moyal(args) -> int:
         witnesses["significant"] = bool(value > band)
         threshold = max(band, threshold)
     verdict = dv.NONZERO_DISCORD if value > threshold else dv.CONSISTENT_WITH_ZERO
-    doc.update({
+    return _report("cv_moyal", path_a, {
+        "input_digest_b": file_digest(path_b),
         "verdict": verdict,
         "witnesses": witnesses,
         "thresholds": {"grid_max_abs": fnum(threshold)},
         "seeds": {},
     })
-    sys.stdout.write(emit(doc))
-    return 0
 
 
 def _default_grid_out(path_a: str, path_b: str) -> str:
@@ -158,8 +163,7 @@ def _default_grid_out(path_a: str, path_b: str) -> str:
 
 
 def cmd_tomo(args) -> int:
-    path = resolve_path(args.state)
-    sf = load(path)
+    path, sf = _load(args.state, "tomo", "dv_density", "shot_record")
     record_path = None
     if sf.kind == "dv_density":
         rho = sf.payload
@@ -171,17 +175,14 @@ def cmd_tomo(args) -> int:
         record = tomo.sample_joint(rho, povm_a, povm_b, args.shots, args.seed)
         record_path = args.record_out or (path + ".shots.json")
         write(record_path, shot_record_doc(record))
-    elif sf.kind == "shot_record":
-        record = sf.payload
     else:
-        raise ParseError(f"tomo needs dv_density or shot_record, got {sf.kind}")
+        record = sf.payload
     duals_b = dual_frame(record.povm_b)
     est = tomo.estimate_conditionals(record, duals_b)
     verdict = tomo.significant_commutativity(est, z_threshold=args.z,
                                              resamples=args.resamples,
                                              seed=record.seed)
-    doc = base_report("dv_tomo", file_digest(path))
-    doc.update({
+    fields = {
         "verdict": verdict.verdict,
         "significance_convention": "z = commutator norm / propagated stderr, "
                                    "maximized over conditional pairs",
@@ -198,11 +199,10 @@ def cmd_tomo(args) -> int:
             "povm_seed": args.povm_seed,
             "shots": int(record.total),
         },
-    })
+    }
     if record_path:
-        doc["emitted_record"] = record_path
-    sys.stdout.write(emit(doc))
-    return 0
+        fields["emitted_record"] = record_path
+    return _report("dv_tomo", path, fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--povm", choices=["sic", "random"], default=None,
                    help="IC-POVM choice (default: sic for qubits, random otherwise)")
-    p.add_argument("--povm-seed", type=int, default=20240)
+    p.add_argument("--povm-seed", type=int, default=DEFAULT_POVM_SEED)
     p.add_argument("--threshold", type=float, default=dv.DEFAULT_COMMUTATOR_THRESHOLD)
     p.set_defaults(func=cmd_verify_dv)
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--outcomes", required=True,
                    help="two heterodyne outcomes as 'x1,p1;x1p,p1p'")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=gaussian.DEFAULT_DECISION_TOL)
     p.set_defaults(func=cmd_verify_gaussian)
 
     p = sub.add_parser("moyal", help="phase-space commutator of two states")
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--z", type=float, default=tomo.DEFAULT_Z_THRESHOLD)
     p.add_argument("--resamples", type=int, default=tomo.DEFAULT_RESAMPLES)
-    p.add_argument("--povm-seed", type=int, default=20240)
+    p.add_argument("--povm-seed", type=int, default=DEFAULT_POVM_SEED)
     p.add_argument("--record-out", default=None)
     p.set_defaults(func=cmd_tomo)
     return parser

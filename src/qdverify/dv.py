@@ -79,8 +79,7 @@ class CommutativityVerdict:
     threshold: float
 
 
-def condition_on_povm(rho: DensityOperator, p: Povm,
-                      prob_floor: float = PROB_FLOOR) -> ConditionalEnsemble:
+def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     """Conditional states of B for each outcome of a POVM measured on A.
 
     p_k = Tr[(M_k x I) rho] and rho_{B|k} = Tr_A[(M_k x I) rho] / p_k.
@@ -98,7 +97,7 @@ def condition_on_povm(rho: DensityOperator, p: Povm,
         block = np.einsum("ac,cbad->bd", effect, t)
         pk = np.trace(block).real
         probs[k] = pk
-        if pk > prob_floor:
+        if pk > PROB_FLOOR:
             cond = block / pk
             cond = (cond + dag(cond)) / 2.0
             states.append(DensityOperator(cond))
@@ -107,17 +106,16 @@ def condition_on_povm(rho: DensityOperator, p: Povm,
     return ConditionalEnsemble(probs, states, p)
 
 
-def select_anchor(e: ConditionalEnsemble,
-                  degeneracy_threshold: float = DEGENERACY_THRESHOLD) -> Optional[int]:
+def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
     """Index of the least degenerate conditional state, or None.
 
     Returns the present state with the largest minimum eigenvalue gap,
-    provided that gap exceeds the degeneracy threshold. Gaps within a
+    provided that gap exceeds DEGENERACY_THRESHOLD. Gaps within a
     relative ANCHOR_TIE_RTOL of each other tie, and ties break to the
     lowest index.
     """
     best_idx = None
-    best_gap = degeneracy_threshold
+    best_gap = DEGENERACY_THRESHOLD
     for k in e.present_indices():
         gap = degeneracy_gap(hermitian_eig(e.states[k].matrix))
         if gap > best_gap * (1.0 + ANCHOR_TIE_RTOL):
@@ -128,7 +126,6 @@ def select_anchor(e: ConditionalEnsemble,
 
 def verify_commutativity(e: ConditionalEnsemble,
                          threshold: float = DEFAULT_COMMUTATOR_THRESHOLD,
-                         degeneracy_threshold: float = DEGENERACY_THRESHOLD,
                          ) -> CommutativityVerdict:
     """Check pairwise commutativity of the conditional states.
 
@@ -139,7 +136,7 @@ def verify_commutativity(e: ConditionalEnsemble,
     the first Frobenius norm above the threshold, reporting that pair.
     """
     present = e.present_indices()
-    anchor = select_anchor(e, degeneracy_threshold)
+    anchor = select_anchor(e)
     if anchor is not None:
         pairs = [(anchor, k) for k in present if k != anchor]
     else:

@@ -45,6 +45,10 @@ class SingularConditioning(QdvError):
     """Heterodyne conditioning is singular for this covariance."""
 
 
+class GridTooLarge(QdvError):
+    """A phase-space grid would need more memory than the machine has."""
+
+
 class DegenerateOutcomes(QdvError):
     """Heterodyne outcomes share a quadrature value; the test would be blind."""
 

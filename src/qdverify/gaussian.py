@@ -35,6 +35,11 @@ VACUUM_VARIANCE = 0.25
 PHYSICALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 SINGULAR_TOL = 1e-12
+DEFAULT_DECISION_TOL = 1e-9     # peak shift per outcome shift; cross-block entry
+
+# random_physical_state draw ranges: thermal occupation, squeeze magnitude
+MAX_THERMAL = 1.5
+MAX_SQUEEZE = 0.6
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
@@ -93,10 +98,7 @@ class LocalOps:
         return _rot(self.theta_b2) @ _squeeze(self.r_b) @ _rot(self.theta_b1)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((4, 4))
-        out[:2, :2] = self.mode_a()
-        out[2:, 2:] = self.mode_b()
-        return out
+        return _local(self.mode_a(), self.mode_b())
 
 
 @dataclass
@@ -115,9 +117,8 @@ class StandardForm:
     def reconstruct_input(self) -> np.ndarray:
         """Undo the local operations, recovering the original covariance."""
         ops = self.local_ops
-        inv = np.zeros((4, 4))
-        inv[:2, :2] = _rot(-ops.theta_a1) @ _squeeze(-ops.r_a) @ _rot(-ops.theta_a2)
-        inv[2:, 2:] = _rot(-ops.theta_b1) @ _squeeze(-ops.r_b) @ _rot(-ops.theta_b2)
+        inv = _local(_rot(-ops.theta_a1) @ _squeeze(-ops.r_a) @ _rot(-ops.theta_a2),
+                     _rot(-ops.theta_b1) @ _squeeze(-ops.r_b) @ _rot(-ops.theta_b2))
         return inv @ self.as_cov() @ inv.T
 
 
@@ -141,11 +142,19 @@ def _squeeze(r: float) -> np.ndarray:
     return np.diag([np.exp(r), np.exp(-r)])
 
 
-def validate_physical(g: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    """True iff cov + (i/4) Omega is PSD within tolerance."""
+def _local(mode_a: np.ndarray, mode_b: np.ndarray) -> np.ndarray:
+    """4x4 local operation: mode_a on the first mode, mode_b on the second."""
+    out = np.zeros((4, 4))
+    out[:2, :2] = mode_a
+    out[2:, 2:] = mode_b
+    return out
+
+
+def validate_physical(g: GaussianState) -> bool:
+    """True iff cov + (i/4) Omega is PSD within PHYSICALITY_TOL."""
     m = g.cov.astype(complex) + 0.25j * OMEGA
     w = hermitian_eig(m).eigenvalues
-    return bool(w[-1] >= -tol)
+    return bool(w[-1] >= -PHYSICALITY_TOL)
 
 
 def _diagonalizing_angle(m: np.ndarray) -> float:
@@ -155,7 +164,7 @@ def _diagonalizing_angle(m: np.ndarray) -> float:
     return 0.5 * np.arctan2(2.0 * m[0, 1], m[0, 0] - m[1, 1])
 
 
-def standard_form(g: GaussianState, tol: float = PHYSICALITY_TOL) -> StandardForm:
+def standard_form(g: GaussianState) -> StandardForm:
     """Reduce a physical covariance to A = aI, B = bI, C = diag(c, d).
 
     Three stages of local (per-mode) symplectics: rotations diagonalize the
@@ -165,30 +174,24 @@ def standard_form(g: GaussianState, tol: float = PHYSICALITY_TOL) -> StandardFor
     is canonicalized to c >= 0 with the sign of d free. Local symplectic
     invariants (det of each block and of the full matrix) are preserved.
     """
-    if not validate_physical(g, tol):
+    if not validate_physical(g):
         raise Unphysical("covariance violates the uncertainty constraint")
     cov = g.cov.copy()
 
     theta_a1 = _diagonalizing_angle(cov[:2, :2])
     theta_b1 = _diagonalizing_angle(cov[2:, 2:])
-    s1 = np.zeros((4, 4))
-    s1[:2, :2] = _rot(theta_a1)
-    s1[2:, 2:] = _rot(theta_b1)
+    s1 = _local(_rot(theta_a1), _rot(theta_b1))
     cov = s1 @ cov @ s1.T
 
     a1, a2 = cov[0, 0], cov[1, 1]
     b1, b2 = cov[2, 2], cov[3, 3]
     r_a = 0.0 if abs(a1 - a2) <= SYMMETRY_TOL else 0.25 * np.log(a2 / a1)
     r_b = 0.0 if abs(b1 - b2) <= SYMMETRY_TOL else 0.25 * np.log(b2 / b1)
-    s2 = np.zeros((4, 4))
-    s2[:2, :2] = _squeeze(r_a)
-    s2[2:, 2:] = _squeeze(r_b)
+    s2 = _local(_squeeze(r_a), _squeeze(r_b))
     cov = s2 @ cov @ s2.T
 
     theta_a2, theta_b2 = _c_diagonalizing_rotations(cov[:2, 2:])
-    s3 = np.zeros((4, 4))
-    s3[:2, :2] = _rot(theta_a2)
-    s3[2:, 2:] = _rot(theta_b2)
+    s3 = _local(_rot(theta_a2), _rot(theta_b2))
     cov = s3 @ cov @ s3.T
 
     ops = LocalOps(theta_a1, theta_b1, r_a, r_b, theta_a2, theta_b2)
@@ -276,7 +279,7 @@ def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
     return PeakTestResult(out1, out2, p1, p2, sep, verdict, tol)
 
 
-def zero_discord_decision(g: GaussianState, tol: float = 1e-9) -> bool:
+def zero_discord_decision(g: GaussianState, tol: float = DEFAULT_DECISION_TOL) -> bool:
     """True iff the cross block vanishes, i.e. the state is a product state.
 
     Decided on the original-frame C block; the standard-form route
@@ -320,24 +323,23 @@ def beamsplitter(theta: float) -> np.ndarray:
                      [-s * np.eye(2), c * np.eye(2)]])
 
 
-def random_physical_state(rng: np.random.Generator, product: bool = False,
-                          max_thermal: float = 1.5,
-                          max_squeeze: float = 0.6) -> GaussianState:
+def random_physical_state(rng: np.random.Generator,
+                          product: bool = False) -> GaussianState:
     """Random physical two-mode covariance via a symplectic on thermal noise.
 
-    Thermal occupations and local rotation and squeeze parameters are drawn
-    uniformly; unless product is set, a beamsplitter and a two-mode squeeze
-    entangle the modes.
+    Thermal occupations (up to MAX_THERMAL) and local rotation and squeeze
+    parameters (up to MAX_SQUEEZE in magnitude) are drawn uniformly; unless
+    product is set, a beamsplitter and a two-mode squeeze entangle the modes.
     """
-    nu1 = 1.0 + 2.0 * rng.uniform(0.0, max_thermal)
-    nu2 = 1.0 + 2.0 * rng.uniform(0.0, max_thermal)
+    nu1 = 1.0 + 2.0 * rng.uniform(0.0, MAX_THERMAL)
+    nu2 = 1.0 + 2.0 * rng.uniform(0.0, MAX_THERMAL)
     cov = VACUUM_VARIANCE * np.diag([nu1, nu1, nu2, nu2])
-    s = np.zeros((4, 4))
-    s[:2, :2] = _rot(rng.uniform(0, 2 * np.pi)) @ _squeeze(rng.uniform(-max_squeeze, max_squeeze))
-    s[2:, 2:] = _rot(rng.uniform(0, 2 * np.pi)) @ _squeeze(rng.uniform(-max_squeeze, max_squeeze))
+    s = _local(
+        _rot(rng.uniform(0, 2 * np.pi)) @ _squeeze(rng.uniform(-MAX_SQUEEZE, MAX_SQUEEZE)),
+        _rot(rng.uniform(0, 2 * np.pi)) @ _squeeze(rng.uniform(-MAX_SQUEEZE, MAX_SQUEEZE)))
     cov = s @ cov @ s.T
     if not product:
-        r = rng.uniform(0.1, max_squeeze)
+        r = rng.uniform(0.1, MAX_SQUEEZE)
         tm = np.block([
             [np.cosh(r) * np.eye(2), np.sinh(r) * np.diag([1.0, -1.0])],
             [np.sinh(r) * np.diag([1.0, -1.0]), np.cosh(r) * np.eye(2)],

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian
 
 # Structural checks (hermiticity, trace) and spectral checks (eigenvalues,
-# residuals) use different default tolerances; both are overridable.
+# residuals) use different tolerances, fixed here.
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -68,21 +68,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ dag(v)
 
 
-def hermitian_eig(m: np.ndarray, herm_tol: float = SPECTRAL_TOL) -> EigenDecomposition:
+def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK's eigh.
 
     The input is symmetrised before the call, and the result is reordered
     to descending eigenvalues. Raises NotHermitian if m is not square, has
-    non-finite entries, or max |m - m^dagger| exceeds herm_tol.
+    non-finite entries, or max |m - m^dagger| exceeds SPECTRAL_TOL.
     """
     a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"not a square matrix: {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotHermitian("matrix has non-finite entries")
-    if np.max(np.abs(a - dag(a))) > herm_tol:
+    if np.max(np.abs(a - dag(a))) > SPECTRAL_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance "
-                           f"{herm_tol:g}")
+                           f"{SPECTRAL_TOL:g}")
     w, v = np.linalg.eigh((a + dag(a)) / 2.0)
     return EigenDecomposition(w[::-1], v[:, ::-1])
 
@@ -109,13 +109,13 @@ class DensityOperator:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimMismatch(f"density operator must be square: {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise DomainError("density operator has non-finite entries")
         if self.bipartition is not None:
             da, db = self.bipartition
-            if da * db != m.shape[0]:
+            if da < 1 or db < 1 or da * db != m.shape[0]:
                 raise DimMismatch(
                     f"bipartition {da}x{db} does not match dim {m.shape[0]}")
             self.bipartition = (int(da), int(db))

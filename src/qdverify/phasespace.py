@@ -23,14 +23,16 @@ spectral route).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, GeometryMismatch, TruncationTail
+from .errors import (DimMismatch, DomainError, GeometryMismatch, GridTooLarge,
+                     TruncationTail)
 from .linalg import dag
 
 CONVENTION_TAG = "vacuum-variance=1/4"
@@ -294,6 +296,29 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
     pair = (ejx[:, :, None] * ejx[:, None, :]).reshape(nx, -1)
     dqx = 2.0 * pi / (nx * dx)
     return (pair @ h.reshape(nx * nx, npts)) * (dqx * dqx / (4.0 * pi))
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def admit_moyal(geom: GridGeometry, cutoff: Optional[int] = None) -> None:
+    """Refuse a Moyal route on geom that would need more than physical memory.
+
+    _star_product holds about six nx * nx * np complex arrays at its peak,
+    and a Fock input of the given cutoff adds its displacement table of
+    nx * np * (cutoff + 1)^2 complex entries, 16 bytes each. Raises
+    GridTooLarge; call it before allocating anything grid-sized.
+    """
+    entries = 6 * geom.nx * geom.nx * geom.np
+    if cutoff is not None:
+        entries += geom.nx * geom.np * (cutoff + 1) ** 2
+    need = 16 * entries
+    have = _physical_memory_bytes()
+    if need > have:
+        raise GridTooLarge(f"a {geom.nx}x{geom.np} grid needs about "
+                           f"{need / 2 ** 30:.3g} GiB for the Moyal route; "
+                           f"physical memory is {have / 2 ** 30:.3g} GiB")
 
 
 def _require_same_geometry(a, b) -> GridGeometry:

@@ -53,6 +53,8 @@ class Povm:
 
     def __post_init__(self):
         self.effects = [np.asarray(e, dtype=complex) for e in self.effects]
+        if self.dim < 1:
+            raise DimMismatch(f"POVM dimension must be positive, got {self.dim}")
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for i, e in enumerate(self.effects):
             if e.shape != (self.dim, self.dim):

@@ -8,10 +8,9 @@ identical report.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from . import __version__
-from .statefile import format_float, render
+from .statefile import format_complex, format_float, render
 
 
 def file_digest(path: str) -> str:
@@ -30,17 +29,9 @@ def base_report(pipeline: str, digest: str) -> dict:
     }
 
 
-def fnum(x: float) -> str:
-    return format_float(float(x))
+fnum = format_float
+cnum = format_complex
 
 
-def cnum(z: complex) -> list:
-    return [fnum(z.real), fnum(z.imag)]
-
-
-def emit(doc: dict, path: Optional[str] = None) -> str:
-    text = render(doc)
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text
+def emit(doc: dict) -> str:
+    return render(doc)

@@ -43,7 +43,7 @@ def parse_float(s: Any) -> float:
     return x
 
 
-def _complex_out(z: complex) -> list:
+def format_complex(z: complex) -> list:
     return [format_float(z.real), format_float(z.imag)]
 
 
@@ -54,7 +54,7 @@ def _complex_in(v: Any) -> complex:
 
 
 def _cmatrix_out(m: np.ndarray) -> list:
-    return [[_complex_out(complex(v)) for v in row] for row in np.asarray(m)]
+    return [[format_complex(complex(v)) for v in row] for row in np.asarray(m)]
 
 
 def _cmatrix_in(rows: Any) -> np.ndarray:
@@ -190,7 +190,9 @@ def load(path: str, strict: bool = True) -> StateFile:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+        # integer literal past Python's digit limit; deep nesting recurses
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, InsufficientOutcomes
 from .linalg import DensityOperator, dag, frobenius_norm, hermitian_eig, tensor
-from .povm import DualFrame, Povm
+from .povm import DualFrame, Povm, reconstruct
 from .dv import (
     CONSISTENT_WITH_ZERO,
     NONZERO_DISCORD,
@@ -60,6 +60,7 @@ class EstimatedConditionals:
     freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .),
     counts[k] the per-outcome totals; entry_stderr[k] is the elementwise
     standard error of the state estimate (None for absent outcomes).
+    ensemble.source_povm is B's POVM, the one duals_b inverts.
     """
 
     ensemble: ConditionalEnsemble
@@ -117,12 +118,46 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
     return (out + dag(out)) / 2.0
 
 
-def _invert_frequencies(freq: np.ndarray, duals: DualFrame) -> np.ndarray:
-    dim = duals.operators[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for f, n in zip(freq, duals.operators):
-        out += f * n
-    return out
+def _conditional_row(row: np.ndarray, weight: float, povm_b: Povm,
+                     duals_b: DualFrame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One outcome's step: normalise its row of joint weights, invert the
+    conditional frequencies through the dual frame, project to a state.
+
+    Returns (frequencies, raw inversion, projected state).
+    """
+    f = row / weight
+    raw = reconstruct(povm_b, duals_b, f)
+    return f, raw, project_to_state(raw)
+
+
+def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_b: Povm,
+              duals_b: DualFrame) -> EstimatedConditionals:
+    """Conditional states of B from joint weights w(k, m) over outcome pairs.
+
+    Rows whose total weight is at or below floor are absent. sizes[k] is the
+    number of samples behind row k; the elementwise standard errors scale as
+    1/sqrt(sizes[k]) and vanish for infinite sizes.
+    """
+    marg = joint.sum(axis=1)
+    dim = povm_b.dim
+    freqs = np.zeros(joint.shape)
+    states: List[Optional[DensityOperator]] = []
+    stderrs: List[Optional[np.ndarray]] = []
+    for k in range(joint.shape[0]):
+        if marg[k] <= floor:
+            states.append(None)
+            stderrs.append(None)
+            continue
+        f, raw, state = _conditional_row(joint[k], marg[k], povm_b, duals_b)
+        freqs[k] = f
+        states.append(DensityOperator(state))
+        var = np.zeros((dim, dim))
+        for m, n_op in enumerate(duals_b.operators):
+            var += f[m] * np.abs(n_op) ** 2
+        var -= np.abs(raw) ** 2
+        stderrs.append(np.sqrt(np.maximum(var, 0.0) / sizes[k]))
+    ensemble = ConditionalEnsemble(marg / marg.sum(), states, povm_b)
+    return EstimatedConditionals(ensemble, freqs, sizes, duals_b, stderrs)
 
 
 def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedConditionals:
@@ -134,35 +169,10 @@ def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedCondi
     Elementwise standard errors come from the multinomial covariance of
     the conditional frequencies pushed through the linear inversion.
     """
-    if len(duals_b) != len(rec.povm_b.effects):
-        raise DimMismatch("dual frame does not match the B-side POVM")
-    ka, kb = rec.counts.shape
-    total = rec.counts.sum()
-    if total <= 0:
+    if rec.counts.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")
-    marg = rec.counts.sum(axis=1)
-    probs = marg / total
-    dim = rec.povm_b.dim
-    freqs = np.zeros((ka, kb))
-    states: List[Optional[DensityOperator]] = []
-    stderrs: List[Optional[np.ndarray]] = []
-    for k in range(ka):
-        nk = marg[k]
-        if nk <= 0:
-            states.append(None)
-            stderrs.append(None)
-            continue
-        f = rec.counts[k] / nk
-        freqs[k] = f
-        raw = _invert_frequencies(f, duals_b)
-        states.append(DensityOperator(project_to_state(raw)))
-        var = np.zeros((dim, dim))
-        for m, n_op in enumerate(duals_b.operators):
-            var += f[m] * np.abs(n_op) ** 2
-        var -= np.abs(raw) ** 2
-        stderrs.append(np.sqrt(np.maximum(var, 0.0) / nk))
-    ensemble = ConditionalEnsemble(probs, states, rec.povm_b)
-    return EstimatedConditionals(ensemble, freqs, marg.astype(float), duals_b, stderrs)
+    sizes = rec.counts.sum(axis=1).astype(float)
+    return _estimate(rec.counts, 0.0, sizes, rec.povm_b, duals_b)
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
@@ -202,6 +212,8 @@ def significant_commutativity(est: EstimatedConditionals,
     standard error, the z-score is +inf if the norm is above the floor and
     0 otherwise.
     """
+    if resamples < 0:
+        raise DomainError(f"resamples must be nonnegative, got {resamples}")
     present = est.ensemble.present_indices()
     if len(present) < 2:
         raise InsufficientOutcomes("need at least two conditional states")
@@ -256,9 +268,12 @@ def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
     Resample streams derive from the base seed plus the resample index, so
     results do not depend on evaluation order.
     """
+    if resamples < 0:
+        raise DomainError(f"resamples must be nonnegative, got {resamples}")
     if not np.all(np.isfinite(est.counts)):
         return np.zeros(len(pairs))
     present = est.ensemble.present_indices()
+    povm_b = est.ensemble.source_povm
     total = int(round(est.counts.sum()))
     ka, kb = est.freqs.shape
     joint = est.freqs * (est.counts[:, None] / max(est.counts.sum(), 1.0))
@@ -274,8 +289,7 @@ def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
             if marg[k] <= 0:
                 mats[k] = None
                 continue
-            raw = _invert_frequencies(counts[k] / marg[k], est.duals_b)
-            mats[k] = project_to_state(raw)
+            mats[k] = _conditional_row(counts[k], marg[k], povm_b, est.duals_b)[2]
         for idx, (j, k) in enumerate(pairs):
             if mats.get(j) is None or mats.get(k) is None:
                 samples[r, idx] = np.nan
@@ -299,20 +313,4 @@ def exact_conditionals(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
     vanishes and significant_commutativity applies its zero-stderr rule.
     """
     probs = joint_probabilities(rho, povm_a, povm_b)
-    marg = probs.sum(axis=1)
-    dim = rho.bipartition[1]
-    freqs = np.zeros_like(probs)
-    states: List[Optional[DensityOperator]] = []
-    stderrs: List[Optional[np.ndarray]] = []
-    for k in range(len(povm_a.effects)):
-        if marg[k] <= PROB_FLOOR:
-            states.append(None)
-            stderrs.append(None)
-            continue
-        freqs[k] = probs[k] / marg[k]
-        raw = _invert_frequencies(freqs[k], duals_b)
-        states.append(DensityOperator(project_to_state(raw)))
-        stderrs.append(np.zeros((dim, dim)))
-    ensemble = ConditionalEnsemble(marg, states, povm_b)
-    return EstimatedConditionals(ensemble, freqs, np.full(len(marg), np.inf),
-                                 duals_b, stderrs)
+    return _estimate(probs, PROB_FLOOR, np.full(len(probs), np.inf), povm_b, duals_b)

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from conftest import random_product_state
-from qdverify import dv, gaussian, statefile
+from qdverify import dv, gaussian, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
 from qdverify.phasespace import fock_state, pure_state
@@ -185,6 +187,29 @@ class TestMoyal:
         assert code == 2
         assert "error:" in err
 
+    def test_oversized_fock_grid_exit_2(self, capsys, fock_files):
+        # far beyond any machine: the admission check refuses before numpy
+        # is asked for the grid
+        a, _ = fock_files
+        code, out, err = run(capsys, "moyal", a, a, "--points", "100000")
+        assert code == 2
+        assert out == ""
+        assert "physical memory" in err
+
+    def test_oversized_wigner_grid_file_exit_2(self, capsys, workdir, monkeypatch):
+        geom = phasespace.square_geometry(6.0, 16)
+        grid = phasespace.wigner_from_fock(fock_state(0, 8), geom)
+        path = write_fixture(workdir / "w.state", statefile.wigner_grid_doc(grid))
+        # 16^3 * 6 complex entries need 393216 bytes; pretend there is less
+        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 393215)
+        code, out, err = run(capsys, "moyal", path, path)
+        assert code == 2
+        assert out == ""
+        assert "16x16 grid" in err
+        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 393216)
+        code, _, _ = run(capsys, "moyal", path, path)
+        assert code == 0
+
     def test_golden(self, capsys, fock_files):
         a, b = fock_files
         _, out1, _ = run(capsys, "moyal", a, b, "--points", "48")
@@ -224,6 +249,22 @@ class TestTomo:
         code, _, err = run(capsys, "tomo", bell_file, "--shots", "-5")
         assert code == 2
         assert "error:" in err
+
+    def test_negative_resamples_exit_2(self, capsys, workdir, sic):
+        # two identical A-outcome rows give identical conditionals, a pair
+        # with no delta-method gradient, so the bootstrap would run
+        counts = np.zeros((4, 4), dtype=int)
+        counts[0] = counts[1] = [10, 20, 30, 40]
+        path = write_fixture(workdir / "degenerate.shots.json",
+                             statefile.shot_record_doc(
+                                 tomo.ShotRecord(sic, sic, counts, 200, 3)))
+        code, out, _ = run(capsys, "tomo", path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "CONSISTENT_WITH_ZERO"
+        code, out, err = run(capsys, "tomo", path, "--resamples", "-1")
+        assert code == 2
+        assert out == ""
+        assert "resamples" in err
 
     def test_golden(self, capsys, bell_file):
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")

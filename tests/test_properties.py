@@ -1,10 +1,20 @@
-"""Property-based tests: the eigensolver and the soundness of the DV test."""
+"""Property-based tests: the eigensolver, the soundness of the DV test,
+state-file round trips, standard-form invariants, and rejection of
+malformed input."""
+import json
+import os
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdverify import dv, povm
-from qdverify.linalg import dag, frobenius_norm, hermitian_eig, random_unitary
+from qdverify import dv, gaussian, povm, statefile
+from qdverify.errors import QdvError
+from qdverify.linalg import (DensityOperator, dag, frobenius_norm, hermitian_eig,
+                             random_density_matrix, random_unitary)
+from qdverify.phasespace import GridGeometry, WignerGrid
+from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -45,3 +55,209 @@ def test_classical_quantum_states_never_flagged(dim_a, dim_b, state_seed, povm_s
     rho = dv.generate_zero_discord(dim_a, dim_b, state_seed)
     ens = dv.condition_on_povm(rho, povm.random_ic_povm(dim_a, povm_seed))
     assert dv.verify_commutativity(ens).verdict == dv.CONSISTENT_WITH_ZERO
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _ic_povm(dim, rng):
+    if dim == 2 and rng.random() < 0.5:
+        return povm.sic_qubit()
+    return povm.random_ic_povm(dim, int(rng.integers(2 ** 31)))
+
+
+@st.composite
+def state_documents(draw):
+    """A valid document of any of the four kinds."""
+    kind = draw(st.sampled_from(statefile.KINDS))
+    rng = np.random.default_rng(draw(seeds))
+    if kind == "dv_density":
+        da, db = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rho = DensityOperator(random_density_matrix(da * db, rng),
+                              bipartition=(da, db) if draw(st.booleans()) else None)
+        return statefile.dv_density_doc(rho, draw(st.none() | st.integers(0, 20)))
+    if kind == "gaussian":
+        g = gaussian.random_physical_state(rng, product=draw(st.booleans()))
+        return statefile.gaussian_doc(gaussian.GaussianState(rng.normal(size=4), g.cov))
+    if kind == "shot_record":
+        pa = _ic_povm(draw(st.integers(2, 3)), rng)
+        pb = _ic_povm(draw(st.integers(2, 3)), rng)
+        counts = rng.integers(0, 1000, size=(len(pa), len(pb)))
+        rec = ShotRecord(pa, pb, counts, int(counts.sum()), draw(st.integers(0, 2 ** 31)))
+        return statefile.shot_record_doc(rec)
+    nx, npts = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    x0, p0 = rng.normal(size=2) * 10
+    geom = GridGeometry(x0, x0 + rng.exponential() + 1e-3,
+                        p0, p0 + rng.exponential() + 1e-3, nx, npts)
+    grid = WignerGrid(geom, rng.normal(size=(nx, npts)))
+    stderr = draw(st.none() | st.floats(0.0, 1.0))
+    return statefile.wigner_grid_doc(grid, value_stderr=stderr)
+
+
+def _document_of(sf):
+    if sf.kind == "dv_density":
+        return statefile.dv_density_doc(sf.payload, sf.fock_cutoff)
+    if sf.kind == "gaussian":
+        return statefile.gaussian_doc(sf.payload)
+    if sf.kind == "shot_record":
+        return statefile.shot_record_doc(sf.payload)
+    return statefile.wigner_grid_doc(sf.payload, value_stderr=sf.value_stderr)
+
+
+def _load_text(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.state")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        return statefile.load(path)
+
+
+@PROPERTY_SETTINGS
+@given(state_documents())
+def test_statefile_round_trip_is_exact(doc):
+    # floats are written with 17 significant digits, which is injective on
+    # finite binary64, so equal documents mean bit-identical payloads
+    text = statefile.render(doc)
+    sf = _load_text(text)
+    assert sf.kind == doc["kind"]
+    assert _document_of(sf) == doc
+    assert statefile.render(_document_of(sf)) == text
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, product=st.booleans())
+def test_standard_form_preserves_local_invariants(seed, product):
+    state = gaussian.random_physical_state(np.random.default_rng(seed), product)
+    cov = gaussian.standard_form(state).as_cov()
+    for before, after in ((state.block_a, cov[:2, :2]), (state.block_b, cov[2:, 2:]),
+                          (state.block_c, cov[:2, 2:]), (state.cov, cov)):
+        det_in, det_out = np.linalg.det(before), np.linalg.det(after)
+        assert abs(det_out - det_in) <= 1e-9 * abs(det_in) + 1e-12
+
+
+entries = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def arrays(draw, max_side=4, shape=None):
+    """Complex arrays of 0-3 dimensions (or the given shape), mostly finite,
+    sometimes empty."""
+    if shape is None:
+        shape = tuple(draw(st.lists(st.integers(0, max_side), max_size=3)))
+    size = int(np.prod(shape))
+    out = np.empty(size, dtype=complex)
+    out.real = draw(st.lists(entries, min_size=size, max_size=size))
+    out.imag = draw(st.lists(entries, min_size=size, max_size=size))
+    return out.reshape(shape)
+
+
+@st.composite
+def near_valid_matrices(draw):
+    """A density matrix, broken in one of several ways (or not at all)."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 4))
+    m = random_density_matrix(n, rng)
+    i, j = rng.integers(n, size=2)
+    how = draw(st.sampled_from(["none", "hermiticity", "trace", "negative", "entry"]))
+    if how == "hermiticity":
+        m[i, j] += 1e-6j
+    elif how == "trace":
+        m = m * 1.001
+    elif how == "negative":
+        # trace kept; diagonal entry i falls by n - 1, below zero for n > 1
+        m = m + np.eye(n)
+        m[i, i] -= n
+    elif how == "entry":
+        m[i, j] = draw(st.sampled_from([np.nan, np.inf, 1e300]))
+    return m
+
+
+@PROPERTY_SETTINGS
+@given(matrix=st.one_of(arrays(), near_valid_matrices()),
+       bipartition=st.none() | st.tuples(st.integers(-2, 4), st.integers(-2, 4)))
+@example(matrix=np.zeros((0, 0)), bipartition=None)
+@example(matrix=np.eye(4) / 4, bipartition=(-2, -2))
+def test_density_operator_rejects_only_with_qdv_errors(matrix, bipartition):
+    try:
+        rho = DensityOperator(matrix, bipartition=bipartition)
+    except QdvError:
+        return
+    assert rho.dim >= 1
+    if rho.bipartition is not None:
+        assert min(rho.bipartition) >= 1
+
+
+@PROPERTY_SETTINGS
+@given(dim=st.integers(-1, 3), seed=seeds, data=st.data())
+def test_povm_rejects_only_with_qdv_errors(dim, seed, data):
+    rng = np.random.default_rng(seed)
+    if dim >= 2 and data.draw(st.booleans()):
+        # a valid IC-POVM with one effect perturbed, replaced or dropped
+        effects = list(_ic_povm(dim, rng).effects)
+        k = int(rng.integers(len(effects)))
+        how = data.draw(st.sampled_from(["perturb", "replace", "drop"]))
+        if how == "perturb":
+            with np.errstate(invalid="ignore"):     # 1e-3 * complex inf
+                effects[k] = effects[k] + 1e-3 * data.draw(arrays(shape=(dim, dim)))
+        elif how == "replace":
+            effects[k] = data.draw(arrays(max_side=3))
+        else:
+            del effects[k]
+    else:
+        effects = data.draw(st.lists(arrays(max_side=3), max_size=5))
+    try:
+        p = povm.Povm(dim, effects)
+    except QdvError:
+        return
+    assert p.dim >= 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False,
+                                                          allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid document with one node replaced or deleted, or its text cut
+    and spliced with arbitrary characters."""
+    doc = draw(state_documents())
+    if draw(st.booleans()):
+        text = statefile.render(doc)
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, len(text)))
+        return text[:start] + draw(st.text(max_size=8)) + text[stop:]
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return json.dumps(draw(json_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(doc)
+
+
+@PROPERTY_SETTINGS
+@given(mutated_texts())
+def test_statefile_load_rejects_only_with_parse_errors(text):
+    try:
+        _load_text(text)
+    except QdvError:
+        pass

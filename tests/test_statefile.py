@@ -119,6 +119,16 @@ class TestStrictMode:
         with pytest.raises(ParseError):
             statefile.load(str(path))
 
+    @pytest.mark.parametrize("text", [
+        '{"format_version": "1", "kind": "dv_density", "dim": ' + "9" * 5000 + "}",
+        "[" * 100000 + "]" * 100000,
+    ], ids=["integer_past_digit_limit", "deep_nesting"])
+    def test_undecodable_json(self, tmp_path, text):
+        path = tmp_path / "odd.state"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            statefile.load(str(path))
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "k.state"
         path.write_text(json.dumps({"format_version": "1", "kind": "mystery"}))

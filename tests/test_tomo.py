@@ -3,9 +3,9 @@ import pytest
 
 from conftest import random_product_state
 from qdverify import dv, tomo
-from qdverify.errors import DimMismatch, InsufficientOutcomes
+from qdverify.errors import DimMismatch, DomainError, InsufficientOutcomes
 from qdverify.linalg import frobenius_norm, hermitian_eig
-from qdverify.povm import random_ic_povm
+from qdverify.povm import random_ic_povm, reconstruct
 
 
 class TestSampleJoint:
@@ -63,7 +63,7 @@ class TestEstimateConditionals:
             rec = tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=100 + seed)
             marg = rec.counts.sum(axis=1)
             for k in range(4):
-                raw = tomo._invert_frequencies(rec.counts[k] / marg[k], sic_duals)
+                raw = reconstruct(sic, sic_duals, rec.counts[k] / marg[k])
                 proj = tomo.project_to_state(raw)
                 truth = exact.states[k].matrix
                 assert (frobenius_norm(proj - truth)
@@ -170,6 +170,14 @@ class TestSignificance:
         product = tomo.exact_conditionals(random_product_state(2), sic, sic, sic_duals)
         tomo.significant_commutativity(product, resamples=5)
         assert calls == [[(j, k) for j in range(4) for k in range(j + 1, 4)]]
+
+    def test_negative_resamples_rejected(self, bell, sic, sic_duals):
+        rec = tomo.sample_joint(bell, sic, sic, 1000, seed=1)
+        est = tomo.estimate_conditionals(rec, sic_duals)
+        with pytest.raises(DomainError):
+            tomo.significant_commutativity(est, resamples=-1)
+        with pytest.raises(DomainError):
+            tomo.bootstrap_norm_stderr(est, resamples=-1)
 
     def test_insufficient_outcomes(self, sic, sic_duals):
         counts = np.zeros((4, 4), dtype=int)
