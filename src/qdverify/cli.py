@@ -114,7 +114,7 @@ def _load_wigner(path_arg: str, geom):
     if sf.fock_cutoff is None:
         raise ParseError(f"{path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
-    phasespace.admit_moyal(geom, sf.fock_cutoff)
+    phasespace.admit_moyal(geom)
     op = phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
     return path, phasespace.wigner_from_fock(op, geom), None
 
@@ -139,8 +139,8 @@ def cmd_moyal(args) -> int:
     threshold = MOYAL_NUMERICAL_FLOOR
     if err_a is not None or err_b is not None:
         ga = grid_a.geometry
-        l1_a = float(np.sum(np.abs(grid_a.values)) * ga.dx * ga.dp)
-        l1_b = float(np.sum(np.abs(grid_b.values)) * ga.dx * ga.dp)
+        l1_a = phasespace.grid_integral(np.abs(grid_a.values), ga)
+        l1_b = phasespace.grid_integral(np.abs(grid_b.values), ga)
         band = phasespace.uncertainty_band(ga, err_a or 0.0, err_b or 0.0,
                                            l1_a, l1_b)
         witnesses["uncertainty_band"] = fnum(band)

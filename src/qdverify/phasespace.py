@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import pi
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -44,6 +43,10 @@ TAIL_TOL = 1e-6
 DEFAULT_EXTENT = 6.0
 DEFAULT_POINTS = 128
 DEFAULT_CUTOFF = 12
+
+# Complex max(nx, np)^2 arrays alive at the Moyal route's peak: `moyal` on
+# two Fock inputs traces 16-20 at 32-200 points; the rest covers BLAS buffers.
+MOYAL_GRID_ARRAYS = 24
 
 
 @dataclass(frozen=True)
@@ -193,33 +196,38 @@ def random_fock_density(cutoff: int, support: int, seed: int) -> FockOperator:
     return FockOperator(cutoff, m)
 
 
-@lru_cache(maxsize=4)
-def _displacement_table(cutoff: int, geom: GridGeometry, scale: float) -> np.ndarray:
-    """<n|D(scale * (x + i p))|m> over the grid, shape (nx, np, n, m).
+def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
+                 sign: np.ndarray) -> np.ndarray:
+    """sum_{mn} matrix[m, n] sign[m] <n|D(scale * (x + i p))|m> over the grid.
 
-    Matrix elements use the associated-Laguerre closed form; the lower
-    triangle follows from D(beta)^dagger = D(-beta). scipy is imported
-    here, not at module level, so routes without a Fock transform never
-    load it.
+    For n <= m, k = m - n, <n|D(beta)|m> = sqrt(n!/m!) (-conj(beta))^k
+    e^{-|beta|^2/2} L_n^k(|beta|^2), with L_n^k from its three-term
+    recurrence in n, (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}; the
+    lower triangle follows from <m|D|n> = (-1)^k conj(<n|D|m>). Working
+    memory is a handful of grid-sized arrays, whatever the cutoff.
     """
-    from scipy.special import eval_genlaguerre
-
     xs, ps = geom.xs(), geom.ps()
     beta = scale * (xs[:, None] + 1j * ps[None, :])
-    absb2 = np.abs(beta) ** 2
-    gauss = np.exp(-0.5 * absb2)
-    size = cutoff + 1
-    out = np.empty((geom.nx, geom.np, size, size), dtype=complex)
+    x = np.abs(beta) ** 2
+    size = matrix.shape[0]
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
-    for n in range(size):
-        for m in range(n, size):
-            # n <= m here; <n|D|m> = sqrt(n!/m!) (-conj(beta))^(m-n) e L_n^(m-n)
-            pref = np.exp(0.5 * (log_fact[n] - log_fact[m]))
-            lag = eval_genlaguerre(n, m - n, absb2)
-            val = pref * (-np.conj(beta)) ** (m - n) * gauss * lag
-            out[..., n, m] = val
-            if m != n:
-                out[..., m, n] = (-1.0) ** (m - n) * np.conj(val)
+    power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
+    out = np.zeros(x.shape, dtype=complex)
+    for k in range(size):
+        upper = np.zeros(x.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
+        lower = np.zeros(x.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
+        lag_prev, lag = 0.0, np.ones_like(x)
+        for n in range(size - k):
+            m = n + k
+            coeff = np.exp(0.5 * (log_fact[n] - log_fact[m])) * lag
+            upper += (matrix[m, n] * sign[m]) * coeff
+            if k:
+                lower += (matrix[n, m] * sign[n]) * coeff
+            lag_prev, lag = lag, ((2 * n + 1 + k - x) * lag - (n + k) * lag_prev) / (n + 1)
+        out += power * upper
+        if k:
+            out += (-1.0) ** k * np.conj(power) * lower
+        power = power * -np.conj(beta)
     return out
 
 
@@ -239,9 +247,8 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
     truncation to be trustworthy.
     """
     _check_tail(op)
-    table = _displacement_table(op.cutoff, geom, 2.0)
     parity = (-1.0) ** np.arange(op.cutoff + 1)
-    w = (2.0 / pi) * np.einsum("mn,xpnm,m->xp", op.matrix, table, parity)
+    w = (2.0 / pi) * _fock_series(op.matrix, geom, 2.0, parity)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:
         raise DomainError(f"imaginary residue {residue:g} in Wigner transform; "
@@ -252,8 +259,7 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
 def char_from_fock(op: FockOperator, geom: GridGeometry) -> CharGrid:
     """Characteristic function chi(xi) = Tr[rho D(xi)] on a grid."""
     _check_tail(op)
-    table = _displacement_table(op.cutoff, geom, 1.0)
-    chi = np.einsum("mn,xpnm->xp", op.matrix, table)
+    chi = _fock_series(op.matrix, geom, 1.0, np.ones(op.cutoff + 1))
     return CharGrid(geom, chi)
 
 
@@ -266,8 +272,9 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
                      f2(qx, p + kx/4) g2(kx, p - qx/4),
 
     with f2 the Fourier transform over x only. The p shifts are evaluated
-    spectrally (phase ramps on the p transform), so the whole product
-    reduces to dense matrix products; no interpolation is involved.
+    spectrally (phase ramps on the p transform), and the sum runs one
+    x-frequency qx at a time, so no array has more than two grid-sized
+    axes; no interpolation is involved.
     """
     xs, ps = geom.xs(), geom.ps()
     nx, npts = geom.nx, geom.np
@@ -284,36 +291,29 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
 
     dqp = 2.0 * pi / (npts * dp)
     recon = np.exp(1j * np.outer(qp, ps)) * (dqp / (2.0 * pi))   # (nd, np)
-    plus = (np.exp(1j * np.outer(qp, qx) / 4.0)[:, :, None]
-            * recon[:, None, :]).reshape(npts, -1)
-    f_shift = (fh @ plus).reshape(nx, nx, npts)       # f2(qx_a, p + kx_c/4)
-    minus = (np.exp(-1j * np.outer(qp, qx) / 4.0)[:, :, None]
-             * recon[:, None, :]).reshape(npts, -1)
-    g_shift = (gh @ minus).reshape(nx, nx, npts)      # g2(kx_c, p - qx_a/4)
-
-    h = f_shift * np.transpose(g_shift, (1, 0, 2))    # (a, c, l)
+    ramp = np.exp(1j * np.outer(qx, qp) / 4.0)        # (nq, nd)
     ejx = np.exp(1j * np.outer(xs, qx))               # (j, a)
-    pair = (ejx[:, :, None] * ejx[:, None, :]).reshape(nx, -1)
+    out = np.zeros((nx, npts), dtype=complex)
+    for a in range(nx):
+        f_shift = (fh[a] * ramp) @ recon              # f2(qx_a, p + kx_c/4)
+        g_shift = (gh * np.conj(ramp[a])) @ recon     # g2(kx_c, p - qx_a/4)
+        out += ejx[:, a, None] * (ejx @ (f_shift * g_shift))
     dqx = 2.0 * pi / (nx * dx)
-    return (pair @ h.reshape(nx * nx, npts)) * (dqx * dqx / (4.0 * pi))
+    return out * (dqx * dqx / (4.0 * pi))
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def admit_moyal(geom: GridGeometry, cutoff: Optional[int] = None) -> None:
+def admit_moyal(geom: GridGeometry) -> None:
     """Refuse a Moyal route on geom that would need more than physical memory.
 
-    _star_product holds about six nx * nx * np complex arrays at its peak,
-    and a Fock input of the given cutoff adds its displacement table of
-    nx * np * (cutoff + 1)^2 complex entries, 16 bytes each. Raises
+    No array of the route has more than max(nx, np)^2 complex entries, and
+    at most MOYAL_GRID_ARRAYS of them are alive at once. Raises
     GridTooLarge; call it before allocating anything grid-sized.
     """
-    entries = 6 * geom.nx * geom.nx * geom.np
-    if cutoff is not None:
-        entries += geom.nx * geom.np * (cutoff + 1) ** 2
-    need = 16 * entries
+    need = 16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2
     have = _physical_memory_bytes()
     if need > have:
         raise GridTooLarge(f"a {geom.nx}x{geom.np} grid needs about "
@@ -387,35 +387,33 @@ def char_commutator(chi_k: CharGrid, chi_k2: CharGrid) -> CharGrid:
     return CharGrid(geom, measure * out)
 
 
-def char_to_wigner(cg: CharGrid, out_geom: GridGeometry | None = None) -> np.ndarray:
+def _symplectic_transform(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """int dx dp values(x, p) e^{2i(p' x - p x')} at every grid point (x', p').
+
+    The kernel separates into e^{2i p' x} dx and e^{-2i p x'} dp, so the
+    transform is one triple matrix product; both directions between
+    Wigner and characteristic grids are this transform.
+    """
+    kernel = np.exp(2j * np.outer(geom.ps(), geom.xs()))     # (p, x)
+    return ((kernel * geom.dx) @ values @ (kernel.conj() * geom.dp)).T
+
+
+def char_to_wigner(cg: CharGrid) -> np.ndarray:
     """Wigner values from a characteristic grid by the symplectic transform.
 
     W(alpha) = (1/pi^2) int d2xi chi(xi) e^{alpha xi* - alpha* xi}; returns
     the real part (the symmetric imaginary residue is discarded).
     """
-    geom = cg.geometry
-    out_geom = out_geom or geom
-    xs_in, ps_in = geom.xs(), geom.ps()
-    xs_out, ps_out = out_geom.xs(), out_geom.ps()
-    f1 = np.exp(2j * np.outer(ps_out, xs_in)) * geom.dx      # (b, ix)
-    f2 = np.exp(-2j * np.outer(ps_in, xs_out)) * geom.dp     # (ip, a)
-    w = (f1 @ cg.values @ f2).T / (pi * pi)
+    w = _symplectic_transform(cg.values, cg.geometry) / (pi * pi)
     return w.real
 
 
-def wigner_to_char(wg: WignerGrid, out_geom: GridGeometry | None = None) -> CharGrid:
+def wigner_to_char(wg: WignerGrid) -> CharGrid:
     """Characteristic function from a Wigner grid.
 
     chi(xi) = int d2alpha W(alpha) e^{xi alpha* - xi* alpha}.
     """
-    geom = wg.geometry
-    out_geom = out_geom or geom
-    xs_in, ps_in = geom.xs(), geom.ps()
-    xs_out, ps_out = out_geom.xs(), out_geom.ps()
-    g1 = np.exp(2j * np.outer(ps_out, xs_in)) * geom.dx      # (j, a)
-    g2 = np.exp(-2j * np.outer(ps_in, xs_out)) * geom.dp     # (b, i)
-    chi = (g1 @ wg.values @ g2).T
-    return CharGrid(out_geom, chi)
+    return CharGrid(wg.geometry, _symplectic_transform(wg.values, wg.geometry))
 
 
 def moyal_commutator_quadrature(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:

@@ -160,6 +160,8 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
     """
     if dim < 2:
         raise DimMismatch("dim must be at least 2")
+    if seed < 0:
+        raise DomainError(f"POVM seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     eye = np.eye(dim, dtype=complex)
     for _ in range(10):

@@ -3,7 +3,7 @@
 Files are JSON documents with format_version "1". Every float is written
 as a decimal string with 17 significant digits, which round-trips binary64
 exactly, and complex numbers are [re, im] pairs of such strings. Parsing
-is strict by default: unknown fields are rejected.
+is strict: unknown fields are rejected.
 """
 from __future__ import annotations
 
@@ -82,11 +82,10 @@ class StateFile:
     value_stderr: Optional[float] = None
 
 
-def _check_keys(doc: dict, allowed: set, strict: bool, where: str) -> None:
-    if strict:
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ParseError(f"unknown fields {sorted(unknown)} in {where}")
+def _check_keys(doc: dict, allowed: set, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)} in {where}")
 
 
 def dv_density_doc(rho: DensityOperator, fock_cutoff: Optional[int] = None) -> dict:
@@ -147,10 +146,10 @@ def _povm_doc(p: Povm) -> dict:
     return {"dim": p.dim, "effects": [_cmatrix_out(e) for e in p.effects]}
 
 
-def _povm_in(doc: Any, strict: bool) -> Povm:
+def _povm_in(doc: Any) -> Povm:
     if not isinstance(doc, dict):
         raise ParseError("povm must be an object")
-    _check_keys(doc, {"dim", "effects"}, strict, "povm")
+    _check_keys(doc, {"dim", "effects"}, "povm")
     try:
         dim = int(doc["dim"])
         effects = [_cmatrix_in(e) for e in doc["effects"]]
@@ -183,7 +182,7 @@ def resolve_path(path: str) -> str:
     return path
 
 
-def load(path: str, strict: bool = True) -> StateFile:
+def load(path: str) -> StateFile:
     """Parse a state file; raises ParseError on any contract violation."""
     try:
         with open(resolve_path(path), "r", encoding="ascii") as fh:
@@ -202,7 +201,7 @@ def load(path: str, strict: bool = True) -> StateFile:
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     try:
-        return _LOADERS[kind](doc, strict)
+        return _LOADERS[kind](doc)
     except ParseError:
         raise
     except KeyError as exc:
@@ -211,9 +210,9 @@ def load(path: str, strict: bool = True) -> StateFile:
         raise ParseError(f"invalid {kind} payload: {exc}") from None
 
 
-def _load_dv_density(doc: dict, strict: bool) -> StateFile:
+def _load_dv_density(doc: dict) -> StateFile:
     _check_keys(doc, {"format_version", "kind", "dim", "bipartition", "matrix",
-                      "fock_cutoff"}, strict, "dv_density")
+                      "fock_cutoff"}, "dv_density")
     matrix = _cmatrix_in(doc["matrix"])
     dim = int(doc["dim"])
     if matrix.shape != (dim, dim):
@@ -226,9 +225,8 @@ def _load_dv_density(doc: dict, strict: bool) -> StateFile:
                      fock_cutoff=int(cutoff) if cutoff is not None else None)
 
 
-def _load_gaussian(doc: dict, strict: bool) -> StateFile:
-    _check_keys(doc, {"format_version", "kind", "convention", "mean", "cov"},
-                strict, "gaussian")
+def _load_gaussian(doc: dict) -> StateFile:
+    _check_keys(doc, {"format_version", "kind", "convention", "mean", "cov"}, "gaussian")
     if doc.get("convention") != CONVENTION_TAG:
         raise ParseError(f"gaussian files require convention {CONVENTION_TAG!r}, "
                          f"got {doc.get('convention')!r}")
@@ -237,11 +235,11 @@ def _load_gaussian(doc: dict, strict: bool) -> StateFile:
     return StateFile("gaussian", GaussianState(mean, cov))
 
 
-def _load_shot_record(doc: dict, strict: bool) -> StateFile:
+def _load_shot_record(doc: dict) -> StateFile:
     _check_keys(doc, {"format_version", "kind", "povm_a", "povm_b", "counts",
-                      "total", "seed"}, strict, "shot_record")
-    povm_a = _povm_in(doc["povm_a"], strict)
-    povm_b = _povm_in(doc["povm_b"], strict)
+                      "total", "seed"}, "shot_record")
+    povm_a = _povm_in(doc["povm_a"])
+    povm_b = _povm_in(doc["povm_b"])
     counts = np.array([[int(v) for v in row] for row in doc["counts"]], dtype=np.int64)
     rec = ShotRecord(povm_a, povm_b, counts, int(doc["total"]), int(doc["seed"]))
     if counts.sum() != rec.total:
@@ -249,10 +247,10 @@ def _load_shot_record(doc: dict, strict: bool) -> StateFile:
     return StateFile("shot_record", rec)
 
 
-def _load_wigner_grid(doc: dict, strict: bool) -> StateFile:
+def _load_wigner_grid(doc: dict) -> StateFile:
     _check_keys(doc, {"format_version", "kind", "convention", "x_min", "x_max",
                       "p_min", "p_max", "nx", "np", "values", "value_stderr"},
-                strict, "wigner_grid")
+                "wigner_grid")
     if doc.get("convention") != CONVENTION_TAG:
         raise ParseError(f"wigner_grid files require convention {CONVENTION_TAG!r}")
     geom = GridGeometry(parse_float(doc["x_min"]), parse_float(doc["x_max"]),

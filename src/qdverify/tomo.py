@@ -51,6 +51,9 @@ class ShotRecord:
                               f"match POVM sizes {ka}x{kb}")
         if np.any(self.counts < 0):
             raise DomainError("negative counts")
+        if self.seed < 0:
+            # a replayed record's seed seeds the bootstrap
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -60,12 +63,14 @@ class EstimatedConditionals:
     freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .),
     counts[k] the per-outcome totals; entry_stderr[k] is the elementwise
     standard error of the state estimate (None for absent outcomes).
-    ensemble.source_povm is B's POVM, the one duals_b inverts.
+    ensemble.source_povm is A's POVM, the one conditioned on; povm_b is
+    B's, the one duals_b inverts.
     """
 
     ensemble: ConditionalEnsemble
     freqs: np.ndarray
     counts: np.ndarray
+    povm_b: Povm
     duals_b: DualFrame
     entry_stderr: List[Optional[np.ndarray]]
 
@@ -94,8 +99,10 @@ def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.
 def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
                  shots: int, seed: int) -> ShotRecord:
     """Multinomial sample of the joint measurement, seeded and reproducible."""
-    if shots < 0:
-        raise DomainError(f"shots must be nonnegative, got {shots}")
+    if not 0 <= shots <= np.iinfo(np.int64).max:
+        raise DomainError(f"shots must be in [0, 2^63 - 1], got {shots}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     probs = joint_probabilities(rho, povm_a, povm_b)
     flat = np.clip(probs.reshape(-1), 0.0, None)
     flat = flat / flat.sum()
@@ -130,8 +137,8 @@ def _conditional_row(row: np.ndarray, weight: float, povm_b: Povm,
     return f, raw, project_to_state(raw)
 
 
-def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_b: Povm,
-              duals_b: DualFrame) -> EstimatedConditionals:
+def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
+              povm_b: Povm, duals_b: DualFrame) -> EstimatedConditionals:
     """Conditional states of B from joint weights w(k, m) over outcome pairs.
 
     Rows whose total weight is at or below floor are absent. sizes[k] is the
@@ -156,8 +163,8 @@ def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_b: Povm,
             var += f[m] * np.abs(n_op) ** 2
         var -= np.abs(raw) ** 2
         stderrs.append(np.sqrt(np.maximum(var, 0.0) / sizes[k]))
-    ensemble = ConditionalEnsemble(marg / marg.sum(), states, povm_b)
-    return EstimatedConditionals(ensemble, freqs, sizes, duals_b, stderrs)
+    ensemble = ConditionalEnsemble(marg / marg.sum(), states, povm_a)
+    return EstimatedConditionals(ensemble, freqs, sizes, povm_b, duals_b, stderrs)
 
 
 def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedConditionals:
@@ -172,7 +179,7 @@ def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedCondi
     if rec.counts.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")
     sizes = rec.counts.sum(axis=1).astype(float)
-    return _estimate(rec.counts, 0.0, sizes, rec.povm_b, duals_b)
+    return _estimate(rec.counts, 0.0, sizes, rec.povm_a, rec.povm_b, duals_b)
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
@@ -273,7 +280,6 @@ def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
     if not np.all(np.isfinite(est.counts)):
         return np.zeros(len(pairs))
     present = est.ensemble.present_indices()
-    povm_b = est.ensemble.source_povm
     total = int(round(est.counts.sum()))
     ka, kb = est.freqs.shape
     joint = est.freqs * (est.counts[:, None] / max(est.counts.sum(), 1.0))
@@ -289,7 +295,7 @@ def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
             if marg[k] <= 0:
                 mats[k] = None
                 continue
-            mats[k] = _conditional_row(counts[k], marg[k], povm_b, est.duals_b)[2]
+            mats[k] = _conditional_row(counts[k], marg[k], est.povm_b, est.duals_b)[2]
         for idx, (j, k) in enumerate(pairs):
             if mats.get(j) is None or mats.get(k) is None:
                 samples[r, idx] = np.nan
@@ -313,4 +319,5 @@ def exact_conditionals(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
     vanishes and significant_commutativity applies its zero-stderr rule.
     """
     probs = joint_probabilities(rho, povm_a, povm_b)
-    return _estimate(probs, PROB_FLOOR, np.full(len(probs), np.inf), povm_b, duals_b)
+    return _estimate(probs, PROB_FLOOR, np.full(len(probs), np.inf), povm_a, povm_b,
+                     duals_b)

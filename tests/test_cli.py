@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from conftest import random_product_state
+from conftest import random_bipartite_state, random_product_state
 from qdverify import dv, gaussian, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
@@ -36,6 +36,13 @@ def product_file(workdir):
     return write_fixture(workdir / "product.state", statefile.dv_density_doc(rho))
 
 
+@pytest.fixture()
+def qutrit_file(workdir):
+    # a qutrit A side takes a seeded random IC-POVM, not the SIC
+    rho = random_bipartite_state(0, 3, 3)
+    return write_fixture(workdir / "qutrits.state", statefile.dv_density_doc(rho))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -62,6 +69,12 @@ class TestVerifyDv:
         code, out, err = run(capsys, "verify-dv", str(bad))
         assert code == 2
         assert "error:" in err
+
+    def test_negative_povm_seed_exit_2(self, capsys, qutrit_file):
+        code, out, err = run(capsys, "verify-dv", qutrit_file, "--povm-seed", "-5")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
     def test_golden_byte_identical(self, capsys, bell_file):
         _, out1, _ = run(capsys, "verify-dv", bell_file)
@@ -200,13 +213,14 @@ class TestMoyal:
         geom = phasespace.square_geometry(6.0, 16)
         grid = phasespace.wigner_from_fock(fock_state(0, 8), geom)
         path = write_fixture(workdir / "w.state", statefile.wigner_grid_doc(grid))
-        # 16^3 * 6 complex entries need 393216 bytes; pretend there is less
-        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 393215)
+        # MOYAL_GRID_ARRAYS * 16^2 complex entries need 98304 bytes; pretend
+        # there is less
+        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 98303)
         code, out, err = run(capsys, "moyal", path, path)
         assert code == 2
         assert out == ""
         assert "16x16 grid" in err
-        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 393216)
+        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 98304)
         code, _, _ = run(capsys, "moyal", path, path)
         assert code == 0
 
@@ -250,6 +264,25 @@ class TestTomo:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--povm-seed", "-5"], ["--shots", "10000000000000000000"],
+    ], ids=["negative_seed", "negative_povm_seed", "shots_past_int64"])
+    def test_seed_and_shots_out_of_range_exit_2(self, capsys, qutrit_file, flags):
+        code, out, err = run(capsys, "tomo", qutrit_file, *flags)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_record_with_negative_seed_exit_2(self, capsys, workdir, sic):
+        # a replayed record's seed seeds the bootstrap
+        doc = statefile.shot_record_doc(tomo.ShotRecord(sic, sic, np.ones((4, 4), int), 16, 0))
+        doc["seed"] = -1
+        path = write_fixture(workdir / "negative_seed.shots.json", doc)
+        code, out, err = run(capsys, "tomo", path)
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
     def test_negative_resamples_exit_2(self, capsys, workdir, sic):
         # two identical A-outcome rows give identical conditionals, a pair
         # with no delta-method gradient, so the bootstrap would run
@@ -283,12 +316,18 @@ def test_fixture_dir_resolution(capsys, tmp_path, monkeypatch, bell):
     assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is needed only for Fock-space transforms and is imported there
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # the package needs numpy only: neither importing the CLI nor running
+    # the phase-space route on Fock inputs loads scipy
+    a = write_fixture(tmp_path / "fock0.state", statefile.dv_density_doc(
+        DensityOperator(fock_state(0, 8).matrix), fock_cutoff=8))
+    b = write_fixture(tmp_path / "plus01.state", statefile.dv_density_doc(
+        DensityOperator(pure_state([1, 1], 8).matrix), fock_cutoff=8))
     code = ("import sys, qdverify.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"code = qdverify.cli.main(['moyal', {a!r}, {b!r}, '--points', '16']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "0 []"

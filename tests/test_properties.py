@@ -1,6 +1,6 @@
 """Property-based tests: the eigensolver, the soundness of the DV test,
-state-file round trips, standard-form invariants, and rejection of
-malformed input."""
+Fock-space displacement elements, state-file round trips, standard-form
+invariants, and rejection of malformed input."""
 import json
 import os
 import tempfile
@@ -13,7 +13,7 @@ from qdverify import dv, gaussian, povm, statefile
 from qdverify.errors import QdvError
 from qdverify.linalg import (DensityOperator, dag, frobenius_norm, hermitian_eig,
                              random_density_matrix, random_unitary)
-from qdverify.phasespace import GridGeometry, WignerGrid
+from qdverify.phasespace import FockOperator, GridGeometry, WignerGrid, char_from_fock
 from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -55,6 +55,40 @@ def test_classical_quantum_states_never_flagged(dim_a, dim_b, state_seed, povm_s
     rho = dv.generate_zero_discord(dim_a, dim_b, state_seed)
     ens = dv.condition_on_povm(rho, povm.random_ic_povm(dim_a, povm_seed))
     assert dv.verify_commutativity(ens).verdict == dv.CONSISTENT_WITH_ZERO
+
+
+@st.composite
+def small_geometries(draw):
+    """2x2 grids inside [-6, 6)^2, so every sample has |beta| <= 8.5."""
+    bounds = []
+    for _ in range(2):
+        lo = draw(st.floats(-6.0, 5.5))
+        bounds += [lo, draw(st.floats(lo + 0.5, 6.0))]
+    return GridGeometry(*bounds, 2, 2)
+
+
+def _displacement_reference(beta: complex) -> np.ndarray:
+    """D(beta) = exp(-i H), H = i(beta a^dag - beta* a), by eigh in 160
+    levels, enough for the elements between low Fock levels to converge."""
+    a = np.diag(np.sqrt(np.arange(1, 160)), 1)
+    e = hermitian_eig(1j * (beta * a.T - np.conj(beta) * a))
+    v = e.eigenvectors
+    return (v * np.exp(-1j * e.eigenvalues)) @ dag(v)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(0, 12), m=st.integers(0, 12), geom=small_geometries())
+def test_char_from_fock_of_a_matrix_unit_is_a_displacement_element(n, m, geom):
+    # chi(beta) = Tr[|m><n| D(beta)] = <n|D(beta)|m>; two spare levels keep
+    # the truncation-tail check clear of the unit
+    cutoff = max(n, m) + 2
+    unit = np.zeros((cutoff + 1, cutoff + 1))
+    unit[m, n] = 1.0
+    chi = char_from_fock(FockOperator(cutoff, unit), geom).values
+    for i, x in enumerate(geom.xs()):
+        for j, p in enumerate(geom.ps()):
+            ref = _displacement_reference(complex(x, p))[n, m]
+            assert abs(chi[i, j] - ref) <= 1e-12
 
 
 seeds = st.integers(0, 2 ** 32 - 1)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_product_state
+from conftest import random_bipartite_state, random_product_state
 from qdverify import dv, tomo
 from qdverify.errors import DimMismatch, DomainError, InsufficientOutcomes
 from qdverify.linalg import frobenius_norm, hermitian_eig
-from qdverify.povm import random_ic_povm, reconstruct
+from qdverify.povm import dual_frame, random_ic_povm, reconstruct
 
 
 class TestSampleJoint:
@@ -45,6 +45,15 @@ class TestEstimateConditionals:
             err = frobenius_norm(est.ensemble.states[k].matrix
                                  - exact.states[k].matrix)
             assert err <= 1e-10
+
+    def test_exact_ensemble_rebuilds_the_joint_state(self, sic, sic_duals):
+        # the ensemble records A's POVM, as dv's does, so the dual frame of
+        # A's POVM rebuilds an asymmetric 2x3 state
+        rho = random_bipartite_state(4, 2, 3)
+        povm_b = random_ic_povm(3, seed=1)
+        est = tomo.exact_conditionals(rho, sic, povm_b, dual_frame(povm_b))
+        joint = dv.reconstruct_joint(est.ensemble, sic_duals)
+        assert np.max(np.abs(joint.matrix - rho.matrix)) <= 1e-10
 
     def test_bell_error_calibration(self, bell, sic, sic_duals):
         exact = dv.condition_on_povm(bell, sic)
