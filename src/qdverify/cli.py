@@ -101,8 +101,8 @@ def cmd_verify_gaussian(args) -> int:
     })
 
 
-def _load_wigner(path_arg: str, geom):
-    """(path, Wigner grid, per-point stderr) of a moyal input.
+def _load_moyal_input(path_arg: str, geom):
+    """(path, Fock operator or Wigner grid, per-point stderr) of a moyal input.
 
     The memory the Moyal route will need on the input's grid is admitted
     before any grid-sized allocation.
@@ -115,8 +115,7 @@ def _load_wigner(path_arg: str, geom):
         raise ParseError(f"{path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
     phasespace.admit_moyal(geom)
-    op = phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
-    return path, phasespace.wigner_from_fock(op, geom), None
+    return path, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix), None
 
 
 # floor for calling a commutator grid nonzero when inputs are exact
@@ -125,9 +124,15 @@ MOYAL_NUMERICAL_FLOOR = 1e-9
 
 def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
-    path_a, grid_a, err_a = _load_wigner(args.state_a, geom)
-    path_b, grid_b, err_b = _load_wigner(args.state_b, geom)
-    comm = phasespace.moyal_commutator(grid_a, grid_b)
+    path_a, a, err_a = _load_moyal_input(args.state_a, geom)
+    path_b, b, err_b = _load_moyal_input(args.state_b, geom)
+    fock = phasespace.FockOperator
+    if isinstance(a, fock) and isinstance(b, fock):
+        comm = phasespace.fock_commutator(a, b, geom)
+    else:   # grid inputs have only the star product; a Fock partner joins as a grid
+        a, b = (phasespace.wigner_from_fock(x, geom) if isinstance(x, fock) else x
+                for x in (a, b))
+        comm = phasespace.moyal_commutator(a, b)
     value, loc = phasespace.grid_max_abs(comm)
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(comm))
@@ -138,9 +143,9 @@ def cmd_moyal(args) -> int:
     }
     threshold = MOYAL_NUMERICAL_FLOOR
     if err_a is not None or err_b is not None:
-        ga = grid_a.geometry
-        l1_a = phasespace.grid_integral(np.abs(grid_a.values), ga)
-        l1_b = phasespace.grid_integral(np.abs(grid_b.values), ga)
+        ga = a.geometry
+        l1_a = phasespace.grid_integral(np.abs(a.values), ga)
+        l1_b = phasespace.grid_integral(np.abs(b.values), ga)
         band = phasespace.uncertainty_band(ga, err_a or 0.0, err_b or 0.0,
                                            l1_a, l1_b)
         witnesses["uncertainty_band"] = fnum(band)

@@ -41,10 +41,6 @@ class Unphysical(QdvError):
     """Covariance matrix violates the uncertainty constraint."""
 
 
-class SingularConditioning(QdvError):
-    """Heterodyne conditioning is singular for this covariance."""
-
-
 class GridTooLarge(QdvError):
     """A phase-space grid would need more memory than the machine has."""
 

@@ -6,16 +6,12 @@ b = x2 + i p2, the quadrature vector is (x1, p1, x2, p2), and the vacuum
 variance is 1/4. Physicality is the matrix constraint
 sigma + (i/4) Omega >= 0.
 
-After reduction to the standard form A = diag(a, a), B = diag(b, b),
-C = diag(c, d), conditioning on a heterodyne outcome x1' + i p1' measured
-on the first mode leaves the second mode Gaussian with inverse variances
-f(a,b,c) and f(a,b,d) and mean
-
-    gamma = g(a,b,c)/f(a,b,c) * x1'  +  i * g(a,b,d)/f(a,b,d) * p1',
-
-so the peak location depends on the outcome unless c = d = 0. Two
-heterodyne outcomes that differ in both quadratures therefore decide the
-discord question for Gaussian states.
+A heterodyne outcome (x1', p1') on the first mode has covariance A + I/4,
+so conditioning on it is a Schur complement: the second mode keeps mean
+G (x1', p1') and covariance B - G C, with gain G = C^T (A + I/4)^{-1}. G
+exists for every physical A and vanishes exactly when C does, so two
+outcomes that differ in both quadratures decide the discord question for
+Gaussian states.
 """
 from __future__ import annotations
 
@@ -24,8 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (DegenerateOutcomes, DomainError, SingularConditioning,
-                     Unphysical)
+from .errors import DegenerateOutcomes, DomainError, Unphysical
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
 from .linalg import hermitian_eig
 from .phasespace import CONVENTION_TAG  # noqa: F401  (re-exported: Gaussian files carry it)
@@ -34,7 +29,6 @@ VACUUM_VARIANCE = 0.25
 
 PHYSICALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
-SINGULAR_TOL = 1e-12
 DEFAULT_DECISION_TOL = 1e-9     # peak shift per outcome shift; cross-block entry
 
 # random_physical_state draw ranges: thermal occupation, squeeze magnitude
@@ -221,34 +215,17 @@ def _c_diagonalizing_rotations(c: np.ndarray) -> Tuple[float, float]:
     return 0.5 * (chi - psi), 0.5 * (chi + psi)
 
 
-def _inv_variance(a: float, b: float, z: float) -> float:
-    det = a * b - z * z
-    return (1.0 / det) * (a - z * z / (b + 4.0 * det))
-
-
-def _mean_coupling(a: float, b: float, z: float) -> float:
-    det = a * b - z * z
-    return 4.0 * z / (b + 4.0 * det)
-
-
 def heterodyne_condition(sf: StandardForm,
                          outcome: complex) -> Tuple[np.ndarray, np.ndarray]:
     """Conditional Gaussian of mode 2 after heterodyne outcome on mode 1.
 
-    Returns (mean, cov) of the conditional state. The covariance depends
-    only on the standard form, never on the outcome; the outcome enters
-    the mean linearly.
+    Returns (mean, cov) of the conditional state: the Schur complement
+    mean = G (x1', p1') and cov = B - G C, with G = C^T (A + I/4)^{-1}.
     """
-    a, b, c, d = sf.a, sf.b, sf.c, sf.d
-    if a * b - c * c <= SINGULAR_TOL or a * b - d * d <= SINGULAR_TOL:
-        raise SingularConditioning("ab - c^2 or ab - d^2 is at the boundary")
-    fx = _inv_variance(a, b, c)
-    fp = _inv_variance(a, b, d)
-    gx = _mean_coupling(a, b, c)
-    gp = _mean_coupling(a, b, d)
-    mean = np.array([gx / fx * outcome.real, gp / fp * outcome.imag])
-    cov = np.diag([1.0 / fx, 1.0 / fp])
-    return mean, cov
+    cov = sf.as_cov()
+    gain = np.linalg.solve(cov[:2, :2] + VACUUM_VARIANCE * np.eye(2), cov[:2, 2:]).T
+    mean = gain @ np.array([outcome.real, outcome.imag])
+    return mean, cov[2:, 2:] - gain @ cov[:2, 2:]
 
 
 def peak(sf: StandardForm, outcome: complex) -> complex:
@@ -265,13 +242,20 @@ def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
     blind to one of the two cross couplings and DegenerateOutcomes is
     raised. The verdict is decided per quadrature, on the peak shift per
     unit outcome shift against tol, so it does not depend on how far apart
-    the outcomes are; separation reports the raw peak distance.
+    the outcomes are; separation reports the raw peak distance. Outcomes,
+    their differences and the peaks must be finite (DomainError): an
+    infinite outcome shift would read as a zero peak shift per unit.
     """
+    if not np.isfinite([out1, out2, out1 - out2]).all():
+        raise DomainError("outcomes and their differences must be finite")
     if out1.real == out2.real or out1.imag == out2.imag:
         raise DegenerateOutcomes(
             "outcomes must differ in both quadratures to probe both c and d")
-    p1 = peak(sf, out1)
-    p2 = peak(sf, out2)
+    with np.errstate(over="ignore"):    # an overflow is refused just below
+        p1 = peak(sf, out1)
+        p2 = peak(sf, out2)
+    if not np.isfinite([p1, p2, p1 - p2]).all():
+        raise DomainError("conditional peaks overflow for these outcomes")
     gain_x = abs(p1.real - p2.real) / abs(out1.real - out2.real)
     gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
     verdict = NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO

@@ -6,12 +6,14 @@ the characteristic function is chi(xi) = Tr[rho D(xi)]. Both integrate
 with the measure dx dp, and the vacuum Wigner maximum is 2/pi.
 
 The commutator witness W_{kk'} is the Wigner-like function of
--i[rho_k, rho_k']. It is computed here three ways:
+-i[rho_k, rho_k']. It is computed here four ways:
 
+* fock_commutator: the Wigner transform of the commutator of two Fock
+  operators, taken in Fock space; exact on every grid. The Fock route.
 * moyal_commutator: twice the imaginary part of the phase-space star
   product of the two Wigner grids, with the star product evaluated in a
   mixed (x-frequency, p) representation where the twist kernel factorizes
-  into dense transforms. This is the fast route.
+  into dense transforms. This is the route for grid inputs.
 * char_commutator: the sine-kernel convolution of the two characteristic
   functions, evaluated literally on the grid lattice.
 * moyal_commutator_quadrature: a literal Riemann-sum quadrature of the
@@ -44,8 +46,8 @@ DEFAULT_EXTENT = 6.0
 DEFAULT_POINTS = 128
 DEFAULT_CUTOFF = 12
 
-# Complex max(nx, np)^2 arrays alive at the Moyal route's peak: `moyal` on
-# two Fock inputs traces 16-20 at 32-200 points; the rest covers BLAS buffers.
+# Complex max(nx, np)^2 arrays alive at the star product's peak (16-20 traced
+# at 32-200 points; the rest covers BLAS buffers); the Fock route needs fewer.
 MOYAL_GRID_ARRAYS = 24
 
 
@@ -247,13 +249,33 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
     truncation to be trustworthy.
     """
     _check_tail(op)
-    parity = (-1.0) ** np.arange(op.cutoff + 1)
-    w = (2.0 / pi) * _fock_series(op.matrix, geom, 2.0, parity)
+    return WignerGrid(geom, _wigner_values(op.matrix, geom))
+
+
+def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    parity = (-1.0) ** np.arange(matrix.shape[0])
+    w = (2.0 / pi) * _fock_series(matrix, geom, 2.0, parity)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:
         raise DomainError(f"imaginary residue {residue:g} in Wigner transform; "
                           "operator is far from Hermitian")
-    return WignerGrid(geom, w.real)
+    return w.real
+
+
+def fock_commutator(a: FockOperator, b: FockOperator,
+                    geom: GridGeometry) -> CommutatorGrid:
+    """Wigner-like function of -i[a, b] from two Fock-space operators.
+
+    The commutator lies exactly inside the larger truncation (the smaller
+    operator is padded with zeros), so one transform gives it with no star
+    product and no aliasing. The tails checked are the inputs': the
+    commutator's diagonal is not a population.
+    """
+    _check_tail(a)
+    _check_tail(b)
+    size = max(a.cutoff, b.cutoff) + 1
+    ma, mb = (np.pad(op.matrix, (0, size - op.cutoff - 1)) for op in (a, b))
+    return CommutatorGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
 
 
 def char_from_fock(op: FockOperator, geom: GridGeometry) -> CharGrid:

@@ -122,6 +122,18 @@ class TestVerifyGaussian:
         assert doc["verdict"] == "NONZERO_DISCORD"
         assert doc["witnesses"]["cov_block_decision"]["zero_discord"] is False
 
+    @pytest.mark.parametrize("outcomes", ["1e308,1e308;-1e308,-1e308", "nan,0;1,1"],
+                             ids=["difference_overflows", "nan"])
+    def test_non_finite_outcomes_exit_2(self, capsys, workdir, outcomes):
+        # an infinite outcome shift would make every peak shift per unit
+        # read 0, and so CONSISTENT_WITH_ZERO on an entangled state
+        path = write_fixture(workdir / "tmsv_r05.state",
+                             statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
+        code, out, err = run(capsys, "verify-gaussian", path, "--outcomes", outcomes)
+        assert code == 2
+        assert out == ""
+        assert "error: outcomes and their differences must be finite" in err
+
     def test_golden(self, capsys, workdir):
         path = write_fixture(workdir / "g.state",
                              statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)))
@@ -168,6 +180,45 @@ class TestMoyal:
         assert os.path.exists(emitted)
         grid = statefile.load(emitted)
         assert grid.kind == "wigner_grid"
+
+    def test_vacuum_with_itself_exactly_zero_on_a_coarse_grid(self, capsys, fock_files):
+        # the star product of the 16-point vacuum grid with itself aliases
+        # to 0.02; Fock inputs are commuted in Fock space
+        a, _ = fock_files
+        code, out, _ = run(capsys, "moyal", a, a, "--points", "16")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "CONSISTENT_WITH_ZERO"
+        assert float(doc["witnesses"]["grid_max_abs"]) == 0.0
+        grid = statefile.load(doc["witnesses"]["emitted_grid"]).payload
+        assert not np.any(grid.values)
+
+    def test_mixed_cutoffs_match_the_padded_pair(self, capsys, workdir, fock_files):
+        _, plus8 = fock_files
+        vac12 = write_fixture(workdir / "fock0_12.state", statefile.dv_density_doc(
+            DensityOperator(fock_state(0, 12).matrix), fock_cutoff=12))
+        plus12 = write_fixture(workdir / "plus01_12.state", statefile.dv_density_doc(
+            DensityOperator(pure_state([1, 1], 12).matrix), fock_cutoff=12))
+        grids = []
+        for first in (plus8, plus12):
+            code, out, _ = run(capsys, "moyal", first, vac12, "--points", "32",
+                               "--out", "grid.json")
+            assert code == 0
+            assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
+            grids.append(statefile.load("grid.json").payload.values)
+        np.testing.assert_array_equal(grids[0], grids[1])
+
+    def test_fock_tail_exit_2(self, capsys, workdir, fock_files):
+        # either input's tail is refused, though its commutator with the
+        # vacuum is zero
+        a, _ = fock_files
+        top = write_fixture(workdir / "fock7.state", statefile.dv_density_doc(
+            DensityOperator(fock_state(7, 8).matrix), fock_cutoff=8))
+        for pair in ((a, top), (top, a)):
+            code, out, err = run(capsys, "moyal", *pair, "--points", "16")
+            assert code == 2
+            assert out == ""
+            assert "tail mass" in err
 
     def test_geometry_mismatch_exit_2(self, capsys, workdir, fock_files):
         a, b = fock_files

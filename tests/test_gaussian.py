@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdverify import gaussian as gs
-from qdverify.errors import DegenerateOutcomes, SingularConditioning, Unphysical
+from qdverify.errors import DegenerateOutcomes, DomainError, Unphysical
 from qdverify.linalg import hermitian_eig
 
 
@@ -155,7 +155,7 @@ class TestHeterodyneCondition:
         sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0,
                              gs.LocalOps(0, 0, 0, 0, 0, 0))
         mean, cov = gs.heterodyne_condition(sf, 1.0 + 1.0j)
-        # f = 2.4 and g = 0.8 for the x sector
+        # b - c^2/(a + 1/4) = 1/2.4 and c/(a + 1/4) = 1/3 for the x sector
         assert cov[0, 0] == pytest.approx(1 / 2.4, rel=1e-12)
         assert mean[0] == pytest.approx(1 / 3, rel=1e-12)
         assert mean[1] == pytest.approx(0.0, abs=1e-14)
@@ -175,11 +175,6 @@ class TestHeterodyneCondition:
             _, cov = gs.heterodyne_condition(sf, 0.7 - 0.2j)
             m = cov.astype(complex) + 0.25j * j
             assert hermitian_eig(m).eigenvalues[-1] >= -1e-10
-
-    def test_singular_conditioning(self):
-        sf = gs.StandardForm(0.5, 0.5, 0.5, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
-        with pytest.raises(SingularConditioning):
-            gs.heterodyne_condition(sf, 1.0 + 1.0j)
 
 
 class TestPeak:
@@ -227,6 +222,14 @@ class TestPeakCoincidence:
             gs.peak_coincidence_test(sf, 0.0 + 0.0j, 0.0 + 1.0j, tol=1e-9)
         with pytest.raises(DegenerateOutcomes):
             gs.peak_coincidence_test(sf, 0.5 + 0.2j, 0.9 + 0.2j, tol=1e-9)
+
+    def test_overflowing_peaks_rejected(self):
+        # a physical gain c/(a + 1/4) of 8 puts the peak of a finite
+        # outcome of 1e308 past the largest double
+        sf = gs.StandardForm(0.5, 100.0, 6.0, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        assert gs.validate_physical(gs.GaussianState(np.zeros(4), sf.as_cov()))
+        with pytest.raises(DomainError, match="overflow"):
+            gs.peak_coincidence_test(sf, 1e308 + 0.0j, 0.0 + 1.0j, tol=1e-9)
 
 
 class TestZeroDiscordDecision:

@@ -97,6 +97,21 @@ class TestMoyalCommutator:
         assert errs[1] <= errs[0] / 2
 
 
+class TestFockCommutator:
+    @pytest.mark.parametrize("cutoff", [8, 12])
+    def test_matches_star_product_at_128_points(self, cutoff):
+        geom = ph.square_geometry(6.0, 128)
+        for seed in range(3):
+            a = ph.random_fock_density(cutoff, cutoff - 2, 2 * seed)
+            b = ph.random_fock_density(cutoff, cutoff - 2, 2 * seed + 1)
+            got = ph.fock_commutator(a, b, geom)
+            star = ph.moyal_commutator(ph.wigner_from_fock(a, geom),
+                                       ph.wigner_from_fock(b, geom))
+            assert np.max(np.abs(got.values - star.values)) <= 1e-12
+            assert np.max(np.abs(got.values)) > 1e-3
+
+
+
 class TestCharCommutator:
     GEOM = ph.square_geometry(6.0, 64)
 

@@ -1,6 +1,7 @@
 """Property-based tests: the eigensolver, the soundness of the DV test,
-Fock-space displacement elements, state-file round trips, standard-form
-invariants, and rejection of malformed input."""
+Fock-space displacement elements, the Fock-space commutator route,
+state-file round trips, standard-form invariants, heterodyne conditioning,
+and rejection of malformed input."""
 import json
 import os
 import tempfile
@@ -13,7 +14,8 @@ from qdverify import dv, gaussian, povm, statefile
 from qdverify.errors import QdvError
 from qdverify.linalg import (DensityOperator, dag, frobenius_norm, hermitian_eig,
                              random_density_matrix, random_unitary)
-from qdverify.phasespace import FockOperator, GridGeometry, WignerGrid, char_from_fock
+from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, char_from_fock,
+                                 fock_commutator, random_fock_density, square_geometry)
 from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -89,6 +91,17 @@ def test_char_from_fock_of_a_matrix_unit_is_a_displacement_element(n, m, geom):
         for j, p in enumerate(geom.ps()):
             ref = _displacement_reference(complex(x, p))[n, m]
             assert abs(chi[i, j] - ref) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(2, 12), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       extent=st.floats(1.0, 8.0), points=st.integers(2, 64))
+def test_fock_state_commutes_with_itself_on_every_grid(cutoff, data, seed, extent, points):
+    # the star product of a grid with itself aliases on coarse grids; the
+    # Fock-space commutator of a state with itself is exactly zero
+    rho = random_fock_density(cutoff, data.draw(st.integers(0, cutoff - 2)), seed)
+    grid = fock_commutator(rho, rho, square_geometry(extent, points))
+    assert not np.any(grid.values)
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -167,6 +180,22 @@ def test_standard_form_preserves_local_invariants(seed, product):
                           (state.block_c, cov[:2, 2:]), (state.cov, cov)):
         det_in, det_out = np.linalg.det(before), np.linalg.det(after)
         assert abs(det_out - det_in) <= 1e-9 * abs(det_in) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, product=st.booleans(), outcome=st.complex_numbers(max_magnitude=10.0))
+def test_heterodyne_condition_is_the_standard_form_schur_complement(seed, product, outcome):
+    # with A = aI and C = diag(c, d), G = C^T (A + I/4)^{-1} is diagonal
+    sf = gaussian.standard_form(
+        gaussian.random_physical_state(np.random.default_rng(seed), product))
+    mean, cov = gaussian.heterodyne_condition(sf, outcome)
+    a4 = sf.a + gaussian.VACUUM_VARIANCE
+    expected_mean = [sf.c * outcome.real / a4, sf.d * outcome.imag / a4]
+    expected_cov = np.diag([sf.b - sf.c ** 2 / a4, sf.b - sf.d ** 2 / a4])
+    assert np.max(np.abs(mean - expected_mean)) <= 1e-12
+    assert np.max(np.abs(cov - expected_cov)) <= 1e-12
+    if product:
+        assert gaussian.peak(sf, outcome) == 0
 
 
 entries = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([np.nan, np.inf, -np.inf]))
