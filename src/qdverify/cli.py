@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import dv, gaussian, phasespace, tomo
-from .errors import ParseError, QdvError
+from .errors import ParseError, QdvError, UnresolvedGrid
 from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
 from .reports import base_report, cnum, emit, file_digest, fnum
 from .statefile import load, resolve_path, shot_record_doc, wigner_grid_doc, write
@@ -122,17 +122,63 @@ def _load_moyal_input(path_arg: str, geom):
 MOYAL_NUMERICAL_FLOOR = 1e-9
 
 
+# Top frequencies per grid axis that the resolution check probes. Against
+# the Fock route, three bounded the star product's error on every resolved
+# pair of a 1111-pair scan; two fell short by up to 1.6x.
+RESOLUTION_BANDS = 3
+
+
+def _outer_bands(w):
+    """The part of a Wigner grid in the top RESOLUTION_BANDS frequencies of
+    either axis; content beyond the grid's band aliases onto these."""
+    outer = [np.abs(np.fft.fftfreq(n, 1.0 / n)) > n / 2 - RESOLUTION_BANDS
+             for n in w.values.shape]
+    spectrum = np.fft.fft2(w.values) * (outer[0][:, None] | outer[1][None, :])
+    return phasespace.WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
+
+
+def _resolved_commutator(a, b, names, threshold: float):
+    """moyal_commutator of two grids, refusing an input the grid cannot resolve.
+
+    An input is refused when its largest |W| on the outermost rows and
+    columns exceeds the verdict threshold (a box too small), or when its
+    outer frequency bands move the commutator by more than that (a grid too
+    coarse). The self-commutator Im(W*W) is no such check: it vanishes for
+    any real interpolant, so it reads 0 on odd-sized axes at any resolution.
+    """
+    comm = phasespace.moyal_commutator(a, b)
+    for name, w, partner in ((names[0], a, b), (names[1], b, a)):
+        v = np.abs(w.values)
+        edge = float(max(v[[0, -1]].max(), v[:, [0, -1]].max()))
+        aliasing = phasespace.grid_max_abs(
+            phasespace.moyal_commutator(_outer_bands(w), partner))[0]
+        if max(edge, aliasing) > threshold:
+            raise UnresolvedGrid(
+                f"{name}: the grid cannot resolve this input (edge value "
+                f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
+                f"{threshold:.3g}); widen the extent or add points")
+    return comm
+
+
 def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
     path_a, a, err_a = _load_moyal_input(args.state_a, geom)
     path_b, b, err_b = _load_moyal_input(args.state_b, geom)
     fock = phasespace.FockOperator
+    threshold, band = MOYAL_NUMERICAL_FLOOR, None
     if isinstance(a, fock) and isinstance(b, fock):
         comm = phasespace.fock_commutator(a, b, geom)
     else:   # grid inputs have only the star product; a Fock partner joins as a grid
         a, b = (phasespace.wigner_from_fock(x, geom) if isinstance(x, fock) else x
                 for x in (a, b))
-        comm = phasespace.moyal_commutator(a, b)
+        if err_a is not None or err_b is not None:
+            ga = a.geometry
+            l1_a = phasespace.grid_integral(np.abs(a.values), ga)
+            l1_b = phasespace.grid_integral(np.abs(b.values), ga)
+            band = phasespace.uncertainty_band(ga, err_a or 0.0, err_b or 0.0,
+                                               l1_a, l1_b)
+            threshold = max(band, threshold)
+        comm = _resolved_commutator(a, b, (path_a, path_b), threshold)
     value, loc = phasespace.grid_max_abs(comm)
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(comm))
@@ -141,16 +187,9 @@ def cmd_moyal(args) -> int:
         "location": [loc[0], loc[1]],
         "emitted_grid": out_path,
     }
-    threshold = MOYAL_NUMERICAL_FLOOR
-    if err_a is not None or err_b is not None:
-        ga = a.geometry
-        l1_a = phasespace.grid_integral(np.abs(a.values), ga)
-        l1_b = phasespace.grid_integral(np.abs(b.values), ga)
-        band = phasespace.uncertainty_band(ga, err_a or 0.0, err_b or 0.0,
-                                           l1_a, l1_b)
+    if band is not None:
         witnesses["uncertainty_band"] = fnum(band)
         witnesses["significant"] = bool(value > band)
-        threshold = max(band, threshold)
     verdict = dv.NONZERO_DISCORD if value > threshold else dv.CONSISTENT_WITH_ZERO
     return _report("cv_moyal", path_a, {
         "input_digest_b": file_digest(path_b),

@@ -59,3 +59,7 @@ class ParseError(QdvError):
 
 class DomainError(QdvError, ValueError):
     """An argument or value lies outside the domain an operation accepts."""
+
+
+class UnresolvedGrid(QdvError):
+    """A Wigner grid is too coarse or too small for the star product."""

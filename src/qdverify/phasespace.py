@@ -11,9 +11,9 @@ The commutator witness W_{kk'} is the Wigner-like function of
 * fock_commutator: the Wigner transform of the commutator of two Fock
   operators, taken in Fock space; exact on every grid. The Fock route.
 * moyal_commutator: twice the imaginary part of the phase-space star
-  product of the two Wigner grids, with the star product evaluated in a
-  mixed (x-frequency, p) representation where the twist kernel factorizes
-  into dense transforms. This is the route for grid inputs.
+  product of the two Wigner grids, with the star product evaluated by FFTs
+  in a mixed (x-frequency, p) representation where the twist kernel
+  factorizes. This is the route for grid inputs.
 * char_commutator: the sine-kernel convolution of the two characteristic
   functions, evaluated literally on the grid lattice.
 * moyal_commutator_quadrature: a literal Riemann-sum quadrature of the
@@ -46,8 +46,10 @@ DEFAULT_EXTENT = 6.0
 DEFAULT_POINTS = 128
 DEFAULT_CUTOFF = 12
 
-# Complex max(nx, np)^2 arrays alive at the star product's peak (16-20 traced
-# at 32-200 points; the rest covers BLAS buffers); the Fock route needs fewer.
+# Complex max(nx, np)^2 arrays alive at once on a Moyal route. The star
+# product traces 7 at 96-200 points, and with the resolution check of its
+# inputs 9; the rest covers the inputs, a Fock partner's transform and FFT
+# work space. The Fock route needs fewer.
 MOYAL_GRID_ARRAYS = 24
 
 
@@ -293,35 +295,27 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
       (f*g)(x,p) = (1/4pi) int dqx dkx e^{i(qx+kx)x}
                      f2(qx, p + kx/4) g2(kx, p - qx/4),
 
-    with f2 the Fourier transform over x only. The p shifts are evaluated
-    spectrally (phase ramps on the p transform), and the sum runs one
-    x-frequency qx at a time, so no array has more than two grid-sized
-    axes; no interpolation is involved.
+    with f2 the Fourier transform over x only. Both inputs are transformed
+    with one FFT each; the p shifts are phase ramps on the p frequencies,
+    undone by one inverse FFT along p per x-frequency qx_a. The factor
+    e^{i qx_a x} of row a is a roll by a of the kx axis, so the rows
+    accumulate in kx and one inverse FFT along x ends the sum: O(n^3 log n)
+    time, no interpolation. The grid origin drops out (the star product
+    commutes with translations), so no origin phases appear.
     """
-    xs, ps = geom.xs(), geom.ps()
-    nx, npts = geom.nx, geom.np
-    dx, dp = geom.dx, geom.dp
-    qx = 2.0 * pi * np.fft.fftfreq(nx, d=dx)
-    qp = 2.0 * pi * np.fft.fftfreq(npts, d=dp)
-
-    ex = np.exp(-1j * np.outer(qx, xs)) * dx          # (nq, nx)
-    f2 = ex @ f
-    g2 = ex @ g
-    ep = np.exp(-1j * np.outer(qp, ps)) * dp          # (nd, np)
-    fh = f2 @ ep.T                                    # full transform (nq, nd)
-    gh = g2 @ ep.T
-
-    dqp = 2.0 * pi / (npts * dp)
-    recon = np.exp(1j * np.outer(qp, ps)) * (dqp / (2.0 * pi))   # (nd, np)
-    ramp = np.exp(1j * np.outer(qx, qp) / 4.0)        # (nq, nd)
-    ejx = np.exp(1j * np.outer(xs, qx))               # (j, a)
-    out = np.zeros((nx, npts), dtype=complex)
+    nx = geom.nx
+    qx = 2.0 * pi * np.fft.fftfreq(nx, d=geom.dx)
+    qp = 2.0 * pi * np.fft.fftfreq(geom.np, d=geom.dp)
+    fh = np.fft.fft2(f)
+    gh = np.fft.fft2(g)
+    ramp = np.exp(1j * np.outer(qx, qp) / 4.0)        # (kx, qp)
+    acc = np.zeros(fh.shape, dtype=complex)
     for a in range(nx):
-        f_shift = (fh[a] * ramp) @ recon              # f2(qx_a, p + kx_c/4)
-        g_shift = (gh * np.conj(ramp[a])) @ recon     # g2(kx_c, p - qx_a/4)
-        out += ejx[:, a, None] * (ejx @ (f_shift * g_shift))
-    dqx = 2.0 * pi / (nx * dx)
-    return out * (dqx * dqx / (4.0 * pi))
+        prod = np.fft.ifft(fh[a] * ramp, axis=1)             # f2(qx_a, p + kx/4)
+        prod *= np.fft.ifft(gh * np.conj(ramp[a]), axis=1)   # g2(kx, p - qx_a/4)
+        acc[a:] += prod[:nx - a]
+        acc[:a] += prod[nx - a:]
+    return np.fft.ifft(acc, axis=0) * (pi / nx)
 
 
 def _physical_memory_bytes() -> int:

@@ -59,6 +59,8 @@ class Povm:
         for i, e in enumerate(self.effects):
             if e.shape != (self.dim, self.dim):
                 raise DimMismatch(f"effect {i} has shape {e.shape}")
+            if not np.all(np.isfinite(e)):
+                raise DomainError(f"effect {i} has non-finite entries")
             if np.max(np.abs(e - dag(e))) > HERMITIAN_TOL:
                 raise DomainError(f"effect {i} is not Hermitian")
             w = hermitian_eig(e).eigenvalues

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from conftest import random_bipartite_state, random_product_state
+from conftest import random_bipartite_state, random_diagonal_fock, random_product_state
 from qdverify import dv, gaussian, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
@@ -245,6 +245,46 @@ class TestMoyal:
         assert doc["witnesses"]["significant"] is True
         assert float(doc["witnesses"]["uncertainty_band"]) > 0
 
+    @staticmethod
+    def grid_file(workdir, name, op, geom):
+        grid = phasespace.wigner_from_fock(op, geom)
+        return write_fixture(workdir / name, statefile.wigner_grid_doc(grid))
+
+    def test_unresolved_vacuum_grid_exit_2(self, capsys, workdir, fock_files):
+        # the star product of the 16-point vacuum grid with itself aliases
+        # to 0.02; alone or with a Fock partner, the grid is refused
+        vac, _ = fock_files
+        grid = self.grid_file(workdir, "vac16.state", fock_state(0, 8),
+                              phasespace.square_geometry(6.0, 16))
+        for argv in ((grid, grid), (grid, vac, "--points", "16")):
+            code, out, err = run(capsys, "moyal", *argv)
+            assert code == 2
+            assert out == ""
+            assert "vac16.state: the grid cannot resolve this input" in err
+
+    @pytest.mark.parametrize("extent", [4.5, 3.0])
+    def test_box_too_small_for_commuting_states_exit_2(self, capsys, workdir, extent):
+        # two diagonal states commute; in a box this small their star
+        # product does not (1.7e-8 at extent 4.5, 2.6e-3 at extent 3)
+        geom = phasespace.square_geometry(extent, 128)
+        paths = [self.grid_file(workdir, f"diag{seed}.state",
+                                random_diagonal_fock(12, seed), geom) for seed in (1, 2)]
+        code, out, err = run(capsys, "moyal", *paths)
+        assert code == 2
+        assert out == ""
+        assert "cannot resolve" in err
+
+    def test_resolved_exact_grids_nonzero(self, capsys, workdir):
+        geom = phasespace.square_geometry(6.0, 48)
+        paths = [self.grid_file(workdir, name, op, geom)
+                 for name, op in (("vac48.state", fock_state(0, 8)),
+                                  ("plus48.state", pure_state([1, 1], 8)))]
+        code, out, _ = run(capsys, "moyal", *paths)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "NONZERO_DISCORD"
+        assert float(doc["witnesses"]["grid_max_abs"]) > 0.3
+
     def test_one_point_grid_exit_2(self, capsys, fock_files):
         a, b = fock_files
         code, _, err = run(capsys, "moyal", a, b, "--points", "1")
@@ -272,8 +312,11 @@ class TestMoyal:
         assert out == ""
         assert "16x16 grid" in err
         monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 98304)
-        code, _, _ = run(capsys, "moyal", path, path)
-        assert code == 0
+        code, _, err = run(capsys, "moyal", path, path)
+        # admitted; the 16-point vacuum grid is then refused as unresolved
+        assert code == 2
+        assert "physical memory" not in err
+        assert "cannot resolve" in err
 
     def test_golden(self, capsys, fock_files):
         a, b = fock_files

@@ -110,6 +110,18 @@ class TestFockCommutator:
             assert np.max(np.abs(got.values - star.values)) <= 1e-12
             assert np.max(np.abs(got.values)) > 1e-3
 
+    def test_matches_star_product_off_centre_and_rectangular(self):
+        # odd and even axes of different lengths, neither centred on the origin
+        geom = ph.GridGeometry(-6.3, 5.7, -5.9, 6.1, 101, 90)
+        for seed in range(3):
+            a = ph.random_fock_density(6, 4, 2 * seed)
+            b = ph.random_fock_density(6, 4, 2 * seed + 1)
+            got = ph.fock_commutator(a, b, geom)
+            star = ph.moyal_commutator(ph.wigner_from_fock(a, geom),
+                                       ph.wigner_from_fock(b, geom))
+            assert np.max(np.abs(got.values - star.values)) <= 1e-12
+            assert np.max(np.abs(got.values)) > 1e-3
+
 
 
 class TestCharCommutator:

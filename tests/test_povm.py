@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from qdverify.errors import CompletenessFailure, NotInformationallyComplete
+from qdverify.errors import CompletenessFailure, DomainError, NotInformationallyComplete
 from qdverify.linalg import dag, frobenius_norm, hermitian_eig, random_density_matrix
 from qdverify.povm import (
     DualFrame,
@@ -81,6 +83,19 @@ def test_projective_measurement_not_ic():
     p = Povm(2, [np.diag([1.0, 0.0]).astype(complex),
                  np.diag([0.0, 1.0]).astype(complex)])
     assert not is_informationally_complete(p)
+
+
+@pytest.mark.parametrize("entry, where", [(np.inf, (0, 0)), (np.nan, (0, 1)),
+                                          (complex(0, np.nan), (1, 1))])
+def test_non_finite_effect_is_a_domain_error_without_warnings(sic, entry, where):
+    # a NaN difference compares False against the Hermitian tolerance, so
+    # finiteness is checked first
+    effects = [e.copy() for e in sic.effects]
+    effects[2][where] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="effect 2 has non-finite entries"):
+            Povm(2, effects)
 
 
 def test_probabilities_normalized():

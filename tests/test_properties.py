@@ -1,21 +1,27 @@
 """Property-based tests: the eigensolver, the soundness of the DV test,
-Fock-space displacement elements, the Fock-space commutator route,
-state-file round trips, standard-form invariants, heterodyne conditioning,
-and rejection of malformed input."""
+Fock-space displacement elements, the Fock-space commutator route, no
+false NONZERO_DISCORD from `moyal` on commuting grids, state-file round
+trips, standard-form invariants, heterodyne conditioning, and rejection of
+malformed input."""
+import io
 import json
 import os
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile
+from qdverify.cli import main
 from qdverify.errors import QdvError
 from qdverify.linalg import (DensityOperator, dag, frobenius_norm, hermitian_eig,
                              random_density_matrix, random_unitary)
 from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, char_from_fock,
-                                 fock_commutator, random_fock_density, square_geometry)
+                                 fock_commutator, random_fock_density, square_geometry,
+                                 wigner_from_fock)
 from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -105,6 +111,36 @@ def test_fock_state_commutes_with_itself_on_every_grid(cutoff, data, seed, exten
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(4, 12), seed_a=seeds, seed_b=seeds, extent=st.floats(3.0, 7.0),
+       points=st.integers(16, 64), shift=st.sampled_from([0.0, 0.5, 0.37]))
+@example(cutoff=4, seed_a=0, seed_b=1, extent=6.0, points=64, shift=0.0)
+def test_commuting_wigner_grids_never_flagged(cutoff, seed_a, seed_b, extent, points,
+                                              shift):
+    # diagonal states commute, but their star product on a grid too coarse
+    # or a box too small does not; moyal must refuse such grids (exit 2)
+    # rather than report NONZERO_DISCORD. shift moves the lattice by that
+    # fraction of a cell: at 0.5, or on an odd side, the Nyquist mode of a
+    # symmetric state sums to zero.
+    step = 2.0 * extent / points
+    geom = GridGeometry(-extent + shift * step, extent + shift * step,
+                        -extent + shift * step, extent + shift * step, points, points)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"w{i}.state") for i in range(2)]
+        for path, seed in zip(paths, (seed_a, seed_b)):
+            grid = wigner_from_fock(random_diagonal_fock(cutoff, seed), geom)
+            statefile.write(path, statefile.wigner_grid_doc(grid))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["moyal", *paths, "--out", os.path.join(tmp, "c.json")])
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "cannot resolve" in err.getvalue()
+    else:
+        assert code == 0
+        assert json.loads(out.getvalue())["verdict"] == dv.CONSISTENT_WITH_ZERO
 
 
 def _ic_povm(dim, rng):
