@@ -67,6 +67,9 @@ class GridGeometry:
     def __post_init__(self):
         if self.nx < 2 or self.np < 2:
             raise DomainError("grid needs at least 2 points per axis")
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.p_min, self.p_max,
+                                   self.dx, self.dp])):
+            raise DomainError("non-finite grid bounds or step")
         if not (self.x_max > self.x_min and self.p_max > self.p_min):
             raise DomainError("empty phase-space extent")
 
@@ -118,6 +121,8 @@ class CommutatorGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.geometry.nx, self.geometry.np):
             raise DimMismatch("values shape does not match geometry")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("non-finite commutator values")
 
 
 @dataclass
@@ -207,30 +212,38 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
     For n <= m, k = m - n, <n|D(beta)|m> = sqrt(n!/m!) (-conj(beta))^k
     e^{-|beta|^2/2} L_n^k(|beta|^2), with L_n^k from its three-term
     recurrence in n, (n+1) L_{n+1} = (2n+1+k-x) L_n - (n+k) L_{n-1}; the
-    lower triangle follows from <m|D|n> = (-1)^k conj(<n|D|m>). Working
-    memory is a handful of grid-sized arrays, whatever the cutoff.
+    lower triangle follows from <m|D|n> = (-1)^k conj(<n|D|m>).
+
+    The Laguerre sums depend on the grid point only through x = |beta|^2,
+    so they run once per distinct radius and are scattered back to the
+    grid before the angular factor (-conj(beta))^k e^{-x/2} is applied. A
+    symmetric square grid holds 3.5-10x fewer radii than points (hypot is
+    exact under reflection and swap). Working memory is a handful of
+    grid-sized arrays, whatever the cutoff.
     """
     xs, ps = geom.xs(), geom.ps()
     beta = scale * (xs[:, None] + 1j * ps[None, :])
     x = np.abs(beta) ** 2
+    radii, where = np.unique(x, return_inverse=True)
+    where = where.reshape(x.shape)          # numpy < 2 returns it flat
     size = matrix.shape[0]
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
     power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
     out = np.zeros(x.shape, dtype=complex)
     for k in range(size):
-        upper = np.zeros(x.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
-        lower = np.zeros(x.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
-        lag_prev, lag = 0.0, np.ones_like(x)
+        upper = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
+        lower = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
+        lag_prev, lag = 0.0, np.ones_like(radii)
         for n in range(size - k):
             m = n + k
             coeff = np.exp(0.5 * (log_fact[n] - log_fact[m])) * lag
             upper += (matrix[m, n] * sign[m]) * coeff
             if k:
                 lower += (matrix[n, m] * sign[n]) * coeff
-            lag_prev, lag = lag, ((2 * n + 1 + k - x) * lag - (n + k) * lag_prev) / (n + 1)
-        out += power * upper
+            lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
+        out += power * upper[where]
         if k:
-            out += (-1.0) ** k * np.conj(power) * lower
+            out += (-1.0) ** k * np.conj(power) * lower[where]
         power = power * -np.conj(beta)
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Optional
 
 import numpy as np
@@ -54,7 +55,9 @@ def _complex_in(v: Any) -> complex:
 
 
 def _cmatrix_out(m: np.ndarray) -> list:
-    return [[format_complex(complex(v)) for v in row] for row in np.asarray(m)]
+    # a complex row viewed as floats is re, im, re, im, ...
+    rows = _fmatrix_out(np.ascontiguousarray(m, dtype=complex).view(float))
+    return [[row[i:i + 2] for i in range(0, len(row), 2)] for row in rows]
 
 
 def _cmatrix_in(rows: Any) -> np.ndarray:
@@ -65,11 +68,20 @@ def _cmatrix_in(rows: Any) -> np.ndarray:
 
 
 def _fmatrix_out(m: np.ndarray) -> list:
-    return [[format_float(float(v)) for v in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ParseError(f"cannot serialize non-finite float {m[~np.isfinite(m)][0]}")
+    return [list(map(format, row.tolist(), repeat(".17g"))) for row in m]
 
 
 def _fmatrix_in(rows: Any) -> np.ndarray:
-    return np.array([[parse_float(v) for v in row] for row in rows], dtype=float)
+    try:
+        m = np.array([list(map(float, row)) for row in rows], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad float matrix: {exc}") from None
+    if not np.all(np.isfinite(m)):
+        raise ParseError(f"non-finite float value {m[~np.isfinite(m)][0]}")
+    return m
 
 
 @dataclass

@@ -318,6 +318,39 @@ class TestMoyal:
         assert "physical memory" not in err
         assert "cannot resolve" in err
 
+    @pytest.fixture()
+    def finite_grid_max_abs(self, monkeypatch):
+        """grid_max_abs that fails the test when handed a non-finite grid."""
+        inner = phasespace.grid_max_abs
+
+        def checked(g):
+            assert np.all(np.isfinite(g.values))
+            return inner(g)
+        monkeypatch.setattr(phasespace, "grid_max_abs", checked)
+
+    @pytest.mark.parametrize("extent, message", [
+        ("1e200", "non-finite commutator values"),
+        ("inf", "non-finite grid bounds or step"),
+    ])
+    def test_non_finite_fock_grid_exit_2(self, capsys, fock_files, finite_grid_max_abs,
+                                         extent, message):
+        # at 1e200 the grid is finite but |beta|^2 overflows in the series
+        code, out, err = run(capsys, "moyal", *fock_files, "--extent", extent)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_overflowing_wigner_grid_exit_2(self, capsys, workdir, finite_grid_max_abs):
+        values = np.zeros((16, 16))
+        values[1:-1, 1:-1] = 1e300     # zero edges pass the box check
+        values[::2] *= -1
+        grid = phasespace.WignerGrid(phasespace.square_geometry(6.0, 16), values)
+        path = write_fixture(workdir / "huge.state", statefile.wigner_grid_doc(grid))
+        code, out, err = run(capsys, "moyal", path, path)
+        assert code == 2
+        assert out == ""
+        assert "non-finite commutator values" in err
+
     def test_golden(self, capsys, fock_files):
         a, b = fock_files
         _, out1, _ = run(capsys, "moyal", a, b, "--points", "48")

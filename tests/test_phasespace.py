@@ -4,7 +4,7 @@ from math import pi
 
 from qdverify import gaussian as gs
 from qdverify import phasespace as ph
-from qdverify.errors import GeometryMismatch, TruncationTail
+from qdverify.errors import DomainError, GeometryMismatch, TruncationTail
 
 
 GEOM96 = ph.square_geometry(6.0, 96)
@@ -220,6 +220,34 @@ class TestQuadratureOracle:
         spectral = ph.moyal_commutator(ph.wigner_from_fock(vac, geom128),
                                    ph.wigner_from_fock(plus, geom128))
         assert np.max(np.abs(quad.values - spectral.values[::8, ::8])) <= 5e-3
+
+
+class TestNonFiniteGrids:
+    @pytest.mark.parametrize("bounds", [
+        (-np.inf, np.inf, -1.0, 1.0), (-1.0, 1.0, np.nan, 1.0),
+        (-1.7e308, 1.7e308, -1.0, 1.0),     # finite bounds, infinite step
+    ])
+    def test_geometry_refuses_non_finite_bounds_and_steps(self, bounds):
+        with pytest.raises(DomainError, match="non-finite grid bounds or step"):
+            ph.GridGeometry(*bounds, 4, 4)
+
+    def test_commutator_grid_refuses_non_finite_values(self):
+        geom = ph.square_geometry(2.0, 4)
+        for bad in (np.nan, np.inf):
+            values = np.zeros((4, 4))
+            values[1, 2] = bad
+            with pytest.raises(DomainError, match="non-finite commutator values"):
+                ph.CommutatorGrid(geom, values)
+
+    def test_moyal_commutator_of_an_overflowing_grid_raises(self):
+        # finite inputs whose star product overflows to NaN
+        values = np.zeros((16, 16))
+        values[1:-1, 1:-1] = 1e300
+        values[::2] *= -1
+        w = ph.WignerGrid(ph.square_geometry(6.0, 16), values)
+        with np.errstate(all="ignore"), pytest.raises(DomainError,
+                                                      match="non-finite commutator"):
+            ph.moyal_commutator(w, w)
 
 
 class TestGridMaxAbs:

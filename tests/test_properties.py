@@ -110,6 +110,37 @@ def test_fock_state_commutes_with_itself_on_every_grid(cutoff, data, seed, exten
     assert not np.any(grid.values)
 
 
+@st.composite
+def lattice_geometries(draw):
+    """Centred even, centred odd, or off-centre rectangular grids."""
+    shape = draw(st.sampled_from(["centred_even", "centred_odd", "off_centre"]))
+    extent = draw(st.floats(2.0, 7.0))
+    if shape != "off_centre":
+        points = 2 * draw(st.integers(2, 32)) + (shape == "centred_odd")
+        return square_geometry(extent, points)
+    x0, p0 = draw(st.floats(-7.0, -1.0)), draw(st.floats(-7.0, -1.0))
+    return GridGeometry(x0, x0 + extent + draw(st.floats(1.0, 5.0)),
+                        p0, p0 + extent, draw(st.integers(4, 48)), draw(st.integers(4, 48)))
+
+
+@PROPERTY_SETTINGS
+@given(geom=lattice_geometries(), data=st.data(), cutoff=st.integers(2, 14),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fock_series_value_depends_only_on_its_point(geom, data, cutoff, seed):
+    # the series runs once per distinct radius of the grid; rows i and i+1
+    # on a 2-row grid over the same points hold other radii, and must read
+    # the same values
+    op = random_fock_density(cutoff, data.draw(st.integers(0, cutoff - 2)), seed)
+    i = data.draw(st.integers(0, geom.nx - 2))
+    x0 = geom.xs()[i]
+    pair = GridGeometry(x0, x0 + 2 * geom.dx, geom.p_min, geom.p_max, 2, geom.np)
+    for transform in (wigner_from_fock, char_from_fock):
+        full = transform(op, geom).values
+        rows = transform(op, pair).values
+        scale = max(np.max(np.abs(full)), 1e-300)
+        assert np.max(np.abs(rows - full[i:i + 2])) <= 1e-14 * scale
+
+
 seeds = st.integers(0, 2 ** 32 - 1)
 
 

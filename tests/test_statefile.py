@@ -1,4 +1,6 @@
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import random_bipartite_state
 from qdverify import gaussian, statefile, tomo
 from qdverify.errors import ParseError
-from qdverify.phasespace import square_geometry, wigner_from_fock, fock_state
+from qdverify.phasespace import GridGeometry, square_geometry, wigner_from_fock, fock_state
 
 
 class TestFloatFormat:
@@ -100,6 +102,61 @@ class TestWignerGridRoundTrip:
         assert sf.payload.geometry == geom
         np.testing.assert_array_equal(sf.payload.values, grid.values)
         assert sf.value_stderr == 1e-4
+
+
+class TestBatchedMatrixWriters:
+    EDGE_VALUES = [[-0.0, 5e-324, 1.7976931348623157e308],
+                   [-1.7976931348623157e308, 1e-17, 1 / 3]]
+
+    @staticmethod
+    def grid(values):
+        return SimpleNamespace(geometry=GridGeometry(-1.0, 1.0, -1.0, 2.0, 2, 3),
+                               values=values)
+
+    def test_grid_strings_match_per_element_format(self):
+        rows = statefile.wigner_grid_doc(self.grid(np.array(self.EDGE_VALUES)))["values"]
+        assert rows == [[format(v, ".17g") for v in row] for row in self.EDGE_VALUES]
+        assert rows[0][:2] == ["-0", "4.9406564584124654e-324"]
+
+    def test_complex_strings_match_per_element_format(self):
+        m = np.array(self.EDGE_VALUES) + 1j * np.array(self.EDGE_VALUES)[::-1]
+        rho = SimpleNamespace(dim=2, bipartition=None, matrix=m)
+        rows = statefile.dv_density_doc(rho)["matrix"]
+        assert rows == [[statefile.format_complex(complex(v)) for v in row] for row in m]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused_without_warnings(self, bad):
+        values = np.array(self.EDGE_VALUES)
+        values[1, 1] = bad
+        matrix = np.zeros((2, 2), dtype=complex)
+        matrix.imag = values[:, :2]
+        rho = SimpleNamespace(dim=2, bipartition=None, matrix=matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="cannot serialize non-finite float"):
+                statefile.wigner_grid_doc(self.grid(values))
+            with pytest.raises(ParseError, match="cannot serialize non-finite float"):
+                statefile.dv_density_doc(rho)
+
+
+class TestBatchedMatrixReader:
+    @pytest.mark.parametrize("rows", [
+        None, "abc", [["1", "2"], ["3"]], [["1", "nan"]], [["1e999", "0"]],
+        [["1", None]], [["1", [2]]],
+    ], ids=["none", "string", "ragged", "nan", "overflow", "none_value", "nested"])
+    def test_rejects_with_parse_error(self, rows):
+        with pytest.raises(ParseError):
+            statefile._fmatrix_in(rows)
+
+    def test_accepts_numeric_json_values(self, tmp_path):
+        g = gaussian.two_mode_squeezed_vacuum(0.37)
+        doc = statefile.gaussian_doc(g)
+        # JSON numbers in place of the decimal strings: floats, and 0 as an int
+        doc["cov"] = [[float(v) or 0 for v in row] for row in doc["cov"]]
+        assert any(type(v) is int for v in doc["cov"][0])
+        path = tmp_path / "g.state"
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(statefile.load(str(path)).payload.cov, g.cov)
 
 
 class TestStrictMode:
