@@ -25,7 +25,7 @@ from .linalg import (
     random_unitary,
     tensor,
 )
-from .povm import DualFrame, Povm
+from .povm import Povm
 
 NONZERO_DISCORD = "NONZERO_DISCORD"
 CONSISTENT_WITH_ZERO = "CONSISTENT_WITH_ZERO"
@@ -90,13 +90,11 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     if p.dim != da:
         raise DimMismatch(f"POVM dim {p.dim} does not match subsystem A dim {da}")
     t = rho.matrix.reshape(da, db, da, db)
-    probs = np.empty(len(p.effects))
+    # Tr_A[(M_k x I) rho] for every k, with indices (a, b, a', b')
+    blocks = np.einsum("kac,cbad->kbd", p.effects, t)
+    probs = np.trace(blocks, axis1=1, axis2=2).real
     states: List[Optional[DensityOperator]] = []
-    for k, effect in enumerate(p.effects):
-        # Tr_A[(M_k x I) rho] with indices (a, b, a', b')
-        block = np.einsum("ac,cbad->bd", effect, t)
-        pk = np.trace(block).real
-        probs[k] = pk
+    for block, pk in zip(blocks, probs):
         if pk > PROB_FLOOR:
             cond = block / pk
             cond = (cond + dag(cond)) / 2.0
@@ -186,7 +184,7 @@ def generate_maximally_entangled(d: int) -> DensityOperator:
     return DensityOperator(np.outer(psi, psi.conj()), bipartition=(d, d))
 
 
-def reconstruct_joint(e: ConditionalEnsemble, duals: DualFrame) -> DensityOperator:
+def reconstruct_joint(e: ConditionalEnsemble, duals: np.ndarray) -> DensityOperator:
     """Rebuild the joint state as sum_k p_k N_k x rho_{B|k}."""
     if len(duals) != len(e.source_povm.effects):
         raise DimMismatch("dual frame does not match the ensemble's POVM")
@@ -194,36 +192,40 @@ def reconstruct_joint(e: ConditionalEnsemble, duals: DualFrame) -> DensityOperat
     db = next(e.states[k].dim for k in e.present_indices())
     out = np.zeros((da * db, da * db), dtype=complex)
     for k in e.present_indices():
-        out += e.probabilities[k] * tensor(duals.operators[k], e.states[k].matrix)
+        out += e.probabilities[k] * tensor(duals[k], e.states[k].matrix)
     out = (out + dag(out)) / 2.0
     return DensityOperator(out, bipartition=(da, db))
 
 
-def _entropy_bits(m: np.ndarray) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 = 0."""
+def _entropy_bits(m: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy in bits, with 0 log 0 = 0, of a matrix or of each
+    matrix in a (..., n, n) stack."""
     w = hermitian_eig(m).eigenvalues
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w)))
+    kept = w > 1e-15
+    return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)
 
 
-def _qubit_projectors(theta: float, phi: float) -> Tuple[np.ndarray, np.ndarray]:
+def _qubit_projectors(theta, phi) -> Tuple[np.ndarray, np.ndarray]:
+    """Projectors onto +-n(theta, phi), shaped (..., 2, 2) over the
+    broadcast shape of the angle arrays."""
     st, ct = np.sin(theta), np.cos(theta)
-    nx, ny, nz = st * np.cos(phi), st * np.sin(phi), ct
-    n_sigma = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+    nx, ny, nz = np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), ct)
+    n_sigma = np.stack([np.stack([nz, nx - 1j * ny], axis=-1),
+                        np.stack([nx + 1j * ny, -nz], axis=-1)], axis=-2)
     eye = np.eye(2, dtype=complex)
     return (eye + n_sigma) / 2.0, (eye - n_sigma) / 2.0
 
 
-def _measured_conditional_entropy(t: np.ndarray, theta: float, phi: float) -> float:
-    """sum_j p_j S(rho_{A|j}) for the projective measurement n(theta, phi) on B."""
-    plus, minus = _qubit_projectors(theta, phi)
+def _measured_conditional_entropy(t: np.ndarray, theta, phi) -> np.ndarray:
+    """sum_j p_j S(rho_{A|j}) for the projective measurement n(theta, phi) on B,
+    over the broadcast shape of the angle arrays."""
     total = 0.0
-    for proj in (plus, minus):
-        block = np.einsum("abcd,db->ac", t, proj)
-        pj = np.trace(block).real
-        if pj > 1e-14:
-            cond = block / pj
-            total += pj * _entropy_bits((cond + dag(cond)) / 2.0)
+    for proj in _qubit_projectors(theta, phi):
+        block = np.einsum("abcd,...db->...ac", t, proj)
+        pj = np.trace(block, axis1=-2, axis2=-1).real
+        kept = pj > 1e-14
+        cond = block / np.where(kept, pj, 1.0)[..., None, None]
+        total = total + np.where(kept, pj * _entropy_bits((cond + dag(cond)) / 2.0), 0.0)
     return total
 
 
@@ -244,30 +246,23 @@ def discord_estimate_2q(rho: DensityOperator, n_theta: int = 64,
     s_b = _entropy_bits(rho_b)
     s_ab = _entropy_bits(rho.matrix)
 
-    best = np.inf
-    best_angles = (0.0, 0.0)
+    # the first minimum in theta-major order
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    for theta in thetas:
-        for phi in phis:
-            val = _measured_conditional_entropy(t, theta, phi)
-            if val < best:
-                best = val
-                best_angles = (theta, phi)
+    scan = _measured_conditional_entropy(t, thetas[:, None], phis[None, :])
+    i, j = np.unravel_index(np.argmin(scan), scan.shape)
+    best, theta, phi = scan[i, j], thetas[i], phis[j]
 
-    # compass descent from the best grid point, halving the step on failure
-    theta, phi = best_angles
+    # compass descent from the best grid point, halving the step on failure;
+    # of the four moves, the first that improves is taken
     step = max(np.pi / n_theta, 2.0 * np.pi / n_phi)
     while step > 1e-8:
-        improved = False
-        for dt, dp in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            val = _measured_conditional_entropy(t, theta + dt, phi + dp)
-            if val < best - 1e-16:
-                best = val
-                theta += dt
-                phi += dp
-                improved = True
-                break
-        if not improved:
+        dt, dp = step * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+        vals = _measured_conditional_entropy(t, theta + dt, phi + dp)
+        better = np.flatnonzero(vals < best - 1e-16)
+        if better.size:
+            m = better[0]
+            best, theta, phi = vals[m], theta + dt[m], phi + dp[m]
+        else:
             step /= 2.0
     return s_b - s_ab + best

@@ -24,8 +24,8 @@ SPECTRAL_TOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix in a (..., n, n) stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,10 +54,10 @@ def frobenius_norm(m: np.ndarray) -> float:
 
 @dataclass
 class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of a stack of them.
 
-    eigenvalues are real and sorted descending; eigenvectors holds the
-    matching orthonormal eigenvectors as columns.
+    eigenvalues (..., n) are real and sorted descending; eigenvectors
+    (..., n, n) holds the matching orthonormal eigenvectors as columns.
     """
 
     eigenvalues: np.ndarray
@@ -65,26 +65,26 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dag(v)
+        return (v * self.eigenvalues[..., None, :]) @ dag(v)
 
 
 def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK's eigh.
+    """Eigendecomposition of a Hermitian matrix or (..., n, n) stack by eigh.
 
     The input is symmetrised before the call, and the result is reordered
     to descending eigenvalues. Raises NotHermitian if m is not square, has
     non-finite entries, or max |m - m^dagger| exceeds SPECTRAL_TOL.
     """
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NotHermitian(f"not a square matrix: {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotHermitian("matrix has non-finite entries")
-    if np.max(np.abs(a - dag(a))) > SPECTRAL_TOL:
+    if np.max(np.abs(a - dag(a)), initial=0.0) > SPECTRAL_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance "
                            f"{SPECTRAL_TOL:g}")
     w, v = np.linalg.eigh((a + dag(a)) / 2.0)
-    return EigenDecomposition(w[::-1], v[:, ::-1])
+    return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 
 def degeneracy_gap(e: EigenDecomposition) -> float:

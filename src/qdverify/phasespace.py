@@ -94,6 +94,21 @@ def square_geometry(extent: float = DEFAULT_EXTENT,
     return GridGeometry(-extent, extent, -extent, extent, points, points)
 
 
+def _grid_values(values, geom: GridGeometry, dtype, what: str) -> np.ndarray:
+    """values as a dtype array of the geometry's shape, all finite.
+
+    Raises DimMismatch on a wrong shape and DomainError("non-finite <what>
+    values") otherwise.
+    """
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (geom.nx, geom.np):
+        raise DimMismatch(f"values shape {values.shape} does not "
+                          f"match geometry {geom.nx}x{geom.np}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"non-finite {what} values")
+    return values
+
+
 @dataclass
 class WignerGrid:
     geometry: GridGeometry
@@ -101,12 +116,7 @@ class WignerGrid:
     convention: str = CONVENTION_TAG
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.geometry.nx, self.geometry.np):
-            raise DimMismatch(f"values shape {self.values.shape} does not "
-                              f"match geometry {self.geometry.nx}x{self.geometry.np}")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("non-finite grid values")
+        self.values = _grid_values(self.values, self.geometry, float, "grid")
 
 
 @dataclass
@@ -118,11 +128,7 @@ class CommutatorGrid:
     convention: str = CONVENTION_TAG
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.geometry.nx, self.geometry.np):
-            raise DimMismatch("values shape does not match geometry")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("non-finite commutator values")
+        self.values = _grid_values(self.values, self.geometry, float, "commutator")
 
 
 @dataclass
@@ -133,9 +139,8 @@ class CharGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.geometry.nx, self.geometry.np):
-            raise DimMismatch("values shape does not match geometry")
+        self.values = _grid_values(self.values, self.geometry, complex,
+                                   "characteristic-function")
 
 
 @dataclass
@@ -220,32 +225,37 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
     symmetric square grid holds 3.5-10x fewer radii than points (hypot is
     exact under reflection and swap). Working memory is a handful of
     grid-sized arrays, whatever the cutoff.
+
+    On a huge extent |beta|^2 overflows and the result holds inf or NaN.
+    numpy's warnings for that are silenced: every grid type built from the
+    result refuses non-finite values.
     """
-    xs, ps = geom.xs(), geom.ps()
-    beta = scale * (xs[:, None] + 1j * ps[None, :])
-    x = np.abs(beta) ** 2
-    radii, where = np.unique(x, return_inverse=True)
-    where = where.reshape(x.shape)          # numpy < 2 returns it flat
-    size = matrix.shape[0]
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
-    power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
-    out = np.zeros(x.shape, dtype=complex)
-    for k in range(size):
-        upper = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
-        lower = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
-        lag_prev, lag = 0.0, np.ones_like(radii)
-        for n in range(size - k):
-            m = n + k
-            coeff = np.exp(0.5 * (log_fact[n] - log_fact[m])) * lag
-            upper += (matrix[m, n] * sign[m]) * coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ps = geom.xs(), geom.ps()
+        beta = scale * (xs[:, None] + 1j * ps[None, :])
+        x = np.abs(beta) ** 2
+        radii, where = np.unique(x, return_inverse=True)
+        where = where.reshape(x.shape)          # numpy < 2 returns it flat
+        size = matrix.shape[0]
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+        power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
+        out = np.zeros(x.shape, dtype=complex)
+        for k in range(size):
+            upper = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
+            lower = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
+            lag_prev, lag = 0.0, np.ones_like(radii)
+            for n in range(size - k):
+                m = n + k
+                coeff = np.exp(0.5 * (log_fact[n] - log_fact[m])) * lag
+                upper += (matrix[m, n] * sign[m]) * coeff
+                if k:
+                    lower += (matrix[n, m] * sign[n]) * coeff
+                lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
+            out += power * upper[where]
             if k:
-                lower += (matrix[n, m] * sign[n]) * coeff
-            lag_prev, lag = lag, ((2 * n + 1 + k - radii) * lag - (n + k) * lag_prev) / (n + 1)
-        out += power * upper[where]
-        if k:
-            out += (-1.0) ** k * np.conj(power) * lower[where]
-        power = power * -np.conj(beta)
-    return out
+                out += (-1.0) ** k * np.conj(power) * lower[where]
+            power = power * -np.conj(beta)
+        return out
 
 
 def _check_tail(op: FockOperator) -> None:
@@ -364,7 +374,8 @@ def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
     imaginary part of a single star product.
     """
     geom = _require_same_geometry(wk, wk2)
-    star = _star_product(wk.values, wk2.values, geom)
+    with np.errstate(over="ignore", invalid="ignore"):  # CommutatorGrid refuses non-finite
+        star = _star_product(wk.values, wk2.values, geom)
     return CommutatorGrid(geom, 2.0 * star.imag)
 
 

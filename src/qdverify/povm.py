@@ -7,8 +7,7 @@ N_k weighted by the outcome probabilities Tr[M_k rho].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,91 +45,79 @@ SIC_QUBIT_DIRECTIONS = np.array([
 
 @dataclass
 class Povm:
-    """A set of PSD effects on a d-dimensional system summing to identity."""
+    """PSD effects on a d-dimensional system summing to identity.
+
+    effects is one (K, d, d) complex array with M_k = effects[k]; any
+    sequence of K d x d matrices is accepted and stacked.
+    """
 
     dim: int
-    effects: List[np.ndarray]
+    effects: np.ndarray
 
     def __post_init__(self):
-        self.effects = [np.asarray(e, dtype=complex) for e in self.effects]
         if self.dim < 1:
             raise DimMismatch(f"POVM dimension must be positive, got {self.dim}")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, e in enumerate(self.effects):
-            if e.shape != (self.dim, self.dim):
-                raise DimMismatch(f"effect {i} has shape {e.shape}")
-            if not np.all(np.isfinite(e)):
-                raise DomainError(f"effect {i} has non-finite entries")
-            if np.max(np.abs(e - dag(e))) > HERMITIAN_TOL:
-                raise DomainError(f"effect {i} is not Hermitian")
-            w = hermitian_eig(e).eigenvalues
-            if w[-1] < -PSD_TOL:
-                raise DomainError(f"effect {i} has eigenvalue {w[-1]:g}")
-            total += e
-        if frobenius_norm(total - np.eye(self.dim)) > 1e-10:
+        shape = (self.dim, self.dim)
+        for i, e in enumerate(self.effects):     # a ragged list cannot be stacked
+            if np.shape(e) != shape:
+                raise DimMismatch(f"effect {i} has shape {np.shape(e)}")
+        e = self.effects = np.asarray(self.effects, dtype=complex).reshape(-1, *shape)
+        # each check names the first effect that fails it; finiteness comes
+        # first because a NaN difference passes the Hermitian tolerance
+        finite = np.isfinite(e).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"effect {np.argmin(finite)} has non-finite entries")
+        hermitian = np.abs(e - dag(e)).max(axis=(1, 2)) <= HERMITIAN_TOL
+        if not hermitian.all():
+            raise DomainError(f"effect {np.argmin(hermitian)} is not Hermitian")
+        lowest = hermitian_eig(e).eigenvalues[:, -1]
+        if np.any(lowest < -PSD_TOL):
+            i = np.argmax(lowest < -PSD_TOL)
+            raise DomainError(f"effect {i} has eigenvalue {lowest[i]:g}")
+        if frobenius_norm(e.sum(axis=0) - np.eye(self.dim)) > 1e-10:
             raise DomainError("effects do not sum to identity")
 
     def __len__(self) -> int:
         return len(self.effects)
 
 
-@dataclass
-class DualFrame:
-    """Reconstruction operators N_k paired with a Povm's effects."""
-
-    operators: List[np.ndarray] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
 def probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
     """Outcome probabilities Tr[M_k rho] for a state on the POVM's system."""
-    return np.array([np.trace(e @ rho).real for e in p.effects])
+    return np.einsum("kij,ji->k", p.effects, rho).real
 
 
-def hermitian_basis(dim: int) -> List[np.ndarray]:
-    """Orthonormal (trace inner product) basis of Hermitian dim x dim matrices.
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal (trace inner product) basis of Hermitian dim x dim matrices,
+    as a (dim^2, dim, dim) array.
 
     Order is deterministic: diagonal units first, then the symmetric and
-    antisymmetric pair for each i < j.
+    antisymmetric pair for each i < j, with (i, j) in row-major order.
     """
-    basis = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
+    i, j = np.triu_indices(dim, k=1)
+    sym = dim + 2 * np.arange(i.size)
+    diag = np.arange(dim)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = inv_sqrt2
-            m[j, i] = inv_sqrt2
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j * inv_sqrt2
-            m[j, i] = 1j * inv_sqrt2
-            basis.append(m)
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    basis[diag, diag, diag] = 1.0
+    basis[sym, i, j] = basis[sym, j, i] = inv_sqrt2
+    basis[sym + 1, i, j] = -1j * inv_sqrt2
+    basis[sym + 1, j, i] = 1j * inv_sqrt2
     return basis
 
 
 def _effect_coordinates(p: Povm) -> np.ndarray:
     """Real coordinate vectors of the effects in the fixed Hermitian basis."""
-    basis = hermitian_basis(p.dim)
-    coords = np.empty((len(p.effects), len(basis)))
-    for k, e in enumerate(p.effects):
-        for a, b in enumerate(basis):
-            coords[k, a] = np.trace(b @ e).real
-    return coords
+    # contiguous: on a strided view, dual_frame's coords.T @ coords sums in
+    # another order and the duals move in their last bits
+    return np.ascontiguousarray(
+        np.einsum("aij,kji->ka", hermitian_basis(p.dim), p.effects).real)
 
 
 def sic_qubit() -> Povm:
     """Qubit SIC-POVM, four subnormalized projectors on tetrahedron axes."""
     eye = np.eye(2, dtype=complex)
-    effects = []
-    for nx, ny, nz in SIC_QUBIT_DIRECTIONS:
-        effects.append((eye + nx * _PAULI_X + ny * _PAULI_Y + nz * _PAULI_Z) / 4.0)
-    return Povm(2, effects)
+    nx, ny, nz = SIC_QUBIT_DIRECTIONS.T[:, :, None, None]
+    return Povm(2, (eye + nx * _PAULI_X + ny * _PAULI_Y + nz * _PAULI_Z) / 4.0)
 
 
 def is_informationally_complete(p: Povm) -> bool:
@@ -139,10 +126,7 @@ def is_informationally_complete(p: Povm) -> bool:
     Checked through the numerical rank of the Gram matrix Tr[M_j M_k]:
     eigenvalues above RANK_CUTOFF times the largest count toward the rank.
     """
-    gram = np.empty((len(p.effects), len(p.effects)))
-    for j, ej in enumerate(p.effects):
-        for k, ek in enumerate(p.effects):
-            gram[j, k] = np.trace(dag(ej) @ ek).real
+    gram = np.einsum("jab,kab->jk", p.effects.conj(), p.effects).real
     w = hermitian_eig(gram).eigenvalues
     top = w[0]
     if top <= 0:
@@ -175,17 +159,14 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
             clipped = np.maximum(e.eigenvalues, 0.0)
             v = e.eigenvectors
             effects.append((v * clipped) @ dag(v))
-        total = np.zeros((dim, dim), dtype=complex)
-        for m in effects:
-            total += m
-        es = hermitian_eig(total)
+        effects = np.array(effects)
+        es = hermitian_eig(effects.sum(axis=0))
         if es.eigenvalues[-1] <= 1e-12:
             continue
         inv_sqrt = (es.eigenvectors * (1.0 / np.sqrt(es.eigenvalues))) @ dag(es.eigenvectors)
-        effects = [inv_sqrt @ m @ inv_sqrt for m in effects]
+        effects = inv_sqrt @ effects @ inv_sqrt
         # symmetrize away rounding before validation
-        effects = [(m + dag(m)) / 2.0 for m in effects]
-        povm = Povm(dim, effects)
+        povm = Povm(dim, (effects + dag(effects)) / 2.0)
         if is_informationally_complete(povm):
             return povm
     raise CompletenessFailure(
@@ -207,8 +188,9 @@ def default_ic_povm(dim: int, seed: int = DEFAULT_POVM_SEED,
     return random_ic_povm(dim, seed)
 
 
-def dual_frame(p: Povm) -> DualFrame:
-    """Dual operators N_k satisfying rho = sum_k N_k Tr[M_k rho].
+def dual_frame(p: Povm) -> np.ndarray:
+    """Dual operators N_k satisfying rho = sum_k N_k Tr[M_k rho], as one
+    (K, d, d) array matching p.effects.
 
     Built from the pseudoinverse of the frame operator sum_k |M_k)(M_k| in
     the fixed Hermitian basis, with eigenvalues below RANK_CUTOFF times the
@@ -224,21 +206,11 @@ def dual_frame(p: Povm) -> DualFrame:
     inv = np.where(w > RANK_CUTOFF * w[0], 1.0 / np.where(w > 0, w, 1.0), 0.0)
     pinv = (e.eigenvectors * inv) @ dag(e.eigenvectors)
     dual_coords = (pinv @ coords.T).T.real   # (K, d^2)
-    basis = hermitian_basis(p.dim)
-    operators = []
-    for k in range(len(p.effects)):
-        n = np.zeros((p.dim, p.dim), dtype=complex)
-        for a, b in enumerate(basis):
-            n += dual_coords[k, a] * b
-        operators.append(n)
-    return DualFrame(operators)
+    return np.einsum("ka,aij->kij", dual_coords, hermitian_basis(p.dim))
 
 
-def reconstruct(p: Povm, duals: DualFrame, probs: np.ndarray) -> np.ndarray:
+def reconstruct(p: Povm, duals: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Rebuild a state from outcome probabilities via the dual frame."""
     if len(duals) != len(p.effects):
         raise DimMismatch("dual frame does not match the POVM")
-    out = np.zeros((p.dim, p.dim), dtype=complex)
-    for n, pk in zip(duals.operators, probs):
-        out += pk * n
-    return out
+    return np.einsum("k,kij->ij", probs, duals)

@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, InsufficientOutcomes
-from .linalg import DensityOperator, dag, frobenius_norm, hermitian_eig, tensor
-from .povm import DualFrame, Povm, reconstruct
+from .linalg import DensityOperator, dag, frobenius_norm, hermitian_eig
+from .povm import Povm, reconstruct
 from .dv import (
     CONSISTENT_WITH_ZERO,
     NONZERO_DISCORD,
@@ -71,7 +71,7 @@ class EstimatedConditionals:
     freqs: np.ndarray
     counts: np.ndarray
     povm_b: Povm
-    duals_b: DualFrame
+    duals_b: np.ndarray
     entry_stderr: List[Optional[np.ndarray]]
 
 
@@ -89,11 +89,12 @@ def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.
     """p(k, m) = Tr[(M_k x M_m) rho] for all joint outcomes."""
     if rho.bipartition is None or rho.bipartition != (povm_a.dim, povm_b.dim):
         raise DimMismatch("state bipartition does not match the POVM dims")
-    probs = np.empty((len(povm_a.effects), len(povm_b.effects)))
-    for k, ma in enumerate(povm_a.effects):
-        for m, mb in enumerate(povm_b.effects):
-            probs[k, m] = np.trace(tensor(ma, mb) @ rho.matrix).real
-    return probs
+    # M_k x M_m and a matmul per pair, as np.kron did: one einsum reorders the
+    # sum, which moves sampled counts (the 2x2 maximally mixed state, 1e5 shots)
+    ma = povm_a.effects[:, None, :, None, :, None]
+    mb = povm_b.effects[None, :, None, :, None, :]
+    pairs = (ma * mb).reshape(len(povm_a), len(povm_b), rho.dim, rho.dim)
+    return np.trace(pairs @ rho.matrix, axis1=2, axis2=3).real
 
 
 def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
@@ -126,7 +127,7 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
 
 
 def _conditional_row(row: np.ndarray, weight: float, povm_b: Povm,
-                     duals_b: DualFrame) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     duals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One outcome's step: normalise its row of joint weights, invert the
     conditional frequencies through the dual frame, project to a state.
 
@@ -138,7 +139,7 @@ def _conditional_row(row: np.ndarray, weight: float, povm_b: Povm,
 
 
 def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
-              povm_b: Povm, duals_b: DualFrame) -> EstimatedConditionals:
+              povm_b: Povm, duals_b: np.ndarray) -> EstimatedConditionals:
     """Conditional states of B from joint weights w(k, m) over outcome pairs.
 
     Rows whose total weight is at or below floor are absent. sizes[k] is the
@@ -146,7 +147,6 @@ def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
     1/sqrt(sizes[k]) and vanish for infinite sizes.
     """
     marg = joint.sum(axis=1)
-    dim = povm_b.dim
     freqs = np.zeros(joint.shape)
     states: List[Optional[DensityOperator]] = []
     stderrs: List[Optional[np.ndarray]] = []
@@ -158,16 +158,13 @@ def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
         f, raw, state = _conditional_row(joint[k], marg[k], povm_b, duals_b)
         freqs[k] = f
         states.append(DensityOperator(state))
-        var = np.zeros((dim, dim))
-        for m, n_op in enumerate(duals_b.operators):
-            var += f[m] * np.abs(n_op) ** 2
-        var -= np.abs(raw) ** 2
+        var = np.einsum("m,mij->ij", f, np.abs(duals_b) ** 2) - np.abs(raw) ** 2
         stderrs.append(np.sqrt(np.maximum(var, 0.0) / sizes[k]))
     ensemble = ConditionalEnsemble(marg / marg.sum(), states, povm_a)
     return EstimatedConditionals(ensemble, freqs, sizes, povm_b, duals_b, stderrs)
 
 
-def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedConditionals:
+def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedConditionals:
     """Conditional-state estimates from a shot record.
 
     p_k is the marginal frequency of outcome k on A; the conditional of B
@@ -183,7 +180,7 @@ def estimate_conditionals(rec: ShotRecord, duals_b: DualFrame) -> EstimatedCondi
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
-                    duals: DualFrame) -> Tuple[float, np.ndarray, np.ndarray]:
+                    duals: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     """Commutator norm and its gradient wrt the two frequency vectors."""
     comm = rho_j @ rho_k - rho_k @ rho_j
     norm = frobenius_norm(comm)
@@ -192,8 +189,8 @@ def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
     cd = dag(comm)
     left = rho_k @ cd - cd @ rho_k      # d norm / d rho_j direction
     right = cd @ rho_j - rho_j @ cd     # d norm / d rho_k direction
-    gj = np.array([np.trace(left @ n).real for n in duals.operators]) / norm
-    gk = np.array([np.trace(right @ n).real for n in duals.operators]) / norm
+    gj = np.trace(left @ duals, axis1=1, axis2=2).real / norm
+    gk = np.trace(right @ duals, axis1=1, axis2=2).real / norm
     return norm, gj, gk
 
 
@@ -311,7 +308,7 @@ def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
 
 
 def exact_conditionals(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
-                       duals_b: DualFrame) -> EstimatedConditionals:
+                       duals_b: np.ndarray) -> EstimatedConditionals:
     """Estimation input for the zero-uncertainty (infinite shot) limit.
 
     Conditional frequencies are the exact outcome probabilities and the

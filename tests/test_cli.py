@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -334,11 +335,14 @@ class TestMoyal:
     ])
     def test_non_finite_fock_grid_exit_2(self, capsys, fock_files, finite_grid_max_abs,
                                          extent, message):
-        # at 1e200 the grid is finite but |beta|^2 overflows in the series
-        code, out, err = run(capsys, "moyal", *fock_files, "--extent", extent)
+        # at 1e200 the grid is finite but |beta|^2 overflows in the series;
+        # the error is the only line on stderr, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "moyal", *fock_files, "--extent", extent)
         assert code == 2
         assert out == ""
-        assert message in err
+        assert err == f"error: {message}\n"
 
     def test_overflowing_wigner_grid_exit_2(self, capsys, workdir, finite_grid_max_abs):
         values = np.zeros((16, 16))
@@ -346,10 +350,12 @@ class TestMoyal:
         values[::2] *= -1
         grid = phasespace.WignerGrid(phasespace.square_geometry(6.0, 16), values)
         path = write_fixture(workdir / "huge.state", statefile.wigner_grid_doc(grid))
-        code, out, err = run(capsys, "moyal", path, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "moyal", path, path)
         assert code == 2
         assert out == ""
-        assert "non-finite commutator values" in err
+        assert err == "error: non-finite commutator values\n"
 
     def test_golden(self, capsys, fock_files):
         a, b = fock_files

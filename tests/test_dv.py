@@ -219,6 +219,50 @@ class TestDiscordEstimator:
         with pytest.raises(BadDimension):
             dv.discord_estimate_2q(rho)
 
+    def test_matches_the_scan_and_descent_one_angle_pair_at_a_time(self):
+        # the grid's first strict minimum in theta-major order, then compass
+        # moves in a fixed order where the first improving one is taken
+        for seed in range(10):
+            rho = random_bipartite_state(seed, 2, 2)
+            t = rho.matrix.reshape(2, 2, 2, 2)
+            best, angles = np.inf, None
+            for theta in np.linspace(0.0, np.pi, 8):
+                for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+                    val = dv._measured_conditional_entropy(t, theta, phi)
+                    if val < best:
+                        best, angles = val, (theta, phi)
+            (theta, phi), step = angles, np.pi / 8
+            while step > 1e-8:
+                for dt, dp in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+                    val = dv._measured_conditional_entropy(t, theta + dt, phi + dp)
+                    if val < best - 1e-16:
+                        best, theta, phi = val, theta + dt, phi + dp
+                        break
+                else:
+                    step /= 2.0
+            expected = (dv._entropy_bits(np.einsum("abad->bd", t))
+                        - dv._entropy_bits(rho.matrix) + best)
+            assert dv.discord_estimate_2q(rho, n_theta=8, n_phi=16) == expected
+
+    @pytest.mark.parametrize("c", [
+        (0.3, -0.2, 0.1), (-1.0, -1.0, -1.0), (0.5, 0.5, 0.0), (-0.2, 0.6, 0.1),
+        (0.1, 0.1, 0.7), (-0.4, -0.4, -0.4), (0.0, 0.0, 0.0), (0.25, -0.25, 0.5),
+    ])
+    def test_bell_diagonal_matches_luo_closed_form(self, c):
+        # S. Luo, PRA 77, 042303 (2008): rho = (I + sum_j c_j s_j x s_j) / 4
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0])]
+        m = (np.eye(4) + sum(cj * np.kron(s, s) for cj, s in zip(c, paulis))) / 4
+        c1, c2, c3 = c
+        lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3,
+                        1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+        cmax = max(abs(cj) for cj in c)
+        xlogx = lambda x: x * np.log2(x) if x > 0 else 0.0   # noqa: E731
+        luo = (1.0 + sum(xlogx(x) for x in lam)
+               - xlogx((1 - cmax) / 2) - xlogx((1 + cmax) / 2))
+        estimate = dv.discord_estimate_2q(DensityOperator(m, bipartition=(2, 2)))
+        assert luo - 1e-9 <= estimate <= luo + 1e-6
+
 
 def test_direction_sensitivity():
     # pointer basis on B with non-commuting rho_j on A: zero discord from B

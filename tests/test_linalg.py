@@ -121,6 +121,30 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(4, 3, 5, 5)) + 1j * rng.normal(size=(4, 3, 5, 5))
+        stack = g + dag(g)
+        stack[1, 2] = np.diag([2.0, 2.0, 1.0, 1.0, 0.0])   # degenerate member
+        e = hermitian_eig(stack)
+        rebuilt = e.reconstruct()
+        for idx in np.ndindex(4, 3):
+            one = hermitian_eig(stack[idx])
+            np.testing.assert_array_equal(e.eigenvalues[idx], one.eigenvalues)
+            np.testing.assert_array_equal(e.eigenvectors[idx], one.eigenvectors)
+            np.testing.assert_array_equal(rebuilt[idx], one.reconstruct())
+
+    def test_stack_checks_every_member(self):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 0, 1] = 1.0
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            hermitian_eig(stack)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(NotHermitian, match="non-finite"):
+            hermitian_eig(stack)
+        with pytest.raises(NotHermitian, match="not a square matrix"):
+            hermitian_eig(np.zeros((3, 2, 3)))
+
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(NotHermitian):

@@ -239,6 +239,16 @@ class TestNonFiniteGrids:
             with pytest.raises(DomainError, match="non-finite commutator values"):
                 ph.CommutatorGrid(geom, values)
 
+    def test_char_grid_refuses_non_finite_values(self):
+        # |xi|^2 overflows in the series at extent 1e200; before, 255 of the
+        # 256 values came back NaN with no error
+        with pytest.raises(DomainError, match="non-finite characteristic-function"):
+            ph.char_from_fock(ph.fock_state(0, 8), ph.square_geometry(1e200, 16))
+        values = np.zeros((4, 4), dtype=complex)
+        values[2, 1] = complex(0.0, np.inf)
+        with pytest.raises(DomainError, match="non-finite characteristic-function"):
+            ph.CharGrid(ph.square_geometry(2.0, 4), values)
+
     def test_moyal_commutator_of_an_overflowing_grid_raises(self):
         # finite inputs whose star product overflows to NaN
         values = np.zeros((16, 16))

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qdverify.errors import CompletenessFailure, DomainError, NotInformationallyComplete
+from qdverify.errors import (CompletenessFailure, DimMismatch, DomainError,
+                             NotInformationallyComplete)
 from qdverify.linalg import dag, frobenius_norm, hermitian_eig, random_density_matrix
 from qdverify.povm import (
-    DualFrame,
     Povm,
     default_ic_povm,
     dual_frame,
@@ -85,16 +85,38 @@ def test_projective_measurement_not_ic():
     assert not is_informationally_complete(p)
 
 
-@pytest.mark.parametrize("entry, where", [(np.inf, (0, 0)), (np.nan, (0, 1)),
-                                          (complex(0, np.nan), (1, 1))])
-def test_non_finite_effect_is_a_domain_error_without_warnings(sic, entry, where):
-    # a NaN difference compares False against the Hermitian tolerance, so
+def _set_entry(where, value):
+    def spoil(e):
+        e = e.copy()
+        e[where] = value
+        return e
+    return spoil
+
+
+@pytest.mark.parametrize("k, spoil, error, message", [
+    pytest.param(2, _set_entry((0, 0), np.inf), DomainError,
+                 "effect 2 has non-finite entries", id="inf-where0"),
+    pytest.param(2, _set_entry((0, 1), np.nan), DomainError,
+                 "effect 2 has non-finite entries", id="nan-where1"),
+    pytest.param(2, _set_entry((1, 1), complex(0, np.nan)), DomainError,
+                 "effect 2 has non-finite entries", id="nanj-where2"),
+    pytest.param(2, lambda e: e + np.array([[0, 1e-6], [0, 0]]), DomainError,
+                 "effect 2 is not Hermitian", id="non_hermitian"),
+    pytest.param(2, lambda e: e - 0.6 * np.eye(2), DomainError,
+                 "effect 2 has eigenvalue -0.6", id="negative_eigenvalue"),
+    pytest.param(1, lambda e: np.eye(3), DimMismatch,
+                 r"effect 1 has shape \(3, 3\)", id="wrong_shape"),
+])
+def test_non_finite_effect_is_a_domain_error_without_warnings(sic, k, spoil, error,
+                                                               message):
+    # each check over the stack names the first failing effect; a NaN
+    # difference compares False against the Hermitian tolerance, so
     # finiteness is checked first
-    effects = [e.copy() for e in sic.effects]
-    effects[2][where] = entry
+    effects = list(sic.effects)
+    effects[k] = spoil(effects[k])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="effect 2 has non-finite entries"):
+        with pytest.raises(error, match=message):
             Povm(2, effects)
 
 
@@ -111,7 +133,7 @@ def test_probabilities_normalized():
 class TestDualFrame:
     def test_sic_closed_form(self, sic, sic_duals):
         # dual of the SIC is 3 Pi_k - I with Pi_k the projector 2 M_k
-        for n, m in zip(sic_duals.operators, sic.effects):
+        for n, m in zip(sic_duals, sic.effects):
             np.testing.assert_allclose(n, 3 * (2 * m) - np.eye(2), atol=1e-9)
 
     def test_sic_reconstruction(self, sic, sic_duals):
@@ -170,3 +192,23 @@ def test_hermitian_basis_orthonormal():
         for j, b in enumerate(basis):
             ip = np.trace(dag(a) @ b).real
             assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-14)
+
+
+def test_hermitian_basis_matches_the_nested_loop_construction():
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for dim in range(1, 6):
+        expected = []
+        for i in range(dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, i] = 1.0
+            expected.append(m)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                m = np.zeros((dim, dim), dtype=complex)
+                m[i, j] = m[j, i] = inv_sqrt2
+                expected.append(m)
+                m = np.zeros((dim, dim), dtype=complex)
+                m[i, j] = -1j * inv_sqrt2
+                m[j, i] = 1j * inv_sqrt2
+                expected.append(m)
+        np.testing.assert_array_equal(hermitian_basis(dim), np.array(expected))
