@@ -218,7 +218,6 @@ def cmd_tomo(args) -> int:
         povm_b = default_ic_povm(dim_b, seed=args.povm_seed + 1)
         record = tomo.sample_joint(rho, povm_a, povm_b, args.shots, args.seed)
         record_path = args.record_out or (path + ".shots.json")
-        write(record_path, shot_record_doc(record))
     else:
         record = sf.payload
     duals_b = dual_frame(record.povm_b)
@@ -244,7 +243,8 @@ def cmd_tomo(args) -> int:
             "shots": int(record.total),
         },
     }
-    if record_path:
+    if record_path:     # written only once the run has succeeded
+        write(record_path, shot_record_doc(record))
         fields["emitted_record"] = record_path
     return _report("dv_tomo", path, fields)
 

@@ -9,11 +9,12 @@ anchor, cutting the check from all pairs down to anchor-versus-rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDimension, DimMismatch, DomainError, MissingBipartition
+from .errors import (BadDimension, DimMismatch, DomainError, MissingBipartition,
+                     check_threshold)
 from .linalg import (
     DensityOperator,
     commutator,
@@ -24,6 +25,7 @@ from .linalg import (
     random_density_matrix,
     random_unitary,
     tensor,
+    validate_states,
 )
 from .povm import Povm
 
@@ -49,24 +51,33 @@ DEFAULT_COMMUTATOR_THRESHOLD = 1e-9
 class ConditionalEnsemble:
     """Outcome probabilities with the conditional states of subsystem B.
 
-    states[k] is None when outcome k has probability at or below the floor.
+    states is one (K, d, d) array of the rho_{B|k}; present[k] is False, and
+    states[k] zero, when outcome k has probability at or below the floor.
     """
 
     probabilities: np.ndarray
-    states: List[Optional[DensityOperator]]
+    states: np.ndarray
+    present: np.ndarray
     source_povm: Povm
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
-        if len(self.states) != self.probabilities.size:
+        self.states = np.asarray(self.states, dtype=complex)
+        self.present = np.asarray(self.present, dtype=bool)
+        if (self.states.ndim != 3 or len(self.states) != self.probabilities.size
+                or self.present.shape != self.probabilities.shape):
             raise DimMismatch("one state slot per outcome probability")
         if np.any(self.probabilities < -1e-12):
             raise DomainError("negative outcome probability")
         if abs(self.probabilities.sum() - 1.0) > 1e-10:
             raise DomainError("outcome probabilities do not sum to 1")
+        validate_states(self.states[self.present])
 
-    def present_indices(self) -> List[int]:
-        return [k for k, s in enumerate(self.states) if s is not None]
+    def pairs(self) -> np.ndarray:
+        """(P, 2) array of every pair (j, k) of present outcomes with j < k,
+        in row-major order."""
+        present = np.flatnonzero(self.present)
+        return present[np.column_stack(np.triu_indices(present.size, k=1))]
 
 
 @dataclass
@@ -93,32 +104,30 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     # Tr_A[(M_k x I) rho] for every k, with indices (a, b, a', b')
     blocks = np.einsum("kac,cbad->kbd", p.effects, t)
     probs = np.trace(blocks, axis1=1, axis2=2).real
-    states: List[Optional[DensityOperator]] = []
-    for block, pk in zip(blocks, probs):
-        if pk > PROB_FLOOR:
-            cond = block / pk
-            cond = (cond + dag(cond)) / 2.0
-            states.append(DensityOperator(cond))
-        else:
-            states.append(None)
-    return ConditionalEnsemble(probs, states, p)
+    present = probs > PROB_FLOOR
+    states = np.zeros_like(blocks)
+    cond = blocks[present] / probs[present, None, None]
+    states[present] = (cond + dag(cond)) / 2.0
+    return ConditionalEnsemble(probs, states, present, p)
 
 
 def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
     """Index of the least degenerate conditional state, or None.
 
     Returns the present state with the largest minimum eigenvalue gap,
-    provided that gap exceeds DEGENERACY_THRESHOLD. Gaps within a
-    relative ANCHOR_TIE_RTOL of each other tie, and ties break to the
+    provided that gap exceeds DEGENERACY_THRESHOLD. The gaps are scanned in
+    index order, and one replaces the best so far only when it exceeds it
+    by the relative ANCHOR_TIE_RTOL, so gaps equal up to rounding tie to the
     lowest index.
     """
+    present = np.flatnonzero(e.present)
+    gaps = degeneracy_gap(hermitian_eig(e.states[present]))
     best_idx = None
     best_gap = DEGENERACY_THRESHOLD
-    for k in e.present_indices():
-        gap = degeneracy_gap(hermitian_eig(e.states[k].matrix))
+    for k, gap in zip(present, gaps):
         if gap > best_gap * (1.0 + ANCHOR_TIE_RTOL):
             best_gap = gap
-            best_idx = k
+            best_idx = int(k)
     return best_idx
 
 
@@ -130,25 +139,24 @@ def verify_commutativity(e: ConditionalEnsemble,
     With a nondegenerate anchor present, only the anchor-versus-rest
     commutators are needed; commuting with a nondegenerate state forces
     every conditional into its eigenbasis, so the remaining pairs commute
-    as well. Without an anchor all pairs are checked. The sweep stops at
-    the first Frobenius norm above the threshold, reporting that pair.
+    as well. Without an anchor all pairs are checked. The first pair, in
+    sweep order, whose Frobenius norm exceeds the threshold is the witness;
+    checked_pairs and max_commutator_norm count the pairs up to it.
+    threshold must be finite and nonnegative (DomainError).
     """
-    present = e.present_indices()
+    check_threshold("threshold", threshold)
     anchor = select_anchor(e)
     if anchor is not None:
-        pairs = [(anchor, k) for k in present if k != anchor]
+        rest = np.flatnonzero(e.present & (np.arange(e.present.size) != anchor))
+        pairs = np.column_stack([np.full_like(rest, anchor), rest])
     else:
-        pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
-    max_norm = 0.0
-    checked = 0
-    for j, k in pairs:
-        norm = frobenius_norm(commutator(e.states[j].matrix, e.states[k].matrix))
-        checked += 1
-        max_norm = max(max_norm, norm)
-        if norm > threshold:
-            return CommutativityVerdict(NONZERO_DISCORD, max_norm, (j, k),
-                                        anchor, checked, threshold)
-    return CommutativityVerdict(CONSISTENT_WITH_ZERO, max_norm, None,
+        pairs = e.pairs()
+    norms = frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]]))
+    above = np.flatnonzero(norms > threshold)
+    checked = int(above[0]) + 1 if above.size else len(pairs)
+    witness = tuple(pairs[above[0]].tolist()) if above.size else None
+    return CommutativityVerdict(NONZERO_DISCORD if above.size else CONSISTENT_WITH_ZERO,
+                                float(np.max(norms[:checked], initial=0.0)), witness,
                                 anchor, checked, threshold)
 
 
@@ -188,11 +196,10 @@ def reconstruct_joint(e: ConditionalEnsemble, duals: np.ndarray) -> DensityOpera
     """Rebuild the joint state as sum_k p_k N_k x rho_{B|k}."""
     if len(duals) != len(e.source_povm.effects):
         raise DimMismatch("dual frame does not match the ensemble's POVM")
-    da = e.source_povm.dim
-    db = next(e.states[k].dim for k in e.present_indices())
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for k in e.present_indices():
-        out += e.probabilities[k] * tensor(duals[k], e.states[k].matrix)
+    da, db = e.source_povm.dim, e.states.shape[-1]
+    p = e.present
+    out = np.einsum("k,kac,kbd->abcd", e.probabilities[p], duals[p],
+                    e.states[p]).reshape(da * db, da * db)
     out = (out + dag(out)) / 2.0
     return DensityOperator(out, bipartition=(da, db))
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check on thresholds."""
+import math
 
 
 class QdvError(Exception):
@@ -63,3 +64,10 @@ class DomainError(QdvError, ValueError):
 
 class UnresolvedGrid(QdvError):
     """A Wigner grid is too coarse or too small for the star product."""
+
+
+def check_threshold(name: str, value: float) -> None:
+    """value, if finite and nonnegative; DomainError naming it otherwise. A
+    negative threshold flags exact zeros, a NaN or infinite one flags nothing."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")

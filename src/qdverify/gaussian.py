@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateOutcomes, DomainError, Unphysical
+from .errors import DegenerateOutcomes, DomainError, Unphysical, check_threshold
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
 from .linalg import hermitian_eig
 from .phasespace import CONVENTION_TAG  # noqa: F401  (re-exported: Gaussian files carry it)
@@ -246,6 +246,7 @@ def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
     their differences and the peaks must be finite (DomainError): an
     infinite outcome shift would read as a zero peak shift per unit.
     """
+    check_threshold("tol", tol)
     if not np.isfinite([out1, out2, out1 - out2]).all():
         raise DomainError("outcomes and their differences must be finite")
     if out1.real == out2.real or out1.imag == out2.imag:
@@ -270,6 +271,7 @@ def zero_discord_decision(g: GaussianState, tol: float = DEFAULT_DECISION_TOL) -
     max(|c|, |d|) <= tol gives the same answer away from the tolerance
     boundary and is exercised by the cross-route tests.
     """
+    check_threshold("tol", tol)
     if not validate_physical(g):
         raise Unphysical("covariance violates the uncertainty constraint")
     return bool(np.max(np.abs(g.block_c)) <= tol)

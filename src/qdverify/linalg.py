@@ -2,12 +2,14 @@
 
 Matrices are plain complex numpy arrays. The only structured value is
 DensityOperator, which validates the physical invariants (Hermitian, unit
-trace, positive semidefinite) on construction. Every spectral question in
+trace, positive semidefinite) on construction through validate_states, the
+check that also takes a stack of states. Every spectral question in
 the package goes through hermitian_eig, a checked wrapper over numpy's
 LAPACK eigh. All functions are pure.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,6 +25,11 @@ PSD_TOL = 1e-10
 SPECTRAL_TOL = 1e-10
 
 
+def physical_memory_bytes() -> int:
+    """Physical memory of the machine, the bound on any one allocation."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a (..., n, n) stack."""
     return np.conj(np.swapaxes(m, -1, -2))
@@ -34,22 +41,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return a @ b - b @ a.
+    """Return a @ b - b @ a, for two matrices or two (..., n, n) stacks.
 
-    Raises DimMismatch unless both operands are square with equal dims.
+    Raises DimMismatch unless both operands are square with equal shapes.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimMismatch(f"first operand is not square: {a.shape}")
     if a.shape != b.shape:
         raise DimMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
 
-def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt of the sum of squared magnitudes of all entries."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
+def frobenius_norm(m: np.ndarray) -> np.ndarray:
+    """sqrt of the sum of squared magnitudes of the entries of a matrix, or
+    of each matrix in a (..., n, n) stack."""
+    return np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2, axis=(-2, -1)))
 
 
 @dataclass
@@ -87,12 +95,34 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 
-def degeneracy_gap(e: EigenDecomposition) -> float:
-    """Minimum pairwise eigenvalue gap; 0 signals degeneracy."""
-    w = np.sort(e.eigenvalues)
-    if w.size < 2:
-        return float("inf")
-    return float(np.min(np.diff(w)))
+def degeneracy_gap(e: EigenDecomposition) -> np.ndarray:
+    """Minimum pairwise eigenvalue gap of a matrix, or of each matrix in a
+    stack; 0 signals degeneracy, and a 1x1 matrix has gap inf."""
+    w = np.sort(e.eigenvalues, axis=-1)
+    return np.min(np.diff(w, axis=-1), axis=-1, initial=np.inf)
+
+
+def validate_states(m: np.ndarray) -> np.ndarray:
+    """m as a complex array, checked to be a density operator or a (..., n, n)
+    stack of them: square and nonempty (DimMismatch), finite, Hermitian
+    (NotHermitian), unit trace and PSD, each within its tolerance
+    (DomainError otherwise). A stack reports its worst member."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
+        raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("density operator has non-finite entries")
+    herm = np.max(np.abs(m - dag(m)), initial=0.0)
+    if herm > HERMITIAN_TOL:
+        raise NotHermitian(f"density operator not Hermitian: {herm:g}")
+    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    off = np.abs(tr - 1.0)
+    if np.any(off > TRACE_TOL):
+        raise DomainError(f"trace is {tr[np.argmax(off)]}, not 1 within {TRACE_TOL:g}")
+    lowest = np.min(hermitian_eig(m).eigenvalues[..., -1], initial=np.inf)
+    if lowest < -PSD_TOL:
+        raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")
+    return m
 
 
 @dataclass
@@ -107,27 +137,16 @@ class DensityOperator:
     bipartition: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise DomainError("density operator has non-finite entries")
+        if np.ndim(self.matrix) != 2:
+            raise DimMismatch("density operator must be square and nonempty: "
+                              f"{np.shape(self.matrix)}")
+        m = self.matrix = validate_states(self.matrix)
         if self.bipartition is not None:
             da, db = self.bipartition
             if da < 1 or db < 1 or da * db != m.shape[0]:
                 raise DimMismatch(
                     f"bipartition {da}x{db} does not match dim {m.shape[0]}")
             self.bipartition = (int(da), int(db))
-        herm = np.max(np.abs(m - dag(m)))
-        if herm > HERMITIAN_TOL:
-            raise NotHermitian(f"density operator not Hermitian: {herm:g}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace is {tr}, not 1 within {TRACE_TOL:g}")
-        w = hermitian_eig(m).eigenvalues
-        if w[-1] < -PSD_TOL:
-            raise DomainError(f"negative eigenvalue {w[-1]:g} below -{PSD_TOL:g}")
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,6 @@ spectral route).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import pi
 from typing import Tuple
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import (DimMismatch, DomainError, GeometryMismatch, GridTooLarge,
                      TruncationTail)
-from .linalg import dag
+from .linalg import dag, physical_memory_bytes
 
 CONVENTION_TAG = "vacuum-variance=1/4"
 
@@ -341,10 +340,6 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
     return np.fft.ifft(acc, axis=0) * (pi / nx)
 
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def admit_moyal(geom: GridGeometry) -> None:
     """Refuse a Moyal route on geom that would need more than physical memory.
 
@@ -353,7 +348,7 @@ def admit_moyal(geom: GridGeometry) -> None:
     GridTooLarge; call it before allocating anything grid-sized.
     """
     need = 16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2
-    have = _physical_memory_bytes()
+    have = physical_memory_bytes()
     if need > have:
         raise GridTooLarge(f"a {geom.nx}x{geom.np} grid needs about "
                            f"{need / 2 ** 30:.3g} GiB for the Moyal route; "

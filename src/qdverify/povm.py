@@ -210,7 +210,8 @@ def dual_frame(p: Povm) -> np.ndarray:
 
 
 def reconstruct(p: Povm, duals: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Rebuild a state from outcome probabilities via the dual frame."""
+    """Rebuild a state from outcome probabilities via the dual frame, or one
+    state per row of a (..., K) array of probabilities."""
     if len(duals) != len(p.effects):
         raise DimMismatch("dual frame does not match the POVM")
-    return np.einsum("k,kij->ij", probs, duals)
+    return np.einsum("...k,kij->...ij", probs, duals)

@@ -11,12 +11,13 @@ verdict is a z-score test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InsufficientOutcomes
-from .linalg import DensityOperator, dag, frobenius_norm, hermitian_eig
+from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
+from .linalg import (DensityOperator, commutator, dag, frobenius_norm, hermitian_eig,
+                     physical_memory_bytes)
 from .povm import Povm, reconstruct
 from .dv import (
     CONSISTENT_WITH_ZERO,
@@ -60,11 +61,9 @@ class ShotRecord:
 class EstimatedConditionals:
     """Linear-inversion estimates of B's conditionals with sampling metadata.
 
-    freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .),
-    counts[k] the per-outcome totals; entry_stderr[k] is the elementwise
-    standard error of the state estimate (None for absent outcomes).
-    ensemble.source_povm is A's POVM, the one conditioned on; povm_b is
-    B's, the one duals_b inverts.
+    freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .)
+    and counts[k] the per-outcome totals. ensemble.source_povm is A's
+    POVM, the one conditioned on; povm_b is B's, the one duals_b inverts.
     """
 
     ensemble: ConditionalEnsemble
@@ -72,7 +71,6 @@ class EstimatedConditionals:
     counts: np.ndarray
     povm_b: Povm
     duals_b: np.ndarray
-    entry_stderr: List[Optional[np.ndarray]]
 
 
 @dataclass
@@ -89,12 +87,13 @@ def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.
     """p(k, m) = Tr[(M_k x M_m) rho] for all joint outcomes."""
     if rho.bipartition is None or rho.bipartition != (povm_a.dim, povm_b.dim):
         raise DimMismatch("state bipartition does not match the POVM dims")
-    # M_k x M_m and a matmul per pair, as np.kron did: one einsum reorders the
-    # sum, which moves sampled counts (the 2x2 maximally mixed state, 1e5 shots)
-    ma = povm_a.effects[:, None, :, None, :, None]
-    mb = povm_b.effects[None, :, None, :, None, :]
-    pairs = (ma * mb).reshape(len(povm_a), len(povm_b), rho.dim, rho.dim)
-    return np.trace(pairs @ rho.matrix, axis1=2, axis2=3).real
+    # M_k x M_m and a matmul per pair, as np.kron did (one einsum reorders the
+    # sum, which moves sampled counts of the 2x2 maximally mixed state at 1e5
+    # shots); one A effect at a time holds K_b (d_a d_b)^2 entries, not K_a times that
+    mb = povm_b.effects[:, None, :, None, :]
+    return np.array([np.trace((ma[:, None, :, None] * mb).reshape(-1, rho.dim, rho.dim)
+                              @ rho.matrix, axis1=1, axis2=2).real
+                     for ma in povm_a.effects])
 
 
 def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
@@ -113,29 +112,32 @@ def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
 
 
 def project_to_state(m: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit density operator: clip eigenvalues, renormalize."""
+    """Nearest-in-spirit density operator to a matrix, or to each matrix of
+    a (..., n, n) stack: clip eigenvalues, renormalize."""
     e = hermitian_eig((m + dag(m)) / 2.0)
     w = np.maximum(e.eigenvalues, 0.0)
-    tr = w.sum()
-    if tr <= 0.0:
-        w = np.ones_like(w) / len(w)
-    else:
-        w = w / tr
+    tr = w.sum(axis=-1, keepdims=True)
+    w = np.where(tr > 0.0, w / np.where(tr > 0.0, tr, 1.0), 1.0 / w.shape[-1])
     v = e.eigenvectors
-    out = (v * w) @ dag(v)
+    out = (v * w[..., None, :]) @ dag(v)
     return (out + dag(out)) / 2.0
 
 
-def _conditional_row(row: np.ndarray, weight: float, povm_b: Povm,
-                     duals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One outcome's step: normalise its row of joint weights, invert the
-    conditional frequencies through the dual frame, project to a state.
+def _invert_rows(joint: np.ndarray, floor: float, povm_b: Povm,
+                 duals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of joint weights w(k, m) whose total exceeds floor, normalised to
+    conditional frequencies, inverted through the dual frame and projected
+    to states.
 
-    Returns (frequencies, raw inversion, projected state).
+    Returns (present mask, frequencies, states), zero on absent rows.
     """
-    f = row / weight
-    raw = reconstruct(povm_b, duals_b, f)
-    return f, raw, project_to_state(raw)
+    marg = joint.sum(axis=1)
+    present = marg > floor
+    freqs = np.zeros(joint.shape)
+    freqs[present] = joint[present] / marg[present, None]
+    states = np.zeros((len(joint), povm_b.dim, povm_b.dim), dtype=complex)
+    states[present] = project_to_state(reconstruct(povm_b, duals_b, freqs[present]))
+    return present, freqs, states
 
 
 def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
@@ -143,25 +145,12 @@ def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
     """Conditional states of B from joint weights w(k, m) over outcome pairs.
 
     Rows whose total weight is at or below floor are absent. sizes[k] is the
-    number of samples behind row k; the elementwise standard errors scale as
-    1/sqrt(sizes[k]) and vanish for infinite sizes.
+    number of samples behind row k, infinite for exact weights.
     """
     marg = joint.sum(axis=1)
-    freqs = np.zeros(joint.shape)
-    states: List[Optional[DensityOperator]] = []
-    stderrs: List[Optional[np.ndarray]] = []
-    for k in range(joint.shape[0]):
-        if marg[k] <= floor:
-            states.append(None)
-            stderrs.append(None)
-            continue
-        f, raw, state = _conditional_row(joint[k], marg[k], povm_b, duals_b)
-        freqs[k] = f
-        states.append(DensityOperator(state))
-        var = np.einsum("m,mij->ij", f, np.abs(duals_b) ** 2) - np.abs(raw) ** 2
-        stderrs.append(np.sqrt(np.maximum(var, 0.0) / sizes[k]))
-    ensemble = ConditionalEnsemble(marg / marg.sum(), states, povm_a)
-    return EstimatedConditionals(ensemble, freqs, sizes, povm_b, duals_b, stderrs)
+    present, freqs, states = _invert_rows(joint, floor, povm_b, duals_b)
+    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present, povm_a)
+    return EstimatedConditionals(ensemble, freqs, sizes, povm_b, duals_b)
 
 
 def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedConditionals:
@@ -170,8 +159,6 @@ def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedCond
     p_k is the marginal frequency of outcome k on A; the conditional of B
     is the dual-frame inversion of the conditional frequencies, projected
     to the PSD unit-trace cone. Outcomes with no counts are marked absent.
-    Elementwise standard errors come from the multinomial covariance of
-    the conditional frequencies pushed through the linear inversion.
     """
     if rec.counts.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")
@@ -180,26 +167,28 @@ def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedCond
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
-                    duals: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Commutator norm and its gradient wrt the two frequency vectors."""
-    comm = rho_j @ rho_k - rho_k @ rho_j
+                    duals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Commutator norms of the pairs of two (P, d, d) stacks, and their (P, K)
+    gradients wrt the two frequency vectors; a norm at or below NORM_FLOOR
+    has no gradient and gets zeros."""
+    comm = commutator(rho_j, rho_k)
     norm = frobenius_norm(comm)
-    if norm <= NORM_FLOOR:
-        return norm, None, None
     cd = dag(comm)
     left = rho_k @ cd - cd @ rho_k      # d norm / d rho_j direction
     right = cd @ rho_j - rho_j @ cd     # d norm / d rho_k direction
-    gj = np.trace(left @ duals, axis1=1, axis2=2).real / norm
-    gk = np.trace(right @ duals, axis1=1, axis2=2).real / norm
+    scale = np.where(norm > NORM_FLOOR, norm, np.inf)[:, None]
+    gj = np.trace(left[:, None] @ duals, axis1=-2, axis2=-1).real / scale
+    gk = np.trace(right[:, None] @ duals, axis1=-2, axis2=-1).real / scale
     return norm, gj, gk
 
 
-def _delta_stderr(freq_j, nj, gj, freq_k, nk, gk) -> float:
-    var = 0.0
-    for f, n, g in ((freq_j, nj, gj), (freq_k, nk, gk)):
-        cov = (np.diag(f) - np.outer(f, f)) / n
-        var += g @ cov @ g
-    return float(np.sqrt(max(var, 0.0)))
+def _delta_variance(freqs: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g^T Cov g per row, with Cov the multinomial covariance of the (P, K)
+    frequencies behind n[p] samples."""
+    cov = (freqs[:, :, None] * np.eye(freqs.shape[1])
+           - freqs[:, :, None] * freqs[:, None, :]) / n[:, None, None]
+    # a stacked matmul: an einsum over (p, i, j) moves the stderrs in their last bits
+    return ((g[:, None] @ cov) @ g[..., None])[:, 0, 0]
 
 
 def significant_commutativity(est: EstimatedConditionals,
@@ -214,97 +203,71 @@ def significant_commutativity(est: EstimatedConditionals,
     (resampling counts from the estimated joint distribution) replaces the
     delta value; it runs only for those pairs. When a norm has exactly zero
     standard error, the z-score is +inf if the norm is above the floor and
-    0 otherwise.
+    0 otherwise. z_threshold must be finite and nonnegative (DomainError).
     """
     if resamples < 0:
         raise DomainError(f"resamples must be nonnegative, got {resamples}")
-    present = est.ensemble.present_indices()
-    if len(present) < 2:
+    check_threshold("z_threshold", z_threshold)
+    pairs = est.ensemble.pairs()
+    if not len(pairs):
         raise InsufficientOutcomes("need at least two conditional states")
-    states = {k: est.ensemble.states[k].matrix for k in present}
+    j, k = pairs.T
+    states = est.ensemble.states
+    norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)
+    var = (_delta_variance(est.freqs[j], est.counts[j], gj)
+           + _delta_variance(est.freqs[k], est.counts[k], gk))
+    stderr = np.sqrt(np.maximum(var, 0.0))
+    degenerate = norm <= NORM_FLOOR
+    if degenerate.any():
+        stderr[degenerate] = _bootstrap_stderr(est, pairs[degenerate], resamples, seed)
 
-    pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
-    norms = {}
-    stderrs = {}
-    for j, k in pairs:
-        norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)
-        norms[(j, k)] = norm
-        if gj is None:
-            stderrs[(j, k)] = None
-        else:
-            stderrs[(j, k)] = _delta_stderr(est.freqs[j], est.counts[j], gj,
-                                            est.freqs[k], est.counts[k], gk)
-
-    degenerate = [pair for pair in pairs if stderrs[pair] is None]
-    if degenerate:
-        stderrs.update(zip(degenerate,
-                           _bootstrap_stderr(est, degenerate, resamples, seed)))
-
-    best = None
-    for pair in pairs:
-        norm = norms[pair]
-        stderr = stderrs[pair]
-        if stderr == 0.0 or not np.isfinite(stderr):
-            z = np.inf if norm > NORM_FLOOR else 0.0
-        else:
-            z = norm / stderr
-        if best is None or z > best[0]:
-            best = (z, norm, stderr, pair)
-    z, norm, stderr, pair = best
-    verdict = NONZERO_DISCORD if z > z_threshold else CONSISTENT_WITH_ZERO
-    return SignificantVerdict(verdict, float(norm),
-                              float(stderr) if np.isfinite(stderr) else 0.0,
-                              float(z), pair, z_threshold)
+    usable = (stderr != 0.0) & np.isfinite(stderr)
+    z = np.where(usable, norm / np.where(usable, stderr, 1.0),
+                 np.where(norm > NORM_FLOOR, np.inf, 0.0))
+    best = int(np.argmax(z))      # the first of equal maxima
+    verdict = NONZERO_DISCORD if z[best] > z_threshold else CONSISTENT_WITH_ZERO
+    return SignificantVerdict(verdict, float(norm[best]),
+                              float(stderr[best]) if usable[best] else 0.0,
+                              float(z[best]), tuple(pairs[best].tolist()), z_threshold)
 
 
 def bootstrap_norm_stderr(est: EstimatedConditionals, resamples: int = DEFAULT_RESAMPLES,
                           seed: int = 0) -> np.ndarray:
     """Bootstrap standard errors of all pairwise commutator norms."""
-    present = est.ensemble.present_indices()
-    pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
-    return _bootstrap_stderr(est, pairs, resamples, seed)
+    return _bootstrap_stderr(est, est.ensemble.pairs(), resamples, seed)
 
 
-def _bootstrap_stderr(est: EstimatedConditionals, pairs, resamples: int,
+def _bootstrap_stderr(est: EstimatedConditionals, pairs: np.ndarray, resamples: int,
                       seed: int) -> np.ndarray:
-    """Parametric bootstrap through sampling, inversion, and projection.
+    """Parametric bootstrap through sampling, inversion, and projection, for
+    the (P, 2) outcome pairs.
 
     Resample streams derive from the base seed plus the resample index, so
-    results do not depend on evaluation order.
+    results do not depend on evaluation order. The (resamples, P) samples
+    must fit in physical memory (DomainError).
     """
     if resamples < 0:
         raise DomainError(f"resamples must be nonnegative, got {resamples}")
     if not np.all(np.isfinite(est.counts)):
         return np.zeros(len(pairs))
-    present = est.ensemble.present_indices()
+    if 8 * resamples * len(pairs) > physical_memory_bytes():
+        raise DomainError(f"resamples={resamples}: the bootstrap samples of "
+                          f"{len(pairs)} pairs would not fit in physical memory")
     total = int(round(est.counts.sum()))
     ka, kb = est.freqs.shape
     joint = est.freqs * (est.counts[:, None] / max(est.counts.sum(), 1.0))
     joint = np.clip(joint.reshape(-1), 0.0, None)
     joint /= joint.sum()
+    j, k = pairs.T
     samples = np.empty((resamples, len(pairs)))
     for r in range(resamples):
         rng = np.random.default_rng(seed + r)
         counts = rng.multinomial(total, joint).reshape(ka, kb)
-        marg = counts.sum(axis=1)
-        mats = {}
-        for k in present:
-            if marg[k] <= 0:
-                mats[k] = None
-                continue
-            mats[k] = _conditional_row(counts[k], marg[k], est.povm_b, est.duals_b)[2]
-        for idx, (j, k) in enumerate(pairs):
-            if mats.get(j) is None or mats.get(k) is None:
-                samples[r, idx] = np.nan
-                continue
-            c = mats[j] @ mats[k] - mats[k] @ mats[j]
-            samples[r, idx] = frobenius_norm(c)
-    out = np.empty(len(pairs))
-    for idx in range(len(pairs)):
-        col = samples[:, idx]
-        col = col[np.isfinite(col)]
-        out[idx] = col.std(ddof=1) if col.size > 1 else 0.0
-    return out
+        ok, _, mats = _invert_rows(counts, 0, est.povm_b, est.duals_b)
+        norms = frobenius_norm(commutator(mats[j], mats[k]))
+        samples[r] = np.where(ok[j] & ok[k], norms, np.nan)
+    finite = [col[np.isfinite(col)] for col in samples.T]
+    return np.array([col.std(ddof=1) if col.size > 1 else 0.0 for col in finite])
 
 
 def exact_conditionals(rho: DensityOperator, povm_a: Povm, povm_b: Povm,

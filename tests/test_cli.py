@@ -307,12 +307,12 @@ class TestMoyal:
         path = write_fixture(workdir / "w.state", statefile.wigner_grid_doc(grid))
         # MOYAL_GRID_ARRAYS * 16^2 complex entries need 98304 bytes; pretend
         # there is less
-        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 98303)
+        monkeypatch.setattr(phasespace, "physical_memory_bytes", lambda: 98303)
         code, out, err = run(capsys, "moyal", path, path)
         assert code == 2
         assert out == ""
         assert "16x16 grid" in err
-        monkeypatch.setattr(phasespace, "_physical_memory_bytes", lambda: 98304)
+        monkeypatch.setattr(phasespace, "physical_memory_bytes", lambda: 98304)
         code, _, err = run(capsys, "moyal", path, path)
         # admitted; the 16-point vacuum grid is then refused as unresolved
         assert code == 2
@@ -432,10 +432,48 @@ class TestTomo:
         assert out == ""
         assert "resamples" in err
 
+    def test_resamples_beyond_physical_memory_exit_2(self, capsys, workdir, sic, bell_file):
+        # four identical rows: every pair goes to the bootstrap, whose samples
+        # (resamples x 6 pairs) would need 48 TB
+        path = write_fixture(workdir / "flat.shots.json", statefile.shot_record_doc(
+            tomo.ShotRecord(sic, sic, np.full((4, 4), 25), 400, 0)))
+        code, out, err = run(capsys, "tomo", path, "--resamples", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert "resamples" in err
+        # every Bell pair has a delta-method stderr, so nothing is bootstrapped
+        code, out, _ = run(capsys, "tomo", bell_file, "--resamples", "1000000000000")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
+
     def test_golden(self, capsys, bell_file):
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         _, out2, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify-dv", "cq.state", "--threshold", "-1"], "threshold"),
+    (["verify-dv", "cq.state", "--threshold", "nan"], "threshold"),
+    (["tomo", "cq.state", "--shots", "1000", "--z", "-1"], "z_threshold"),
+    (["tomo", "cq.state", "--z", "inf"], "z_threshold"),
+    (["tomo", "cq.state", "--z", "nan"], "z_threshold"),
+    (["verify-gaussian", "tmsv.state", "--outcomes", "0,0;1,1", "--tol", "-1"], "tol"),
+    (["verify-gaussian", "tmsv.state", "--outcomes", "0,0;1,1", "--tol", "inf"], "tol"),
+], ids=["dv_negative", "dv_nan", "tomo_negative", "tomo_inf", "tomo_nan",
+        "gaussian_negative", "gaussian_inf"])
+def test_negative_or_non_finite_threshold_exit_2(capsys, workdir, argv, name):
+    # a negative threshold flags the zero-discord state; a NaN or infinite
+    # one flags nothing
+    write_fixture(workdir / "cq.state",
+                  statefile.dv_density_doc(dv.generate_zero_discord(2, 2, 0)))
+    write_fixture(workdir / "tmsv.state",
+                  statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite and nonnegative" in err
+    assert not os.path.exists("cq.state.shots.json")    # no record of a refused run
 
 
 def test_fixture_dir_resolution(capsys, tmp_path, monkeypatch, bell):

@@ -22,8 +22,8 @@ class TestConditionOnPovm:
         rho = random_product_state(3)
         rho_b = partial_trace(rho, "A").matrix
         ens = dv.condition_on_povm(rho, sic)
-        for k in ens.present_indices():
-            assert frobenius_norm(ens.states[k].matrix - rho_b) <= 1e-12
+        for k in np.flatnonzero(ens.present):
+            assert frobenius_norm(ens.states[k] - rho_b) <= 1e-12
 
     def test_bell_conditionals_are_conjugated_sic_projectors(self, bell, sic):
         ens = dv.condition_on_povm(bell, sic)
@@ -37,10 +37,10 @@ class TestConditionOnPovm:
                         for d in range(2):
                             m[b, d] += effect[a, c] * t[c, b, a, d]
             oracle = m / np.trace(m).real
-            assert frobenius_norm(ens.states[k].matrix - oracle) <= 1e-12
+            assert frobenius_norm(ens.states[k] - oracle) <= 1e-12
             # equals the transposed (conjugated) SIC direction
             proj = 2 * effect
-            np.testing.assert_allclose(ens.states[k].matrix, proj.T, atol=1e-12)
+            np.testing.assert_allclose(ens.states[k], proj.T, atol=1e-12)
 
     def test_pointer_state_conditionals_diagonal(self, sic):
         # 0.5 |0><0| x |0><0| + 0.5 |+><+| x |1><1| on A x B
@@ -50,8 +50,8 @@ class TestConditionOnPovm:
             + 0.5 * tensor(np.outer(ketp, ketp.conj()), np.diag([0.0, 1.0]))
         rho = DensityOperator(m, bipartition=(2, 2))
         ens = dv.condition_on_povm(rho, sic)
-        for k in ens.present_indices():
-            off = ens.states[k].matrix[0, 1]
+        for k in np.flatnonzero(ens.present):
+            off = ens.states[k][0, 1]
             assert abs(off) <= 1e-12
 
     def test_probabilities_sum(self, sic):
@@ -68,9 +68,8 @@ class TestConditionOnPovm:
 
 class TestSelectAnchor:
     def _ensemble(self, states, povm):
-        dens = [DensityOperator(s) for s in states]
         probs = np.full(len(states), 1.0 / len(states))
-        return dv.ConditionalEnsemble(probs, dens, povm)
+        return dv.ConditionalEnsemble(probs, states, np.ones(len(states), bool), povm)
 
     def test_only_nondegenerate_candidate(self, sic):
         states = [np.eye(2) / 2, np.eye(2) / 2, np.diag([0.9, 0.1]).astype(complex),
@@ -81,6 +80,19 @@ class TestSelectAnchor:
     def test_all_degenerate(self, sic):
         ens = self._ensemble([np.eye(2) / 2] * 4, sic)
         assert dv.select_anchor(ens) is None
+
+    @pytest.mark.parametrize("scales, anchor", [
+        ((1.0, 1.0 + 0.5e-9), 0),
+        ((1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9), 2),
+    ], ids=["within_rtol_of_the_first", "past_rtol_of_the_best_so_far"])
+    def test_gap_scan_is_sequential(self, sic, scales, anchor):
+        # gaps g * scale in index order: the first case refuses the argmax
+        # (index 1), the second the lowest index within rtol of the max (1)
+        g = 0.4
+        states = [np.diag([(1 + g * c) / 2, (1 - g * c) / 2]).astype(complex)
+                  for c in scales]
+        states += [np.eye(2) / 2] * (4 - len(states))
+        assert dv.select_anchor(self._ensemble(states, sic)) == anchor
 
     def test_tie_breaks_to_lowest_index(self, bell, sic):
         ens = dv.condition_on_povm(bell, sic)
@@ -117,10 +129,10 @@ class TestVerifyCommutativity:
             v = dv.verify_commutativity(ens)
             if v.anchor_index is None or v.verdict != dv.CONSISTENT_WITH_ZERO:
                 continue
-            present = ens.present_indices()
+            present = np.flatnonzero(ens.present)
             for i, j in ((a, b) for a in present for b in present if a < b):
-                norm = frobenius_norm(commutator(ens.states[i].matrix,
-                                                 ens.states[j].matrix))
+                norm = frobenius_norm(commutator(ens.states[i],
+                                                 ens.states[j]))
                 assert norm <= v.threshold
 
     def test_threshold_recorded(self, bell, sic):

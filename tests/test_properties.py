@@ -1,5 +1,6 @@
 """Property-based tests: the eigensolver, the batched POVM layers against
-per-effect formulas, the soundness of the DV test,
+per-effect formulas, the batched conditional-ensemble layers against
+per-row formulas, the soundness of the DV test,
 Fock-space displacement elements, the Fock-space commutator route, no
 false NONZERO_DISCORD from `moyal` on commuting grids, state-file round
 trips, standard-form invariants, heterodyne conditioning, and rejection of
@@ -13,6 +14,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,9 @@ from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
 from qdverify.errors import QdvError
-from qdverify.linalg import (DensityOperator, dag, frobenius_norm, hermitian_eig,
-                             random_density_matrix, random_unitary)
+from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
+                             hermitian_eig, random_density_matrix, random_unitary,
+                             validate_states)
 from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, char_from_fock,
                                  fock_commutator, random_fock_density, square_geometry,
                                  wigner_from_fock)
@@ -206,9 +209,9 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
               for m in pa.effects]
     ens = dv.condition_on_povm(rho, pa)
     close(ens.probabilities, [np.trace(b).real for b in blocks])
-    for state, block in zip(ens.states, blocks):
-        if state is not None:
-            close(state.matrix, block / np.trace(block).real)
+    for state, present, block in zip(ens.states, ens.present, blocks):
+        if present:
+            close(state, block / np.trace(block).real)
 
     basis = povm.hermitian_basis(dim_a)
     close(povm._effect_coordinates(pa),
@@ -230,6 +233,150 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
     rebuilt = povm.reconstruct(pa, duals, coeffs)
     close(rebuilt, sum(c * n for c, n in zip(coeffs, duals)))
     np.testing.assert_allclose(rebuilt, x, rtol=0, atol=1e-5 * np.abs(x).max())
+
+
+def _project_reference(m):
+    """tomo.project_to_state on one matrix, as a per-row loop computes it."""
+    e = hermitian_eig((m + dag(m)) / 2.0)
+    w = np.maximum(e.eigenvalues, 0.0)
+    tr = w.sum()
+    w = np.ones_like(w) / len(w) if tr <= 0.0 else w / tr
+    out = (e.eigenvectors * w) @ dag(e.eigenvectors)
+    return (out + dag(out)) / 2.0
+
+
+def _sweep_reference(states, pairs, threshold):
+    """(max norm, witness, checked pairs) of a sweep that stops at the first
+    commutator norm above threshold."""
+    max_norm, checked = 0.0, 0
+    for j, k in pairs:
+        c = states[j] @ states[k] - states[k] @ states[j]
+        norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+        checked += 1
+        max_norm = max(max_norm, norm)
+        if norm > threshold:
+            return max_norm, (j, k), checked
+    return max_norm, None, checked
+
+
+def _delta_reference(rj, rk, fj, nj, fk, nk, duals):
+    """(norm, gradients, delta-method stderr) of one pair of conditionals."""
+    comm = rj @ rk - rk @ rj
+    norm = float(np.sqrt(np.sum(np.abs(comm) ** 2)))
+    if norm <= tomo.NORM_FLOOR:
+        return norm, None, None, None
+    cd = dag(comm)
+    gj = np.trace((rk @ cd - cd @ rk) @ duals, axis1=1, axis2=2).real / norm
+    gk = np.trace((cd @ rj - rj @ cd) @ duals, axis1=1, axis2=2).real / norm
+    var = 0.0
+    for f, n, g in ((fj, nj, gj), (fk, nk, gk)):
+        var += g @ ((np.diag(f) - np.outer(f, f)) / n) @ g
+    return norm, gj, gk, float(np.sqrt(max(var, 0.0)))
+
+
+def _bootstrap_reference(est, pairs, resamples, seed):
+    """Bootstrap stderrs with one conditional state at a time."""
+    total = int(round(est.counts.sum()))
+    ka, kb = est.freqs.shape
+    joint = est.freqs * (est.counts[:, None] / max(est.counts.sum(), 1.0))
+    joint = np.clip(joint.reshape(-1), 0.0, None)
+    joint /= joint.sum()
+    samples = np.full((resamples, len(pairs)), np.nan)
+    for r in range(resamples):
+        counts = np.random.default_rng(seed + r).multinomial(total, joint).reshape(ka, kb)
+        marg = counts.sum(axis=1)
+        mats = {k: _project_reference(np.einsum("m,mij->ij", counts[k] / marg[k],
+                                                est.duals_b))
+                for k in range(ka) if marg[k] > 0}
+        for idx, (j, k) in enumerate(pairs):
+            if j in mats and k in mats:
+                c = mats[j] @ mats[k] - mats[k] @ mats[j]
+                samples[r, idx] = np.sqrt(np.sum(np.abs(c) ** 2))
+    cols = [col[np.isfinite(col)] for col in samples.T]
+    return np.array([col.std(ddof=1) if col.size > 1 else 0.0 for col in cols])
+
+
+@PROPERTY_SETTINGS
+@given(dim_a=st.integers(2, 4), dim_b=st.integers(2, 4), seed=seeds)
+def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
+    """Every stacked step of the conditional ensemble, bit for bit against
+    one state or one pair at a time."""
+    rng = np.random.default_rng(seed)
+    pa, pb = _ic_povm(dim_a, rng), _ic_povm(dim_b, rng)
+    rho = DensityOperator(random_density_matrix(dim_a * dim_b, rng),
+                          bipartition=(dim_a, dim_b))
+    equal = np.testing.assert_array_equal
+
+    # conditioning: each block divided by its probability and symmetrised
+    ens = dv.condition_on_povm(rho, pa)
+    blocks = np.einsum("kac,cbad->kbd", pa.effects, rho.matrix.reshape(
+        dim_a, dim_b, dim_a, dim_b))
+    for k, block in enumerate(blocks):
+        pk = np.trace(block).real
+        assert ens.present[k] == (pk > dv.PROB_FLOOR)
+        if ens.present[k]:
+            cond = block / pk
+            equal(ens.states[k], (cond + dag(cond)) / 2.0)
+
+    # anchor gaps, the anchor-versus-rest and the all-pairs sweeps
+    present = [int(k) for k in np.flatnonzero(ens.present)]
+    gaps = [degeneracy_gap(hermitian_eig(ens.states[k])) for k in present]
+    equal(degeneracy_gap(hermitian_eig(ens.states[present])), gaps)
+    anchor = dv.select_anchor(ens)
+    assert anchor is not None and ens.present[anchor]
+    all_pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
+    for pairs, chosen in (([(anchor, k) for k in present if k != anchor], anchor),
+                          (all_pairs, None)):
+        norms = sorted(_sweep_reference(ens.states, [p], np.inf)[0] for p in pairs)
+        for threshold in (0.0, norms[len(norms) // 2], norms[-1]):
+            with mock.patch.object(dv, "select_anchor", return_value=chosen):
+                v = dv.verify_commutativity(ens, threshold)
+            assert v.anchor_index == chosen
+            assert ((v.max_commutator_norm, v.witness_pair, v.checked_pairs)
+                    == _sweep_reference(ens.states, pairs, threshold))
+
+    # estimation from a sampled record: frequencies, inversion and projection
+    duals_b = povm.dual_frame(pb)
+    rec = tomo.sample_joint(rho, pa, pb, int(rng.integers(50, 5000)), seed)
+    est = tomo.estimate_conditionals(rec, duals_b)
+    marg = rec.counts.sum(axis=1)
+    for k in range(len(pa)):
+        assert est.ensemble.present[k] == (marg[k] > 0)
+        if marg[k] > 0:
+            f = rec.counts[k] / marg[k]
+            equal(est.freqs[k], f)
+            equal(est.ensemble.states[k],
+                  _project_reference(np.einsum("m,mij->ij", f, duals_b)))
+    stack = np.stack([-np.eye(dim_b), *est.ensemble.states[est.ensemble.present]])
+    equal(tomo.project_to_state(stack), [_project_reference(m) for m in stack])
+
+    # norms, gradients and delta-method stderrs of every present pair
+    s = est.ensemble.states
+    pairs = est.ensemble.pairs()
+    norm, gj, gk = tomo._norm_gradients(s[pairs[:, 0]], s[pairs[:, 1]], duals_b)
+    var = (tomo._delta_variance(est.freqs[pairs[:, 0]], est.counts[pairs[:, 0]], gj)
+           + tomo._delta_variance(est.freqs[pairs[:, 1]], est.counts[pairs[:, 1]], gk))
+    for p, (j, k) in enumerate(pairs):
+        ref = _delta_reference(s[j], s[k], est.freqs[j], est.counts[j], est.freqs[k],
+                               est.counts[k], duals_b)
+        assert norm[p] == ref[0]
+        if ref[1] is not None:
+            equal(gj[p], ref[1])
+            equal(gk[p], ref[2])
+            assert np.sqrt(max(var[p], 0.0)) == ref[3]
+
+    # the bootstrap, on a record whose identical rows leave no delta stderr
+    row = rng.integers(0, 4, size=len(pb))
+    row[0] += 1
+    counts = np.tile(row, (len(pa), 1))
+    counts[rng.integers(len(pa))] = 0
+    flat = tomo.estimate_conditionals(
+        ShotRecord(pa, pb, counts, int(counts.sum()), seed), duals_b)
+    pairs = [tuple(p) for p in flat.ensemble.pairs().tolist()]
+    boot = _bootstrap_reference(flat, pairs, 12, seed)
+    equal(tomo.bootstrap_norm_stderr(flat, resamples=12, seed=seed), boot)
+    v = tomo.significant_commutativity(flat, resamples=12, seed=seed)
+    assert v.norm_stderr == boot[0] and v.witness_pair == pairs[0]
 
 
 @st.composite
@@ -367,6 +514,23 @@ def test_density_operator_rejects_only_with_qdv_errors(matrix, bipartition):
     assert rho.dim >= 1
     if rho.bipartition is not None:
         assert min(rho.bipartition) >= 1
+
+
+@PROPERTY_SETTINGS
+@given(matrix=near_valid_matrices(), seed=seeds, at=st.integers(0, 2))
+def test_a_stack_is_refused_as_its_broken_member_is(matrix, seed, at):
+    # the ensemble's stacked check raises what DensityOperator raises on the
+    # one broken member, with the same message
+    stack = [random_density_matrix(len(matrix), np.random.default_rng(seed))] * 3
+    stack[at] = matrix
+    try:
+        DensityOperator(matrix)
+    except QdvError as exc:
+        with pytest.raises(type(exc)) as got:
+            validate_states(np.array(stack))
+        assert str(got.value) == str(exc)
+    else:
+        validate_states(np.array(stack))
 
 
 @PROPERTY_SETTINGS
