@@ -6,7 +6,7 @@ the characteristic function is chi(xi) = Tr[rho D(xi)]. Both integrate
 with the measure dx dp, and the vacuum Wigner maximum is 2/pi.
 
 The commutator witness W_{kk'} is the Wigner-like function of
--i[rho_k, rho_k']. It is computed here four ways:
+-i[rho_k, rho_k']. It is computed here two ways:
 
 * fock_commutator: the Wigner transform of the commutator of two Fock
   operators, taken in Fock space; exact on every grid. The Fock route.
@@ -14,10 +14,10 @@ The commutator witness W_{kk'} is the Wigner-like function of
   product of the two Wigner grids, with the star product evaluated by FFTs
   in a mixed (x-frequency, p) representation where the twist kernel
   factorizes. This is the route for grid inputs.
-* char_commutator: the sine-kernel convolution of the two characteristic
-  functions, evaluated literally on the grid lattice.
-* moyal_commutator_quadrature: a literal Riemann-sum quadrature of the
-  double phase-space integral, kept as a slow reference for cross-checks.
+
+char_from_fock and the symplectic transforms give the characteristic
+route. The literal lattice sums that check both routes are test oracles,
+outside the package.
 
 Grids are uniform, sampled at x_min + k dx with dx = (x_max - x_min)/nx
 (the right edge is excluded, matching the periodic treatment of the
@@ -225,21 +225,34 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
     exact under reflection and swap). Working memory is a handful of
     grid-sized arrays, whatever the cutoff.
 
+    A coherence order k whose two diagonals are zero adds only exact zeros,
+    so it is skipped, and an all-zero matrix (the commutator of two
+    commuting operators) costs nothing. The skip keeps every finite output
+    bit for bit.
+
     On a huge extent |beta|^2 overflows and the result holds inf or NaN.
     numpy's warnings for that are silenced: every grid type built from the
     result refuses non-finite values.
     """
+    size = matrix.shape[0]
+    orders = [k for k in range(size)
+              if matrix.diagonal(-k).any() or matrix.diagonal(k).any()]
+    if not orders:
+        return np.zeros((geom.nx, geom.np), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ps = geom.xs(), geom.ps()
         beta = scale * (xs[:, None] + 1j * ps[None, :])
         x = np.abs(beta) ** 2
         radii, where = np.unique(x, return_inverse=True)
         where = where.reshape(x.shape)          # numpy < 2 returns it flat
-        size = matrix.shape[0]
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
         power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
         out = np.zeros(x.shape, dtype=complex)
-        for k in range(size):
+        for k in range(orders[-1] + 1):
+            if k:
+                power = power * -np.conj(beta)
+            if k not in orders:
+                continue
             upper = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n+k, n] ...
             lower = np.zeros(radii.shape, dtype=complex)   # sum_n matrix[n, n+k] ...
             lag_prev, lag = 0.0, np.ones_like(radii)
@@ -253,7 +266,6 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
             out += power * upper[where]
             if k:
                 out += (-1.0) ** k * np.conj(power) * lower[where]
-            power = power * -np.conj(beta)
         return out
 
 
@@ -374,54 +386,6 @@ def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
     return CommutatorGrid(geom, 2.0 * star.imag)
 
 
-def char_commutator(chi_k: CharGrid, chi_k2: CharGrid) -> CharGrid:
-    """Characteristic function of -i[rho_k, rho_k'].
-
-    Literal lattice evaluation of
-
-      chi_{kk'}(xi) = (2/pi) int d2u chi_k(u) chi_k'(xi - u)
-                                sin(u_p xi_x - u_x xi_p),
-
-    where the difference xi - u falls back onto the lattice, so no
-    interpolation is needed; samples falling outside the grid are treated
-    as zero, which is valid for decaying characteristic functions.
-    """
-    geom = _require_same_geometry(chi_k, chi_k2)
-    xs, ps = geom.xs(), geom.ps()
-    nx, npts = geom.nx, geom.np
-    # xi - u lands back on the lattice only when the origin is a lattice
-    # point; zx, zp locate it
-    zx = -geom.x_min / geom.dx
-    zp = -geom.p_min / geom.dp
-    if abs(zx - round(zx)) > 1e-9 or abs(zp - round(zp)) > 1e-9:
-        raise GeometryMismatch("char_commutator needs the phase-space origin "
-                               "on the grid lattice")
-    zx, zp = int(round(zx)), int(round(zp))
-    if not (0 <= zx < nx and 0 <= zp < npts):
-        raise GeometryMismatch("char_commutator needs the origin inside the grid")
-    a = chi_k.values
-    b = chi_k2.values
-    pad = np.zeros((2 * nx - 1, 2 * npts - 1), dtype=complex)
-    pad[nx - 1 - zx:2 * nx - 1 - zx, npts - 1 - zp:2 * npts - 1 - zp] = b
-    # sin(u_p xi_x - u_x xi_p) = sin(u_p xi_x) cos(u_x xi_p)
-    #                          - cos(u_p xi_x) sin(u_x xi_p)
-    s1 = np.sin(np.outer(xs, ps))                   # [xi_x, u_p]
-    c1 = np.cos(np.outer(xs, ps))
-    s2 = np.sin(np.outer(ps, xs))                   # [xi_p, u_x]
-    c2 = np.cos(np.outer(ps, xs))
-    measure = (2.0 / pi) * geom.dx * geom.dp
-    out = np.empty((nx, npts), dtype=complex)
-    for i in range(nx):
-        ea = a * s1[i][None, :]                     # chi_k(u) sin(u_p xi_x)
-        eb = a * c1[i][None, :]
-        for j in range(npts):
-            block = pad[i:i + nx, j:j + npts][::-1, ::-1]
-            r1 = np.sum(ea * block, axis=1)         # over u_p
-            r2 = np.sum(eb * block, axis=1)
-            out[i, j] = r1 @ c2[j] - r2 @ s2[j]
-    return CharGrid(geom, measure * out)
-
-
 def _symplectic_transform(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
     """int dx dp values(x, p) e^{2i(p' x - p x')} at every grid point (x', p').
 
@@ -449,57 +413,6 @@ def wigner_to_char(wg: WignerGrid) -> CharGrid:
     chi(xi) = int d2alpha W(alpha) e^{xi alpha* - xi* alpha}.
     """
     return CharGrid(wg.geometry, _symplectic_transform(wg.values, wg.geometry))
-
-
-def moyal_commutator_quadrature(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
-    """Literal Riemann-sum quadrature of the commutator double integral.
-
-    Evaluates, on the grid's own lattice,
-
-      W_{kk'}(alpha) = -(8/pi) sum_{u,v} W_k(u) W_k'(v)
-                          sin(4 T(alpha,u,v)) du dv,
-
-    where T is the symplectic triangle phase Im(alpha u*) + Im(u v*) +
-    Im(v alpha*). This is the change of variables u = alpha + beta/2,
-    v = alpha + beta'/2 applied to the sine-kernel double integral, so the
-    sum is the literal quadrature of that integral on the lattice. The sum
-    is evaluated in factorized form (inner v sum first, reusing the fact
-    that alpha - u lands on the difference lattice); the result is
-    identical to the naive four-deep loop up to float associativity.
-    Cost grows with the fourth power of the grid side; intended for small
-    reference grids.
-    """
-    geom = _require_same_geometry(wk, wk2)
-    if abs(geom.dx - geom.dp) > 1e-12 or geom.nx != geom.np:
-        raise GeometryMismatch("quadrature reference expects a square grid")
-    n = geom.nx
-    xs = geom.xs()
-    ps = geom.ps()
-    h2 = geom.dx * geom.dp
-    wa = wk.values
-    wb = wk2.values
-
-    # difference lattice alpha - u, spanning (2n-1) points per axis
-    wx = np.arange(-(n - 1), n) * geom.dx
-    wp = np.arange(-(n - 1), n) * geom.dp
-    # inner transform: chi_tab[wx, wp] = sum_v W_k'(v) e^{4i Im(v w*)} dv
-    #   Im(v w*) = v_p w_x - v_x w_p  (separable in the two components)
-    m1 = np.exp(-4j * np.outer(wp, xs))          # (wp, v_x)
-    m2 = np.exp(4j * np.outer(ps, wx))           # (v_p, wx)
-    chi_tab = (m1 @ wb @ m2).T * h2              # (wx, wp)
-
-    ux, up = np.meshgrid(xs, ps, indexing="ij")
-    out = np.empty((n, n))
-    for ia in range(n):
-        for ib in range(n):
-            ax, ap = xs[ia], ps[ib]
-            phase = np.exp(4j * (ap * ux - ax * up))
-            ii = ia - np.arange(n) + n - 1
-            jj = ib - np.arange(n) + n - 1
-            block = chi_tab[np.ix_(ii, jj)]
-            acc = np.sum(wa * phase * block) * h2
-            out[ia, ib] = -(8.0 / pi) * acc.imag
-    return CommutatorGrid(geom, out)
 
 
 def grid_integral(values: np.ndarray, geom: GridGeometry) -> float:

@@ -4,13 +4,19 @@ Files are JSON documents with format_version "1". Every float is written
 as a decimal string with 17 significant digits, which round-trips binary64
 exactly, and complex numbers are [re, im] pairs of such strings. Parsing
 is strict: unknown fields are rejected.
+
+render writes the layout of json.dumps(doc, sort_keys=True, indent=1):
+str keys sorted, every object member and list item on its own line indented
+one space per level, "," ending each line but the last, ": " after keys,
+empty containers as {} and [], non-ASCII as \\u escapes, and one final
+newline. Reports use the same writer.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 import numpy as np
@@ -48,12 +54,6 @@ def format_complex(z: complex) -> list:
     return [format_float(z.real), format_float(z.imag)]
 
 
-def _complex_in(v: Any) -> complex:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ParseError(f"complex values are [re, im] pairs, got {v!r}")
-    return complex(parse_float(v[0]), parse_float(v[1]))
-
-
 def _cmatrix_out(m: np.ndarray) -> list:
     # a complex row viewed as floats is re, im, re, im, ...
     rows = _fmatrix_out(np.ascontiguousarray(m, dtype=complex).view(float))
@@ -63,15 +63,27 @@ def _cmatrix_out(m: np.ndarray) -> list:
 def _cmatrix_in(rows: Any) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError("matrix must be a non-empty list of rows")
-    out = np.array([[_complex_in(v) for v in row] for row in rows], dtype=complex)
-    return out
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad complex matrix: {exc}") from None
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ParseError(f"complex values are [re, im] pairs; matrix of shape "
+                         f"{pairs.shape}")
+    bad = np.argwhere(~np.isfinite(pairs))
+    if len(bad):
+        i, j, part = bad[0]
+        raise ParseError(f"non-finite float value {rows[i][j][part]!r}")
+    return pairs.view(complex)[..., 0]
 
 
 def _fmatrix_out(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ParseError(f"cannot serialize non-finite float {m[~np.isfinite(m)][0]}")
-    return [list(map(format, row.tolist(), repeat(".17g"))) for row in m]
+    # "%" formats as format(v, ".17g") does, a whole row per call
+    template = " ".join(["%.17g"] * m.shape[-1])
+    return [(template % tuple(row)).split() for row in m.tolist()]
 
 
 def _fmatrix_in(rows: Any) -> np.ndarray:
@@ -173,8 +185,28 @@ def _povm_in(doc: Any) -> Povm:
         raise ParseError(f"invalid povm: {exc}") from None
 
 
+def _emit(v: Any, indent: str) -> str:
+    # json.dumps' indent layout, which its C encoder does not write; a list
+    # of str (a matrix row) is joined in one call
+    if isinstance(v, str):
+        return _quote(v)
+    if not isinstance(v, (dict, list, tuple)):
+        return json.dumps(v)
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = indent + " "
+    if isinstance(v, dict):
+        items = [_quote(k) + ": " + _emit(v[k], inner) for k in sorted(v)]
+        opening, closing = "{", "}"
+    else:
+        items = (map(_quote, v) if set(map(type, v)) == {str}
+                 else [_emit(x, inner) for x in v])
+        opening, closing = "[", "]"
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
+
 def render(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return _emit(doc, "") + "\n"
 
 
 def write(path: str, doc: dict) -> None:

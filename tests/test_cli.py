@@ -344,6 +344,20 @@ class TestMoyal:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_commuting_fock_pair_on_a_huge_extent_is_exactly_zero(self, capsys, workdir):
+        # the commutator of two Fock-diagonal states is the zero matrix, whose
+        # series sums nothing, so no overflow can reach the grid; the
+        # non-commuting pair above still overflows and exits 2
+        paths = [write_fixture(workdir / f"diag{seed}.state", statefile.dv_density_doc(
+                     DensityOperator(random_diagonal_fock(8, seed).matrix), fock_cutoff=8))
+                 for seed in (1, 2)]
+        code, out, err = run(capsys, "moyal", *paths, "--extent", "1e200", "--points", "16")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"] == "CONSISTENT_WITH_ZERO"
+        grid = statefile.load(doc["witnesses"]["emitted_grid"]).payload
+        assert grid.values.shape == (16, 16) and not np.any(grid.values)
+
     def test_overflowing_wigner_grid_exit_2(self, capsys, workdir, finite_grid_max_abs):
         values = np.zeros((16, 16))
         values[1:-1, 1:-1] = 1e300     # zero edges pass the box check

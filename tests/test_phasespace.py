@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from math import pi
 
+import phasespace_oracles as oracles
+from conftest import random_diagonal_fock
 from qdverify import gaussian as gs
 from qdverify import phasespace as ph
 from qdverify.errors import DomainError, GeometryMismatch, TruncationTail
@@ -124,12 +126,22 @@ class TestFockCommutator:
 
 
 
+class TestZeroCoherenceOrders:
+    def test_commuting_fock_pair_is_an_exact_zero_grid_on_any_extent(self):
+        # the commutator is the zero matrix: no order is summed, so even an
+        # extent where |beta|^2 overflows gives +0 everywhere
+        a, b = random_diagonal_fock(12, 1), random_diagonal_fock(12, 2)
+        for extent in (6.0, 1e200):
+            values = ph.fock_commutator(a, b, ph.square_geometry(extent, 32)).values
+            assert not np.any(values) and not np.any(np.signbit(values))
+
+
 class TestCharCommutator:
     GEOM = ph.square_geometry(6.0, 64)
 
     def test_self_commutator_zero(self):
         chi = ph.char_from_fock(ph.pure_state([1, 1j], 10), self.GEOM)
-        out = ph.char_commutator(chi, chi)
+        out = oracles.char_commutator(chi, chi)
         assert np.max(np.abs(out.values)) <= 1e-9
 
     def test_matches_direct_char(self):
@@ -137,7 +149,7 @@ class TestCharCommutator:
         plus = ph.pure_state([1, 1], 10)
         ca = ph.char_from_fock(vac, self.GEOM)
         cb = ph.char_from_fock(plus, self.GEOM)
-        got = ph.char_commutator(ca, cb)
+        got = oracles.char_commutator(ca, cb)
         comm = -1j * (vac.matrix @ plus.matrix - plus.matrix @ vac.matrix)
         ref = ph.char_from_fock(ph.FockOperator(10, comm), self.GEOM)
         assert np.max(np.abs(got.values - ref.values)) <= 1e-6
@@ -146,7 +158,7 @@ class TestCharCommutator:
         # trace of a commutator is zero, and chi(0) is the trace
         ca = ph.char_from_fock(ph.fock_state(0, 10), self.GEOM)
         cb = ph.char_from_fock(ph.pure_state([1, 0.7], 10), self.GEOM)
-        out = ph.char_commutator(ca, cb)
+        out = oracles.char_commutator(ca, cb)
         assert abs(out.values[32, 32]) <= 1e-6
 
     def test_gaussian_fixture_matches_moyal_route(self):
@@ -155,7 +167,7 @@ class TestCharCommutator:
         coh = ph.coherent_state(1.0, 12)
         ca = ph.char_from_fock(vac, self.GEOM)
         cb = ph.char_from_fock(coh, self.GEOM)
-        via_char = ph.char_to_wigner(ph.char_commutator(ca, cb))
+        via_char = ph.char_to_wigner(oracles.char_commutator(ca, cb))
         via_moyal = ph.moyal_commutator(ph.wigner_from_fock(vac, self.GEOM),
                                         ph.wigner_from_fock(coh, self.GEOM))
         assert np.max(np.abs(via_char - via_moyal.values)) <= 2e-3
@@ -165,7 +177,7 @@ class TestCharCommutator:
         ca = ph.char_from_fock(ph.fock_state(0, 8), ph.square_geometry(6.0, 32))
         cb = ph.char_from_fock(ph.fock_state(0, 8), ph.square_geometry(5.0, 32))
         with pytest.raises(GeometryMismatch):
-            ph.char_commutator(ca, cb)
+            oracles.char_commutator(ca, cb)
 
 
 class TestTransforms:
@@ -191,7 +203,7 @@ class TestQuadratureOracle:
         geom = ph.GridGeometry(-2.0, 2.0, -2.0, 2.0, n, n)
         wa = ph.wigner_from_fock(ph.fock_state(0, 8), geom)
         wb = ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom)
-        got = ph.moyal_commutator_quadrature(wa, wb)
+        got = oracles.moyal_commutator_quadrature(wa, wb)
         xs, ps = geom.xs(), geom.ps()
         h2 = geom.dx * geom.dp
         naive = np.zeros((n, n))
@@ -215,7 +227,7 @@ class TestQuadratureOracle:
         geom128 = ph.GridGeometry(-2.4, 2.4, -2.4, 2.4, 128, 128)
         vac = ph.fock_state(0, 8)
         plus = ph.pure_state([1, 1], 8)
-        quad = ph.moyal_commutator_quadrature(ph.wigner_from_fock(vac, geom16),
+        quad = oracles.moyal_commutator_quadrature(ph.wigner_from_fock(vac, geom16),
                                               ph.wigner_from_fock(plus, geom16))
         spectral = ph.moyal_commutator(ph.wigner_from_fock(vac, geom128),
                                    ph.wigner_from_fock(plus, geom128))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phasespace_oracles as oracles
 from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
@@ -25,9 +26,9 @@ from qdverify.errors import QdvError
 from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
                              hermitian_eig, random_density_matrix, random_unitary,
                              validate_states)
-from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, char_from_fock,
-                                 fock_commutator, random_fock_density, square_geometry,
-                                 wigner_from_fock)
+from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, _fock_series,
+                                 char_from_fock, fock_commutator, random_fock_density,
+                                 square_geometry, wigner_from_fock)
 from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -148,6 +149,44 @@ def test_fock_series_value_depends_only_on_its_point(geom, data, cutoff, seed):
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def series_geometries(draw):
+    """Square centred grids, or off-centre rectangles, of 16-128 points a side."""
+    extent = draw(st.floats(2.0, 8.0))
+    if draw(st.booleans()):
+        return square_geometry(extent, draw(st.integers(16, 128)))
+    x0, p0 = draw(st.floats(-8.0, -1.0)), draw(st.floats(-8.0, -1.0))
+    return GridGeometry(x0, x0 + extent, p0, p0 + 1.5 * extent,
+                        draw(st.integers(16, 128)), draw(st.integers(16, 128)))
+
+
+ALL_ORDERS = frozenset(range(21))
+
+
+@PROPERTY_SETTINGS
+@given(cutoff=st.integers(1, 20), seed=seeds, geom=series_geometries(),
+       zeroed=st.frozensets(st.integers(0, 20)), wigner=st.booleans())
+@example(cutoff=20, seed=0, geom=square_geometry(6.0, 128), zeroed=frozenset(), wigner=True)
+@example(cutoff=12, seed=1, geom=square_geometry(6.0, 64), zeroed=ALL_ORDERS, wigner=True)
+@example(cutoff=12, seed=2, geom=square_geometry(6.0, 64), zeroed=frozenset({0}), wigner=False)
+@example(cutoff=12, seed=3, geom=GridGeometry(-7.0, 2.0, -1.0, 5.0, 16, 128),
+         zeroed=ALL_ORDERS - {0}, wigner=True)
+def test_fock_series_skipping_zero_orders_is_bit_identical(cutoff, seed, geom, zeroed, wigner):
+    # a Hermitian matrix with the coherence orders |m - n| in zeroed set to
+    # zero; the Wigner sign is the parity, the characteristic one all ones
+    rng = np.random.default_rng(seed)
+    size = cutoff + 1
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    m = g + dag(g)
+    orders = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    m[np.isin(orders, list(zeroed))] = 0.0
+    sign, scale = ((-1.0) ** np.arange(size), 2.0) if wigner else (np.ones(size), 1.0)
+    got = _fock_series(m, geom, scale, sign)
+    ref = oracles.fock_series_all_orders(m, geom, scale, sign)
+    # bit patterns, so a zero's sign counts too
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @PROPERTY_SETTINGS
@@ -377,6 +416,29 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     equal(tomo.bootstrap_norm_stderr(flat, resamples=12, seed=seed), boot)
     v = tomo.significant_commutativity(flat, resamples=12, seed=seed)
     assert v.norm_stderr == boot[0] and v.witness_pair == pairs[0]
+
+
+render_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | st.lists(st.text(max_size=6), max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(st.dictionaries(st.text(max_size=4), st.recursive(
+    render_leaves, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12), max_size=4))
+@example({"": [], "a": {}, "b": ["x", 1, ["y", "z"], None, 2.5, True],
+          "\u00e9\"\\\x01\n": [["1", "2"], ["\u2028", "\\"]], "c": {"d": ["e"]}})
+def test_render_writes_the_json_dumps_layout(doc):
+    assert statefile.render(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), ["a", np.int64(1)], {"k": [np.int64(2)]},
+                                   object()], ids=["int64", "in_list", "nested", "object"])
+def test_render_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        statefile.render({"v": value})
 
 
 @st.composite

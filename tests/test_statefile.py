@@ -159,6 +159,34 @@ class TestBatchedMatrixReader:
         np.testing.assert_array_equal(statefile.load(str(path)).payload.cov, g.cov)
 
 
+class TestBatchedComplexMatrixReader:
+    @pytest.mark.parametrize("rows", [
+        None, "abc", [], [[]], [[["1", "0"]], []], [[["1", "0"], ["2", "0"]], [["3", "0"]]],
+        [["1", "0"]], [[["1", "0", "0"]]], [[["1"]]], [[["1", None]]], [[None]],
+        [[["1", ["2"]]]], [[[["1"], ["2"]]]], [[["nan", "0"]]], [[["0", "1e999"]]],
+        [[["abc", "0"]]], [[[10 ** 400, 0]]], [[{"re": "1", "im": "0"}]],
+    ], ids=["none", "string", "empty", "empty_row", "empty_second_row", "ragged",
+            "non_pair", "three_element_pair", "one_element_pair", "none_value",
+            "none_pair", "nested", "nested_pair", "nan", "overflow", "bad_string",
+            "huge_int", "object"])
+    def test_rejects_with_parse_error(self, rows):
+        with pytest.raises(ParseError):
+            statefile._cmatrix_in(rows)
+
+    def test_reads_what_it_writes_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        m[0, 0] = complex(-0.0, 5e-324)
+        m[1, 1] = complex(1.7976931348623157e308, -0.0)
+        got = statefile._cmatrix_in(statefile._cmatrix_out(m))
+        assert got.dtype == complex and got.shape == (3, 4)
+        np.testing.assert_array_equal(got.view(np.uint64), m.view(np.uint64))
+
+    def test_accepts_numeric_json_values(self):
+        np.testing.assert_array_equal(statefile._cmatrix_in([[[1, 0.5], ["-2", True]]]),
+                                      [[1 + 0.5j, -2 + 1j]])
+
+
 class TestStrictMode:
     def test_unknown_field_rejected(self, tmp_path, bell):
         doc = statefile.dv_density_doc(bell)
