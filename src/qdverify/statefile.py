@@ -50,6 +50,13 @@ def parse_float(s: Any) -> float:
     return x
 
 
+def parse_int(v: Any, name: str) -> int:
+    """A JSON integer; ParseError for anything else, bools and floats included."""
+    if type(v) is not int:
+        raise ParseError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
 def format_complex(z: complex) -> list:
     return [format_float(z.real), format_float(z.imag)]
 
@@ -175,7 +182,7 @@ def _povm_in(doc: Any) -> Povm:
         raise ParseError("povm must be an object")
     _check_keys(doc, {"dim", "effects"}, "povm")
     try:
-        dim = int(doc["dim"])
+        dim = parse_int(doc["dim"], "povm dim")
         effects = [_cmatrix_in(e) for e in doc["effects"]]
     except KeyError as exc:
         raise ParseError(f"povm missing field {exc}") from None
@@ -258,15 +265,16 @@ def _load_dv_density(doc: dict) -> StateFile:
     _check_keys(doc, {"format_version", "kind", "dim", "bipartition", "matrix",
                       "fock_cutoff"}, "dv_density")
     matrix = _cmatrix_in(doc["matrix"])
-    dim = int(doc["dim"])
+    dim = parse_int(doc["dim"], "dim")
     if matrix.shape != (dim, dim):
         raise ParseError(f"matrix shape {matrix.shape} does not match dim {dim}")
     bip = doc.get("bipartition")
-    bipartition = (int(bip[0]), int(bip[1])) if bip is not None else None
+    bipartition = tuple(parse_int(v, "bipartition") for v in bip) if bip is not None else None
     rho = DensityOperator(matrix, bipartition=bipartition)
     cutoff = doc.get("fock_cutoff")
     return StateFile("dv_density", rho,
-                     fock_cutoff=int(cutoff) if cutoff is not None else None)
+                     fock_cutoff=(parse_int(cutoff, "fock_cutoff")
+                                  if cutoff is not None else None))
 
 
 def _load_gaussian(doc: dict) -> StateFile:
@@ -284,10 +292,13 @@ def _load_shot_record(doc: dict) -> StateFile:
                       "total", "seed"}, "shot_record")
     povm_a = _povm_in(doc["povm_a"])
     povm_b = _povm_in(doc["povm_b"])
-    counts = np.array([[int(v) for v in row] for row in doc["counts"]], dtype=np.int64)
-    rec = ShotRecord(povm_a, povm_b, counts, int(doc["total"]), int(doc["seed"]))
-    if counts.sum() != rec.total:
-        raise ParseError("counts do not sum to total")
+    counts = np.array([[parse_int(v, "count") for v in row] for row in doc["counts"]],
+                      dtype=np.int64)
+    rec = ShotRecord(povm_a, povm_b, counts, parse_int(doc["total"], "total"),
+                     parse_int(doc["seed"], "seed"))
+    # summed exactly, as int64 sums of counts near 2^63 wrap around
+    if not counts.sum(dtype=object) == rec.total <= np.iinfo(np.int64).max:
+        raise ParseError("counts do not sum to a total of at most 2^63 - 1")
     return StateFile("shot_record", rec)
 
 
@@ -299,7 +310,7 @@ def _load_wigner_grid(doc: dict) -> StateFile:
         raise ParseError(f"wigner_grid files require convention {CONVENTION_TAG!r}")
     geom = GridGeometry(parse_float(doc["x_min"]), parse_float(doc["x_max"]),
                         parse_float(doc["p_min"]), parse_float(doc["p_max"]),
-                        int(doc["nx"]), int(doc["np"]))
+                        parse_int(doc["nx"], "nx"), parse_int(doc["np"], "np"))
     values = _fmatrix_in(doc["values"])
     grid = WignerGrid(geom, values)
     stderr = doc.get("value_stderr")

@@ -4,9 +4,8 @@ A joint IC-POVM measurement on both subsystems is sampled multinomially.
 Conditional states of B are rebuilt by linear inversion through the dual
 frame of the B-side POVM, projected back to the density-operator cone.
 Commutator norms between estimated conditionals get a first-order
-(delta-method) standard error from the multinomial covariance, or a
-parametric bootstrap one where that linearization degenerates, and the
-verdict is a z-score test.
+(delta-method) standard error from the multinomial covariance of the
+counts, and the verdict is a z-score test on the largest norm.
 """
 from __future__ import annotations
 
@@ -16,21 +15,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
-from .linalg import (DensityOperator, commutator, dag, frobenius_norm, hermitian_eig,
-                     physical_memory_bytes)
+from .linalg import DensityOperator, commutator, dag, frobenius_norm, hermitian_eig
 from .povm import Povm, reconstruct
 from .dv import (
     CONSISTENT_WITH_ZERO,
     NONZERO_DISCORD,
     ConditionalEnsemble,
-    PROB_FLOOR,
 )
 
 DEFAULT_Z_THRESHOLD = 5.0
-DEFAULT_RESAMPLES = 100
 
-# Norms below this are treated as exactly zero when forming z-scores with
-# zero standard error (the exact-probability limit).
+# Commutator norms and standard errors at or below this are treated as
+# exactly zero: such a norm has no gradient, and such a stderr gives z = 0.
 NORM_FLOOR = 1e-12
 
 
@@ -53,7 +49,7 @@ class ShotRecord:
         if np.any(self.counts < 0):
             raise DomainError("negative counts")
         if self.seed < 0:
-            # a replayed record's seed seeds the bootstrap
+            # the seed is provenance only, but a record must be one sample_joint can write
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
@@ -63,13 +59,12 @@ class EstimatedConditionals:
 
     freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .)
     and counts[k] the per-outcome totals. ensemble.source_povm is A's
-    POVM, the one conditioned on; povm_b is B's, the one duals_b inverts.
+    POVM, the one conditioned on; duals_b is the dual frame of B's.
     """
 
     ensemble: ConditionalEnsemble
     freqs: np.ndarray
     counts: np.ndarray
-    povm_b: Povm
     duals_b: np.ndarray
 
 
@@ -123,47 +118,24 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
     return (out + dag(out)) / 2.0
 
 
-def _invert_rows(joint: np.ndarray, floor: float, povm_b: Povm,
-                 duals_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of joint weights w(k, m) whose total exceeds floor, normalised to
-    conditional frequencies, inverted through the dual frame and projected
-    to states.
-
-    Returns (present mask, frequencies, states), zero on absent rows.
-    """
-    marg = joint.sum(axis=1)
-    present = marg > floor
-    freqs = np.zeros(joint.shape)
-    freqs[present] = joint[present] / marg[present, None]
-    states = np.zeros((len(joint), povm_b.dim, povm_b.dim), dtype=complex)
-    states[present] = project_to_state(reconstruct(povm_b, duals_b, freqs[present]))
-    return present, freqs, states
-
-
-def _estimate(joint: np.ndarray, floor: float, sizes: np.ndarray, povm_a: Povm,
-              povm_b: Povm, duals_b: np.ndarray) -> EstimatedConditionals:
-    """Conditional states of B from joint weights w(k, m) over outcome pairs.
-
-    Rows whose total weight is at or below floor are absent. sizes[k] is the
-    number of samples behind row k, infinite for exact weights.
-    """
-    marg = joint.sum(axis=1)
-    present, freqs, states = _invert_rows(joint, floor, povm_b, duals_b)
-    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present, povm_a)
-    return EstimatedConditionals(ensemble, freqs, sizes, povm_b, duals_b)
-
-
 def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedConditionals:
     """Conditional-state estimates from a shot record.
 
     p_k is the marginal frequency of outcome k on A; the conditional of B
     is the dual-frame inversion of the conditional frequencies, projected
-    to the PSD unit-trace cone. Outcomes with no counts are marked absent.
+    to the PSD unit-trace cone. Outcomes with no counts are marked absent
+    and hold zeros.
     """
-    if rec.counts.sum() <= 0:
+    marg = rec.counts.sum(axis=1)
+    if marg.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")
-    sizes = rec.counts.sum(axis=1).astype(float)
-    return _estimate(rec.counts, 0.0, sizes, rec.povm_a, rec.povm_b, duals_b)
+    present = marg > 0
+    freqs = np.zeros(rec.counts.shape)
+    freqs[present] = rec.counts[present] / marg[present, None]
+    states = np.zeros((len(marg), rec.povm_b.dim, rec.povm_b.dim), dtype=complex)
+    states[present] = project_to_state(reconstruct(rec.povm_b, duals_b, freqs[present]))
+    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present, rec.povm_a)
+    return EstimatedConditionals(ensemble, freqs, marg.astype(float), duals_b)
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
@@ -192,21 +164,16 @@ def _delta_variance(freqs: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarr
 
 
 def significant_commutativity(est: EstimatedConditionals,
-                              z_threshold: float = DEFAULT_Z_THRESHOLD,
-                              resamples: int = DEFAULT_RESAMPLES,
-                              seed: int = 0) -> SignificantVerdict:
+                              z_threshold: float = DEFAULT_Z_THRESHOLD) -> SignificantVerdict:
     """Z-score verdict on the largest pairwise commutator norm.
 
     Standard errors per pair come from the delta method on the linear
-    inversion. Where the linearization is degenerate (norm at or below
-    NORM_FLOOR), a parametric bootstrap over the full estimation pipeline
-    (resampling counts from the estimated joint distribution) replaces the
-    delta value; it runs only for those pairs. When a norm has exactly zero
-    standard error, the z-score is +inf if the norm is above the floor and
-    0 otherwise. z_threshold must be finite and nonnegative (DomainError).
+    inversion. A pair whose standard error is at or below NORM_FLOOR has
+    z = 0: its norm is at or below the floor too (no gradient), or its rows
+    hold so few counts that the plug-in covariance vanishes, and then the
+    sample says nothing about the norm. z_threshold must be finite and
+    nonnegative (DomainError).
     """
-    if resamples < 0:
-        raise DomainError(f"resamples must be nonnegative, got {resamples}")
     check_threshold("z_threshold", z_threshold)
     pairs = est.ensemble.pairs()
     if not len(pairs):
@@ -217,67 +184,9 @@ def significant_commutativity(est: EstimatedConditionals,
     var = (_delta_variance(est.freqs[j], est.counts[j], gj)
            + _delta_variance(est.freqs[k], est.counts[k], gk))
     stderr = np.sqrt(np.maximum(var, 0.0))
-    degenerate = norm <= NORM_FLOOR
-    if degenerate.any():
-        stderr[degenerate] = _bootstrap_stderr(est, pairs[degenerate], resamples, seed)
-
-    usable = (stderr != 0.0) & np.isfinite(stderr)
-    z = np.where(usable, norm / np.where(usable, stderr, 1.0),
-                 np.where(norm > NORM_FLOOR, np.inf, 0.0))
+    usable = stderr > NORM_FLOOR
+    z = np.where(usable, norm / np.where(usable, stderr, 1.0), 0.0)
     best = int(np.argmax(z))      # the first of equal maxima
     verdict = NONZERO_DISCORD if z[best] > z_threshold else CONSISTENT_WITH_ZERO
-    return SignificantVerdict(verdict, float(norm[best]),
-                              float(stderr[best]) if usable[best] else 0.0,
+    return SignificantVerdict(verdict, float(norm[best]), float(stderr[best]),
                               float(z[best]), tuple(pairs[best].tolist()), z_threshold)
-
-
-def bootstrap_norm_stderr(est: EstimatedConditionals, resamples: int = DEFAULT_RESAMPLES,
-                          seed: int = 0) -> np.ndarray:
-    """Bootstrap standard errors of all pairwise commutator norms."""
-    return _bootstrap_stderr(est, est.ensemble.pairs(), resamples, seed)
-
-
-def _bootstrap_stderr(est: EstimatedConditionals, pairs: np.ndarray, resamples: int,
-                      seed: int) -> np.ndarray:
-    """Parametric bootstrap through sampling, inversion, and projection, for
-    the (P, 2) outcome pairs.
-
-    Resample streams derive from the base seed plus the resample index, so
-    results do not depend on evaluation order. The (resamples, P) samples
-    must fit in physical memory (DomainError).
-    """
-    if resamples < 0:
-        raise DomainError(f"resamples must be nonnegative, got {resamples}")
-    if not np.all(np.isfinite(est.counts)):
-        return np.zeros(len(pairs))
-    if 8 * resamples * len(pairs) > physical_memory_bytes():
-        raise DomainError(f"resamples={resamples}: the bootstrap samples of "
-                          f"{len(pairs)} pairs would not fit in physical memory")
-    total = int(round(est.counts.sum()))
-    ka, kb = est.freqs.shape
-    joint = est.freqs * (est.counts[:, None] / max(est.counts.sum(), 1.0))
-    joint = np.clip(joint.reshape(-1), 0.0, None)
-    joint /= joint.sum()
-    j, k = pairs.T
-    samples = np.empty((resamples, len(pairs)))
-    for r in range(resamples):
-        rng = np.random.default_rng(seed + r)
-        counts = rng.multinomial(total, joint).reshape(ka, kb)
-        ok, _, mats = _invert_rows(counts, 0, est.povm_b, est.duals_b)
-        norms = frobenius_norm(commutator(mats[j], mats[k]))
-        samples[r] = np.where(ok[j] & ok[k], norms, np.nan)
-    finite = [col[np.isfinite(col)] for col in samples.T]
-    return np.array([col.std(ddof=1) if col.size > 1 else 0.0 for col in finite])
-
-
-def exact_conditionals(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
-                       duals_b: np.ndarray) -> EstimatedConditionals:
-    """Estimation input for the zero-uncertainty (infinite shot) limit.
-
-    Conditional frequencies are the exact outcome probabilities and the
-    per-outcome counts are infinite, so every propagated standard error
-    vanishes and significant_commutativity applies its zero-stderr rule.
-    """
-    probs = joint_probabilities(rho, povm_a, povm_b)
-    return _estimate(probs, PROB_FLOOR, np.full(len(probs), np.inf), povm_a, povm_b,
-                     duals_b)

@@ -235,12 +235,12 @@ def test_10_tomography_calibration():
             null_state = dv.generate_zero_discord(2, 2, 5000 + seed)
             rec = tomo.sample_joint(null_state, sic, sic, 10 ** 5, seed=seed)
             est = tomo.estimate_conditionals(rec, duals)
-            v = tomo.significant_commutativity(est, z_threshold=5.0, seed=seed)
+            v = tomo.significant_commutativity(est, z_threshold=5.0)
             false_positives += (v.verdict == dv.NONZERO_DISCORD)
 
             rec = tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=seed)
             est = tomo.estimate_conditionals(rec, duals)
-            v = tomo.significant_commutativity(est, z_threshold=5.0, seed=seed)
+            v = tomo.significant_commutativity(est, z_threshold=5.0)
             detections += (v.verdict == dv.NONZERO_DISCORD)
         assert false_positives <= 5, false_positives
         assert detections == 100, detections

@@ -239,6 +239,25 @@ class TestStrictMode:
         with pytest.raises(ParseError):
             statefile.load(str(path))
 
+    @pytest.mark.parametrize("field", ["dim", "bipartition", "fock_cutoff", "nx", "np"])
+    @pytest.mark.parametrize("bad", [float, str, lambda v: True], ids=["float", "string",
+                                                                       "bool"])
+    def test_integer_fields_refuse_non_integers(self, tmp_path, field, bad):
+        # int() once read 4.0 and "4" as 4, and true as 1
+        from qdverify.linalg import DensityOperator
+        if field in ("nx", "np"):
+            doc = statefile.wigner_grid_doc(
+                wigner_from_fock(fock_state(0, 8), square_geometry(6.0, 16)))
+        else:
+            doc = statefile.dv_density_doc(
+                DensityOperator(fock_state(0, 3).matrix, bipartition=(2, 2)), fock_cutoff=3)
+        holder, key = (doc["bipartition"], 0) if field == "bipartition" else (doc, field)
+        holder[key] = bad(holder[key])
+        path = tmp_path / "i.state"
+        statefile.write(str(path), doc)
+        with pytest.raises(ParseError, match="must be an integer"):
+            statefile.load(str(path))
+
 
 def test_fixture_dir_env(tmp_path, monkeypatch, bell):
     fixture_dir = tmp_path / "fixtures"
