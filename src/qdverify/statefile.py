@@ -10,6 +10,12 @@ str keys sorted, every object member and list item on its own line indented
 one space per level, "," ending each line but the last, ": " after keys,
 empty containers as {} and [], non-ASCII as \\u escapes, and one final
 newline. Reports use the same writer.
+
+The *_doc functions hold every matrix and vector of a file (a grid's values,
+a Gaussian mean and covariance, a complex matrix as its [re, im] pairs) as a
+finite float array of its own, which render writes as the nested lists of its
+17-digit strings in one call. A document is therefore input for render and
+write, not a JSON tree: json.loads(render(doc)) is its tree.
 """
 from __future__ import annotations
 
@@ -61,45 +67,52 @@ def format_complex(z: complex) -> list:
     return [format_float(z.real), format_float(z.imag)]
 
 
-def _cmatrix_out(m: np.ndarray) -> list:
-    # a complex row viewed as floats is re, im, re, im, ...
-    rows = _fmatrix_out(np.ascontiguousarray(m, dtype=complex).view(float))
-    return [[row[i:i + 2] for i in range(0, len(row), 2)] for row in rows]
+def _floats_in(rows: Any, what: str) -> np.ndarray:
+    """Nested lists of numbers or decimal strings as one finite float array;
+    the caller checks its shape."""
+    if not isinstance(rows, list) or not rows:
+        raise ParseError(f"{what} must be a non-empty list")
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        value = rows
+        for i in bad[0]:
+            value = value[i]
+        raise ParseError(f"non-finite float value {value!r}")
+    return a
 
 
 def _cmatrix_in(rows: Any) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix must be a non-empty list of rows")
-    try:
-        pairs = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad complex matrix: {exc}") from None
+    pairs = _floats_in(rows, "complex matrix")
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ParseError(f"complex values are [re, im] pairs; matrix of shape "
                          f"{pairs.shape}")
-    bad = np.argwhere(~np.isfinite(pairs))
-    if len(bad):
-        i, j, part = bad[0]
-        raise ParseError(f"non-finite float value {rows[i][j][part]!r}")
     return pairs.view(complex)[..., 0]
 
 
-def _fmatrix_out(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=float)
+def _floats_out(m: np.ndarray) -> np.ndarray:
+    """A finite copy of m as floats, which render writes as nested lists of
+    its 17-digit strings."""
+    m = np.array(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ParseError(f"cannot serialize non-finite float {m[~np.isfinite(m)][0]}")
-    # "%" formats as format(v, ".17g") does, a whole row per call
-    template = " ".join(["%.17g"] * m.shape[-1])
-    return [(template % tuple(row)).split() for row in m.tolist()]
+    return m
+
+
+def _cmatrix_out(m: np.ndarray) -> np.ndarray:
+    # a complex matrix viewed as floats is its [re, im] pairs
+    m = np.ascontiguousarray(m, dtype=complex)
+    return _floats_out(m.view(float).reshape(*m.shape, 2))
 
 
 def _fmatrix_in(rows: Any) -> np.ndarray:
-    try:
-        m = np.array([list(map(float, row)) for row in rows], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad float matrix: {exc}") from None
-    if not np.all(np.isfinite(m)):
-        raise ParseError(f"non-finite float value {m[~np.isfinite(m)][0]}")
+    m = _floats_in(rows, "float matrix")
+    if m.ndim != 2 or not m.size:
+        raise ParseError(f"float matrix must be a non-empty list of rows of numbers; "
+                         f"got shape {m.shape}")
     return m
 
 
@@ -137,8 +150,8 @@ def gaussian_doc(g: GaussianState) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "gaussian",
         "convention": CONVENTION_TAG,
-        "mean": [format_float(v) for v in g.mean],
-        "cov": _fmatrix_out(g.cov),
+        "mean": _floats_out(g.mean),
+        "cov": _floats_out(g.cov),
     }
 
 
@@ -166,7 +179,7 @@ def wigner_grid_doc(grid, value_stderr: Optional[float] = None) -> dict:
         "p_max": format_float(geom.p_max),
         "nx": geom.nx,
         "np": geom.np,
-        "values": _fmatrix_out(grid.values),
+        "values": _floats_out(grid.values),
     }
     if value_stderr is not None:
         doc["value_stderr"] = format_float(value_stderr)
@@ -192,11 +205,25 @@ def _povm_in(doc: Any) -> Povm:
         raise ParseError(f"invalid povm: {exc}") from None
 
 
+def _float_layout(shape: tuple, indent: str) -> str:
+    # the layout of nested lists of that shape, a "%.17g" slot for each value
+    if not shape:
+        return '"%.17g"'
+    if not shape[0]:
+        return "[]"
+    inner = indent + " "
+    item = _float_layout(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
+
+
 def _emit(v: Any, indent: str) -> str:
-    # json.dumps' indent layout, which its C encoder does not write; a list
-    # of str (a matrix row) is joined in one call
+    # json.dumps' indent layout, which its C encoder does not write; a float
+    # array is written as nested lists of its format(v, ".17g") strings,
+    # formatted in one call
     if isinstance(v, str):
         return _quote(v)
+    if isinstance(v, np.ndarray) and v.dtype == float:
+        return _float_layout(v.shape, indent) % tuple(v.ravel().tolist())
     if not isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     if not v:
@@ -206,8 +233,7 @@ def _emit(v: Any, indent: str) -> str:
         items = [_quote(k) + ": " + _emit(v[k], inner) for k in sorted(v)]
         opening, closing = "{", "}"
     else:
-        items = (map(_quote, v) if set(map(type, v)) == {str}
-                 else [_emit(x, inner) for x in v])
+        items = [_emit(x, inner) for x in v]
         opening, closing = "[", "]"
     return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
 
@@ -282,7 +308,9 @@ def _load_gaussian(doc: dict) -> StateFile:
     if doc.get("convention") != CONVENTION_TAG:
         raise ParseError(f"gaussian files require convention {CONVENTION_TAG!r}, "
                          f"got {doc.get('convention')!r}")
-    mean = np.array([parse_float(v) for v in doc["mean"]])
+    mean = _floats_in(doc["mean"], "mean")
+    if mean.ndim != 1:
+        raise ParseError(f"mean must be a non-empty list of numbers; got shape {mean.shape}")
     cov = _fmatrix_in(doc["cov"])
     return StateFile("gaussian", GaussianState(mean, cov))
 

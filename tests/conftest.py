@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from qdverify import dv, povm
+from qdverify import dv, gaussian, povm, statefile
 from qdverify.linalg import DensityOperator, random_density_matrix, tensor
-from qdverify.phasespace import FockOperator
+from qdverify.phasespace import FockOperator, WignerGrid, square_geometry
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +41,21 @@ def random_diagonal_fock(cutoff: int, seed: int) -> FockOperator:
     w = np.zeros(cutoff + 1)
     w[:cutoff - 1] = rng.random(cutoff - 1)
     return FockOperator(cutoff, np.diag(w / w.sum()))
+
+
+def _with(doc: dict, key: str, value) -> dict:
+    tree = json.loads(statefile.render(doc))
+    tree[key] = value
+    return tree
+
+
+_VACUUM = gaussian.vacuum()
+# Files whose real matrix or mean is a string, or a list of strings, in place
+# of rows of numbers
+STRING_ROW_DOCUMENTS = {
+    "grid_values": _with(statefile.wigner_grid_doc(
+        WignerGrid(square_geometry(1.0, 2), np.zeros((2, 2)))), "values", ["12", "34"]),
+    "gaussian_cov": _with(statefile.gaussian_doc(_VACUUM), "cov",
+                          ["1000", "0100", "0010", "0001"]),
+    "gaussian_mean": _with(statefile.gaussian_doc(_VACUUM), "mean", "0000"),
+}

@@ -8,7 +8,8 @@ import pytest
 
 import numpy as np
 
-from conftest import random_bipartite_state, random_diagonal_fock, random_product_state
+from conftest import (STRING_ROW_DOCUMENTS, random_bipartite_state, random_diagonal_fock,
+                      random_product_state)
 from qdverify import dv, gaussian, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
@@ -448,6 +449,19 @@ class TestTomo:
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         _, out2, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         assert out1 == out2
+
+
+@pytest.mark.parametrize("name", sorted(STRING_ROW_DOCUMENTS))
+def test_string_rows_exit_2(capsys, workdir, name):
+    doc = STRING_ROW_DOCUMENTS[name]
+    (workdir / "s.state").write_text(json.dumps(doc))
+    argv = (["moyal", "s.state", "s.state"] if doc["kind"] == "wigner_grid"
+            else ["verify-gaussian", "s.state", "--outcomes", "0,0;1,1"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be a non-empty list" in err      # refused as read, not by a later check
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_bipartite_state
+from conftest import STRING_ROW_DOCUMENTS, random_bipartite_state
 from qdverify import gaussian, statefile, tomo
 from qdverify.errors import ParseError
 from qdverify.phasespace import GridGeometry, square_geometry, wigner_from_fock, fock_state
@@ -113,16 +113,32 @@ class TestBatchedMatrixWriters:
         return SimpleNamespace(geometry=GridGeometry(-1.0, 1.0, -1.0, 2.0, 2, 3),
                                values=values)
 
+    @staticmethod
+    def tree(doc):
+        return json.loads(statefile.render(doc))
+
     def test_grid_strings_match_per_element_format(self):
-        rows = statefile.wigner_grid_doc(self.grid(np.array(self.EDGE_VALUES)))["values"]
+        doc = statefile.wigner_grid_doc(self.grid(np.array(self.EDGE_VALUES)))
+        rows = self.tree(doc)["values"]
         assert rows == [[format(v, ".17g") for v in row] for row in self.EDGE_VALUES]
         assert rows[0][:2] == ["-0", "4.9406564584124654e-324"]
 
     def test_complex_strings_match_per_element_format(self):
         m = np.array(self.EDGE_VALUES) + 1j * np.array(self.EDGE_VALUES)[::-1]
         rho = SimpleNamespace(dim=2, bipartition=None, matrix=m)
-        rows = statefile.dv_density_doc(rho)["matrix"]
+        rows = self.tree(statefile.dv_density_doc(rho))["matrix"]
         assert rows == [[statefile.format_complex(complex(v)) for v in row] for row in m]
+
+    def test_document_holds_its_own_copy(self):
+        values = np.array(self.EDGE_VALUES)
+        matrix = values + 1j * values
+        docs = [statefile.wigner_grid_doc(self.grid(values)),
+                statefile.dv_density_doc(SimpleNamespace(dim=2, bipartition=None,
+                                                         matrix=matrix))]
+        texts = [statefile.render(doc) for doc in docs]
+        values[0, 0] = float("nan")
+        matrix[0, 0] = float("nan")
+        assert [statefile.render(doc) for doc in docs] == texts
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_refused_without_warnings(self, bad):
@@ -143,14 +159,24 @@ class TestBatchedMatrixReader:
     @pytest.mark.parametrize("rows", [
         None, "abc", [["1", "2"], ["3"]], [["1", "nan"]], [["1e999", "0"]],
         [["1", None]], [["1", [2]]],
-    ], ids=["none", "string", "ragged", "nan", "overflow", "none_value", "nested"])
+        [], [[]], ["12", "34"],
+    ], ids=["none", "string", "ragged", "nan", "overflow", "none_value", "nested", "empty",
+            "empty_row", "string_rows"])
     def test_rejects_with_parse_error(self, rows):
         with pytest.raises(ParseError):
             statefile._fmatrix_in(rows)
 
+    @pytest.mark.parametrize("name", sorted(STRING_ROW_DOCUMENTS))
+    def test_string_rows_refused(self, tmp_path, name):
+        # a string row was once read character by character, "12" as [1, 2]
+        path = tmp_path / "s.state"
+        path.write_text(json.dumps(STRING_ROW_DOCUMENTS[name]))
+        with pytest.raises(ParseError):
+            statefile.load(str(path))
+
     def test_accepts_numeric_json_values(self, tmp_path):
         g = gaussian.two_mode_squeezed_vacuum(0.37)
-        doc = statefile.gaussian_doc(g)
+        doc = json.loads(statefile.render(statefile.gaussian_doc(g)))
         # JSON numbers in place of the decimal strings: floats, and 0 as an int
         doc["cov"] = [[float(v) or 0 for v in row] for row in doc["cov"]]
         assert any(type(v) is int for v in doc["cov"][0])
@@ -178,7 +204,8 @@ class TestBatchedComplexMatrixReader:
         m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         m[0, 0] = complex(-0.0, 5e-324)
         m[1, 1] = complex(1.7976931348623157e308, -0.0)
-        got = statefile._cmatrix_in(statefile._cmatrix_out(m))
+        text = statefile.render({"m": statefile._cmatrix_out(m)})
+        got = statefile._cmatrix_in(json.loads(text)["m"])
         assert got.dtype == complex and got.shape == (3, 4)
         np.testing.assert_array_equal(got.view(np.uint64), m.view(np.uint64))
 
