@@ -3,21 +3,24 @@
 Exit status reflects operational success only: 0 when the pipeline ran,
 2 on parse or domain errors. Scientific verdicts live in the report
 printed to stdout, never in the exit status.
+
+A report is deterministic JSON written by statefile.render: floats with 17
+significant digits, keys sorted. Every numeric claim in it is reproducible
+from the input digest plus the seeds and thresholds recorded alongside it.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import dv, gaussian, phasespace, tomo
-from .errors import ParseError, QdvError, UnresolvedGrid
+from . import __version__, dv, gaussian, phasespace, tomo
+from .errors import ParseError, QdvError
 from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
-from .reports import base_report, cnum, emit, file_digest, fnum
-from .statefile import load, resolve_path, shot_record_doc, wigner_grid_doc, write
+from .statefile import (format_complex, format_float, load, render, resolve_path,
+                        shot_record_doc, wigner_grid_doc, write)
 
 
 def _parse_outcomes(text: str):
@@ -43,11 +46,16 @@ def _load(path_arg: str, command: str, *kinds: str):
     return path, sf
 
 
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
 def _report(pipeline: str, path: str, fields: dict) -> int:
     """Print the report for a pipeline run on the file at path; exit 0."""
-    doc = base_report(pipeline, file_digest(path))
-    doc.update(fields)
-    sys.stdout.write(emit(doc))
+    sys.stdout.write(render({"format_version": "1", "tool_version": __version__,
+                             "pipeline": pipeline, "input_digest": _digest(path),
+                             **fields}))
     return 0
 
 
@@ -64,12 +72,12 @@ def cmd_verify_dv(args) -> int:
     return _report("dv_exact", path, {
         "verdict": verdict.verdict,
         "witnesses": {
-            "max_commutator_norm": fnum(verdict.max_commutator_norm),
+            "max_commutator_norm": format_float(verdict.max_commutator_norm),
             "witness_pair": list(verdict.witness_pair) if verdict.witness_pair else None,
             "anchor_index": verdict.anchor_index,
             "checked_pairs": verdict.checked_pairs,
         },
-        "thresholds": {"commutator_norm": fnum(verdict.threshold)},
+        "thresholds": {"commutator_norm": format_float(verdict.threshold)},
         "seeds": {"povm_kind": kind, "povm_seed": args.povm_seed},
     })
 
@@ -84,118 +92,57 @@ def cmd_verify_gaussian(args) -> int:
     return _report("gaussian_peak", path, {
         "verdict": result.verdict,
         "witnesses": {
-            "standard_form": {k: fnum(getattr(form, k)) for k in "abcd"},
-            "peak_1": cnum(result.peak_1),
-            "peak_2": cnum(result.peak_2),
-            "separation": fnum(result.separation),
-            "outcome_1": cnum(out1),
-            "outcome_2": cnum(out2),
+            "standard_form": {k: format_float(getattr(form, k)) for k in "abcd"},
+            "peak_1": format_complex(result.peak_1),
+            "peak_2": format_complex(result.peak_2),
+            "separation": format_float(result.separation),
+            "outcome_1": format_complex(out1),
+            "outcome_2": format_complex(out2),
             "cov_block_decision": {
                 "pipeline": "gaussian_cov",
                 "zero_discord": bool(cov_zero),
-                "max_abs_cross_block": fnum(float(np.max(np.abs(state.block_c)))),
+                "max_abs_cross_block": format_float(float(abs(state.block_c).max())),
             },
         },
-        "thresholds": {"peak_shift_per_outcome_shift": fnum(args.tol)},
+        "thresholds": {"peak_shift_per_outcome_shift": format_float(args.tol)},
         "seeds": {},
     })
 
 
-def _load_moyal_input(path_arg: str, geom):
-    """(path, Fock operator or Wigner grid, per-point stderr) of a moyal input.
-
-    The memory the Moyal route will need on the input's grid is admitted
-    before any grid-sized allocation.
-    """
+def _load_moyal_input(path_arg: str):
+    """(path, Fock operator or Wigner grid, per-point stderr) of a moyal input."""
     path, sf = _load(path_arg, "moyal", "wigner_grid", "dv_density")
     if sf.kind == "wigner_grid":
-        phasespace.admit_moyal(sf.payload.geometry)
         return path, sf.payload, sf.value_stderr
     if sf.fock_cutoff is None:
         raise ParseError(f"{path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
-    phasespace.admit_moyal(geom)
     return path, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix), None
-
-
-# floor for calling a commutator grid nonzero when inputs are exact
-MOYAL_NUMERICAL_FLOOR = 1e-9
-
-
-# Top frequencies per grid axis that the resolution check probes. Against
-# the Fock route, three bounded the star product's error on every resolved
-# pair of a 1111-pair scan; two fell short by up to 1.6x.
-RESOLUTION_BANDS = 3
-
-
-def _outer_bands(w):
-    """The part of a Wigner grid in the top RESOLUTION_BANDS frequencies of
-    either axis; content beyond the grid's band aliases onto these."""
-    outer = [np.abs(np.fft.fftfreq(n, 1.0 / n)) > n / 2 - RESOLUTION_BANDS
-             for n in w.values.shape]
-    spectrum = np.fft.fft2(w.values) * (outer[0][:, None] | outer[1][None, :])
-    return phasespace.WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
-
-
-def _resolved_commutator(a, b, names, threshold: float):
-    """moyal_commutator of two grids, refusing an input the grid cannot resolve.
-
-    An input is refused when its largest |W| on the outermost rows and
-    columns exceeds the verdict threshold (a box too small), or when its
-    outer frequency bands move the commutator by more than that (a grid too
-    coarse). The self-commutator Im(W*W) is no such check: it vanishes for
-    any real interpolant, so it reads 0 on odd-sized axes at any resolution.
-    """
-    comm = phasespace.moyal_commutator(a, b)
-    for name, w, partner in ((names[0], a, b), (names[1], b, a)):
-        v = np.abs(w.values)
-        edge = float(max(v[[0, -1]].max(), v[:, [0, -1]].max()))
-        aliasing = phasespace.grid_max_abs(
-            phasespace.moyal_commutator(_outer_bands(w), partner))[0]
-        if max(edge, aliasing) > threshold:
-            raise UnresolvedGrid(
-                f"{name}: the grid cannot resolve this input (edge value "
-                f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
-                f"{threshold:.3g}); widen the extent or add points")
-    return comm
 
 
 def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
-    path_a, a, err_a = _load_moyal_input(args.state_a, geom)
-    path_b, b, err_b = _load_moyal_input(args.state_b, geom)
-    fock = phasespace.FockOperator
-    threshold, band = MOYAL_NUMERICAL_FLOOR, None
-    if isinstance(a, fock) and isinstance(b, fock):
-        comm = phasespace.fock_commutator(a, b, geom)
-    else:   # grid inputs have only the star product; a Fock partner joins as a grid
-        a, b = (phasespace.wigner_from_fock(x, geom) if isinstance(x, fock) else x
-                for x in (a, b))
-        if err_a is not None or err_b is not None:
-            ga = a.geometry
-            l1_a = phasespace.grid_integral(np.abs(a.values), ga)
-            l1_b = phasespace.grid_integral(np.abs(b.values), ga)
-            band = phasespace.uncertainty_band(ga, err_a or 0.0, err_b or 0.0,
-                                               l1_a, l1_b)
-            threshold = max(band, threshold)
-        comm = _resolved_commutator(a, b, (path_a, path_b), threshold)
+    path_a, a, err_a = _load_moyal_input(args.state_a)
+    path_b, b, err_b = _load_moyal_input(args.state_b)
+    comm, threshold, band = phasespace.moyal_witness(a, b, geom, (err_a, err_b),
+                                                     (path_a, path_b))
     value, loc = phasespace.grid_max_abs(comm)
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(comm))
     witnesses = {
-        "grid_max_abs": fnum(value),
+        "grid_max_abs": format_float(value),
         "location": [loc[0], loc[1]],
         "emitted_grid": out_path,
     }
     if band is not None:
-        witnesses["uncertainty_band"] = fnum(band)
+        witnesses["uncertainty_band"] = format_float(band)
         witnesses["significant"] = bool(value > band)
     verdict = dv.NONZERO_DISCORD if value > threshold else dv.CONSISTENT_WITH_ZERO
     return _report("cv_moyal", path_a, {
-        "input_digest_b": file_digest(path_b),
+        "input_digest_b": _digest(path_b),
         "verdict": verdict,
         "witnesses": witnesses,
-        "thresholds": {"grid_max_abs": fnum(threshold)},
+        "thresholds": {"grid_max_abs": format_float(threshold)},
         "seeds": {},
     })
 
@@ -228,12 +175,12 @@ def cmd_tomo(args) -> int:
         "significance_convention": "z = commutator norm / propagated stderr, "
                                    "maximized over conditional pairs",
         "witnesses": {
-            "max_norm": fnum(verdict.max_norm),
-            "norm_stderr": fnum(verdict.norm_stderr),
-            "z_score": fnum(verdict.z_score),
+            "max_norm": format_float(verdict.max_norm),
+            "norm_stderr": format_float(verdict.norm_stderr),
+            "z_score": format_float(verdict.z_score),
             "witness_pair": list(verdict.witness_pair) if verdict.witness_pair else None,
         },
-        "thresholds": {"z": fnum(verdict.z_threshold)},
+        "thresholds": {"z": format_float(verdict.z_threshold)},
         "seeds": {
             "sampling_seed": record.seed,
             "povm_seed": args.povm_seed,

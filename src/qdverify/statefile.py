@@ -86,8 +86,10 @@ def _floats_in(rows: Any, what: str) -> np.ndarray:
 
 
 def _cmatrix_in(rows: Any) -> np.ndarray:
+    """A complex matrix, or a stack of them, from its [re, im] pairs; the
+    caller checks its shape."""
     pairs = _floats_in(rows, "complex matrix")
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
+    if pairs.ndim < 3 or pairs.shape[-1] != 2:
         raise ParseError(f"complex values are [re, im] pairs; matrix of shape "
                          f"{pairs.shape}")
     return pairs.view(complex)[..., 0]
@@ -161,7 +163,7 @@ def shot_record_doc(rec: ShotRecord) -> dict:
         "kind": "shot_record",
         "povm_a": _povm_doc(rec.povm_a),
         "povm_b": _povm_doc(rec.povm_b),
-        "counts": [[int(v) for v in row] for row in rec.counts],
+        "counts": rec.counts.tolist(),
         "total": int(rec.total),
         "seed": int(rec.seed),
     }
@@ -196,7 +198,7 @@ def _povm_in(doc: Any) -> Povm:
     _check_keys(doc, {"dim", "effects"}, "povm")
     try:
         dim = parse_int(doc["dim"], "povm dim")
-        effects = [_cmatrix_in(e) for e in doc["effects"]]
+        effects = _cmatrix_in(doc["effects"])
     except KeyError as exc:
         raise ParseError(f"povm missing field {exc}") from None
     try:

@@ -252,6 +252,21 @@ class TestMoyal:
         grid = phasespace.wigner_from_fock(op, geom)
         return write_fixture(workdir / name, statefile.wigner_grid_doc(grid))
 
+    def test_mixed_pair_at_default_flags_runs_on_the_grid_geometry(self, capsys, workdir,
+                                                                    fock_files):
+        # the Fock partner is transformed on the grid's 48 points, so the
+        # default --points (128) gives what --points 48 gives
+        _, plus = fock_files
+        grid = self.grid_file(workdir, "vac48.state", fock_state(0, 8),
+                              phasespace.square_geometry(6.0, 48))
+        runs = []
+        for flags in ((), ("--points", "48")):
+            code, out, err = run(capsys, "moyal", grid, plus, "--out", "mixed.json", *flags)
+            assert (code, err) == (0, "")
+            runs.append((out, (workdir / "mixed.json").read_text()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["verdict"] == "NONZERO_DISCORD"
+
     def test_unresolved_vacuum_grid_exit_2(self, capsys, workdir, fock_files):
         # the star product of the 16-point vacuum grid with itself aliases
         # to 0.02; alone or with a Fock partner, the grid is refused

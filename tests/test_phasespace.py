@@ -125,6 +125,30 @@ class TestFockCommutator:
             assert np.max(np.abs(got.values)) > 1e-3
 
 
+class TestMoyalWitness:
+    def test_mixed_pair_runs_on_the_grid_geometry(self):
+        # the Fock partner is transformed on its partner grid's geometry,
+        # whatever geometry a Fock pair would use
+        grid = ph.wigner_from_fock(ph.fock_state(0, 8), ph.square_geometry(6.0, 48))
+        plus = ph.pure_state([1, 1], 8)
+        plus_grid = ph.wigner_from_fock(plus, grid.geometry)
+        for pair, as_grids in (((grid, plus), (grid, plus_grid)),
+                               ((plus, grid), (plus_grid, grid))):
+            comm, threshold, band = ph.moyal_witness(*pair, ph.square_geometry(6.0, 64))
+            assert comm.geometry == grid.geometry
+            np.testing.assert_array_equal(comm.values,
+                                          ph.moyal_commutator(*as_grids).values)
+            assert (threshold, band) == (ph.MOYAL_NUMERICAL_FLOOR, None)
+
+    def test_stderr_sets_the_band_and_raises_the_threshold(self):
+        geom = ph.square_geometry(6.0, 48)
+        a = ph.wigner_from_fock(ph.fock_state(0, 8), geom)
+        b = ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom)
+        _, threshold, band = ph.moyal_witness(a, b, geom, (1e-5, None))
+        l1_a, l1_b = (ph.grid_integral(np.abs(w.values), geom) for w in (a, b))
+        assert band == ph.uncertainty_band(geom, 1e-5, 0.0, l1_a, l1_b)
+        assert threshold == max(band, ph.MOYAL_NUMERICAL_FLOOR)
+
 
 class TestZeroCoherenceOrders:
     def test_commuting_fock_pair_is_an_exact_zero_grid_on_any_extent(self):

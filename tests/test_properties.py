@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from functools import partial
 from unittest import mock
 
@@ -130,17 +131,34 @@ def lattice_geometries(draw):
                         p0, p0 + extent, draw(st.integers(4, 48)), draw(st.integers(4, 48)))
 
 
+@dataclass(frozen=True)
+class GivenRows(GridGeometry):
+    """A grid whose x values are the given rows. A 2-row
+    GridGeometry(x0, x_max, ...) has x0 plus half of a rounded x_max - x0 as
+    its second row, which for about 1 pair of rows in 750 no x_max puts on
+    the other grid's point."""
+
+    rows: tuple = ()
+
+    def xs(self) -> np.ndarray:
+        return np.array(self.rows)
+
+
 @PROPERTY_SETTINGS
-@given(geom=lattice_geometries(), data=st.data(), cutoff=st.integers(2, 14),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_fock_series_value_depends_only_on_its_point(geom, data, cutoff, seed):
+@given(geom=lattice_geometries(), cutoff=st.integers(2, 14), support=st.integers(0, 12),
+       row=st.integers(0, 63), seed=st.integers(0, 2 ** 32 - 1))
+@example(geom=GridGeometry(-7.0, -0.1744494658412501, -7.0, -5.0, 26, 16), cutoff=2,
+         support=0, row=24, seed=0)
+def test_fock_series_value_depends_only_on_its_point(geom, cutoff, support, row, seed):
     # the series runs once per distinct radius of the grid; rows i and i+1
-    # on a 2-row grid over the same points hold other radii, and must read
-    # the same values
-    op = random_fock_density(cutoff, data.draw(st.integers(0, cutoff - 2)), seed)
-    i = data.draw(st.integers(0, geom.nx - 2))
-    x0 = geom.xs()[i]
-    pair = GridGeometry(x0, x0 + 2 * geom.dx, geom.p_min, geom.p_max, 2, geom.np)
+    # on a 2-row grid over the same points, bit for bit, hold other radii
+    # and must read the same values
+    op = random_fock_density(cutoff, support % (cutoff - 1), seed)
+    i = row % (geom.nx - 1)
+    x0, x1 = geom.xs()[i:i + 2]
+    pair = GivenRows(x0, x1 + (x1 - x0), geom.p_min, geom.p_max, 2, geom.np, rows=(x0, x1))
+    assert pair.xs().tobytes() == geom.xs()[i:i + 2].tobytes()
+    assert pair.ps().tobytes() == geom.ps().tobytes()
     for transform in (wigner_from_fock, char_from_fock):
         full = transform(op, geom).values
         rows = transform(op, pair).values
