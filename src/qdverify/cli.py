@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
-from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
+from .povm import DEFAULT_POVM_SEED, default_ic_povm, default_kind, dual_frame
 from .statefile import (format_complex, format_float, load, render, resolve_path,
                         shot_record_doc, wigner_grid_doc, write)
 
@@ -65,7 +65,7 @@ def cmd_verify_dv(args) -> int:
     if rho.bipartition is None:
         raise ParseError("verify-dv needs a bipartition in the state file")
     dim_a = rho.bipartition[0]
-    kind = args.povm or ("sic" if dim_a == 2 else "random")
+    kind = args.povm or default_kind(dim_a)
     povm = default_ic_povm(dim_a, seed=args.povm_seed, kind=kind)
     ensemble = dv.condition_on_povm(rho, povm)
     verdict = dv.verify_commutativity(ensemble, threshold=args.threshold)

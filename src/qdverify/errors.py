@@ -42,8 +42,8 @@ class Unphysical(QdvError):
     """Covariance matrix violates the uncertainty constraint."""
 
 
-class GridTooLarge(QdvError):
-    """A phase-space grid would need more memory than the machine has."""
+class TooLarge(QdvError):
+    """A step would need more memory than the machine has."""
 
 
 class DegenerateOutcomes(QdvError):

@@ -70,61 +70,28 @@ class GaussianState:
 
 
 @dataclass
-class LocalOps:
-    """Per-mode symplectics of the standard-form reduction.
-
-    Each mode undergoes rotation(theta1), then squeeze(r), then
-    rotation(theta2); the reduction maps cov to L cov L^T with
-    L = blockdiag(L_A, L_B).
-    """
-
-    theta_a1: float
-    theta_b1: float
-    r_a: float
-    r_b: float
-    theta_a2: float
-    theta_b2: float
-
-    def mode_a(self) -> np.ndarray:
-        return _rot(self.theta_a2) @ _squeeze(self.r_a) @ _rot(self.theta_a1)
-
-    def mode_b(self) -> np.ndarray:
-        return _rot(self.theta_b2) @ _squeeze(self.r_b) @ _rot(self.theta_b1)
-
-    def matrix(self) -> np.ndarray:
-        return _local(self.mode_a(), self.mode_b())
-
-
-@dataclass
 class StandardForm:
+    """A = aI, B = bI, C = diag(c, d), reached from the input covariance
+    cov by the local symplectic `local`: local @ cov @ local.T ~ as_cov()."""
+
     a: float
     b: float
     c: float
     d: float
-    local_ops: LocalOps
+    local: np.ndarray
 
     def as_cov(self) -> np.ndarray:
         return np.diag([self.a, self.a, self.b, self.b]) + np.block([
             [np.zeros((2, 2)), np.diag([self.c, self.d])],
             [np.diag([self.c, self.d]), np.zeros((2, 2))]])
 
-    def reconstruct_input(self) -> np.ndarray:
-        """Undo the local operations, recovering the original covariance."""
-        ops = self.local_ops
-        inv = _local(_rot(-ops.theta_a1) @ _squeeze(-ops.r_a) @ _rot(-ops.theta_a2),
-                     _rot(-ops.theta_b1) @ _squeeze(-ops.r_b) @ _rot(-ops.theta_b2))
-        return inv @ self.as_cov() @ inv.T
-
 
 @dataclass
 class PeakTestResult:
-    outcome_1: complex
-    outcome_2: complex
     peak_1: complex
     peak_2: complex
     separation: float
     verdict: str
-    tol: float
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -188,10 +155,10 @@ def standard_form(g: GaussianState) -> StandardForm:
     s3 = _local(_rot(theta_a2), _rot(theta_b2))
     cov = s3 @ cov @ s3.T
 
-    ops = LocalOps(theta_a1, theta_b1, r_a, r_b, theta_a2, theta_b2)
     a = 0.5 * (cov[0, 0] + cov[1, 1])
     b = 0.5 * (cov[2, 2] + cov[3, 3])
-    return StandardForm(float(a), float(b), float(cov[0, 2]), float(cov[1, 3]), ops)
+    return StandardForm(float(a), float(b), float(cov[0, 2]), float(cov[1, 3]),
+                        s3 @ s2 @ s1)
 
 
 def _c_diagonalizing_rotations(c: np.ndarray) -> Tuple[float, float]:
@@ -219,8 +186,9 @@ def heterodyne_condition(sf: StandardForm,
                          outcome: complex) -> Tuple[np.ndarray, np.ndarray]:
     """Conditional Gaussian of mode 2 after heterodyne outcome on mode 1.
 
-    Returns (mean, cov) of the conditional state: the Schur complement
-    mean = G (x1', p1') and cov = B - G C, with G = C^T (A + I/4)^{-1}.
+    Returns (mean, cov) of the conditional state of the zero-mean state:
+    the Schur complement mean = G (x1', p1') and cov = B - G C, with
+    G = C^T (A + I/4)^{-1}.
     """
     cov = sf.as_cov()
     gain = np.linalg.solve(cov[:2, :2] + VACUUM_VARIANCE * np.eye(2), cov[:2, 2:]).T
@@ -261,7 +229,7 @@ def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
     gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
     verdict = NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO
     sep = abs(p1 - p2)
-    return PeakTestResult(out1, out2, p1, p2, sep, verdict, tol)
+    return PeakTestResult(p1, p2, sep, verdict)
 
 
 def zero_discord_decision(g: GaussianState, tol: float = DEFAULT_DECISION_TOL) -> bool:

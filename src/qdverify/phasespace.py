@@ -34,8 +34,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (DimMismatch, DomainError, GeometryMismatch, GridTooLarge,
-                     TruncationTail, UnresolvedGrid)
+from .errors import (DimMismatch, DomainError, GeometryMismatch, TooLarge, TruncationTail,
+                     UnresolvedGrid)
 from .linalg import dag, physical_memory_bytes
 
 CONVENTION_TAG = "vacuum-variance=1/4"
@@ -46,7 +46,6 @@ TAIL_TOL = 1e-6
 
 DEFAULT_EXTENT = 6.0
 DEFAULT_POINTS = 128
-DEFAULT_CUTOFF = 12
 
 # Complex max(nx, np)^2 arrays alive at once on a Moyal route. The star
 # product traces 7 at 96-200 points, and with moyal_witness's resolution
@@ -368,14 +367,14 @@ def admit_moyal(geom: GridGeometry) -> None:
 
     No array of the route has more than max(nx, np)^2 complex entries, and
     at most MOYAL_GRID_ARRAYS of them are alive at once. Raises
-    GridTooLarge; call it before allocating anything grid-sized.
+    TooLarge; call it before allocating anything grid-sized.
     """
     need = 16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2
     have = physical_memory_bytes()
     if need > have:
-        raise GridTooLarge(f"a {geom.nx}x{geom.np} grid needs about "
-                           f"{need / 2 ** 30:.3g} GiB for the Moyal route; "
-                           f"physical memory is {have / 2 ** 30:.3g} GiB")
+        raise TooLarge(f"a {geom.nx}x{geom.np} grid needs about "
+                       f"{need / 2 ** 30:.3g} GiB for the Moyal route; "
+                       f"physical memory is {have / 2 ** 30:.3g} GiB")
 
 
 def _require_same_geometry(a, b) -> GridGeometry:

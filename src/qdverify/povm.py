@@ -176,12 +176,16 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
 DEFAULT_POVM_SEED = 20240
 
 
+def default_kind(dim: int) -> str:
+    """The default measurement's kind: the SIC for qubits, random otherwise."""
+    return "sic" if dim == 2 else "random"
+
+
 def default_ic_povm(dim: int, seed: int = DEFAULT_POVM_SEED,
                     kind: str | None = None) -> Povm:
-    """Default measurement: the SIC for qubits, a random IC-POVM otherwise."""
-    if kind is None:
-        kind = "sic" if dim == 2 else "random"
-    if kind == "sic":
+    """The qubit SIC or a seeded random IC-POVM, as kind (by default
+    default_kind(dim)) says."""
+    if (kind or default_kind(dim)) == "sic":
         if dim != 2:
             raise DimMismatch("the SIC construction here is qubit-only")
         return sic_qubit()

@@ -14,8 +14,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
-from .linalg import DensityOperator, commutator, dag, frobenius_norm, hermitian_eig
+from .errors import (DimMismatch, DomainError, InsufficientOutcomes, TooLarge,
+                     check_threshold)
+from .linalg import (DensityOperator, commutator, dag, frobenius_norm, hermitian_eig,
+                     physical_memory_bytes)
 from .povm import Povm, reconstruct
 from .dv import (
     CONSISTENT_WITH_ZERO,
@@ -172,12 +174,22 @@ def significant_commutativity(est: EstimatedConditionals,
     z = 0: its norm is at or below the floor too (no gradient), or its rows
     hold so few counts that the plug-in covariance vanishes, and then the
     sample says nothing about the norm. z_threshold must be finite and
-    nonnegative (DomainError).
+    nonnegative (DomainError). A sweep that would need more than physical
+    memory is refused before it allocates (TooLarge).
     """
     check_threshold("z_threshold", z_threshold)
     pairs = est.ensemble.pairs()
     if not len(pairs):
         raise InsufficientOutcomes("need at least two conditional states")
+    # the sweep's largest stacks: (P, K, d, d) complex gradient products, then
+    # two (P, K, K) float covariances at a time
+    n_effects, dim = est.duals_b.shape[:2]
+    need = 16 * len(pairs) * n_effects * max(n_effects, dim * dim)
+    have = physical_memory_bytes()
+    if need > have:
+        raise TooLarge(f"{len(pairs)} conditional pairs over {n_effects} B effects "
+                       f"need about {need / 2 ** 30:.3g} GiB for the significance "
+                       f"test; physical memory is {have / 2 ** 30:.3g} GiB")
     j, k = pairs.T
     states = est.ensemble.states
     norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)

@@ -167,7 +167,7 @@ def test_06_char_route_matches_moyal():
 def test_07_gaussian_peak_formula():
     with criterion(7, "peak formula matches 2-D integration <= 1e-6 on 20 forms "
                       "and the worked case gives 1/3"):
-        worked = gs.StandardForm(0.5, 0.5, 0.25, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        worked = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
         got = gs.peak(worked, 1.0 + 1.0j)
         assert got == pytest.approx(complex(1 / 3, 0.0), abs=1e-12)
         oracle = integration_peak_oracle(0.5, 0.5, 0.25, 0.0, 1.0, 1.0)

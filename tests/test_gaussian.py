@@ -65,10 +65,8 @@ class TestStandardForm:
         assert sf.b == pytest.approx(np.cosh(2 * r) / 4, abs=1e-12)
         assert sf.c == pytest.approx(np.sinh(2 * r) / 4, abs=1e-12)
         assert sf.d == pytest.approx(-np.sinh(2 * r) / 4, abs=1e-12)
-        ops = sf.local_ops
-        for angle in (ops.theta_a1, ops.theta_b1, ops.theta_a2, ops.theta_b2):
-            assert angle == pytest.approx(0.0, abs=1e-12)
-        assert ops.r_a == 0.0 and ops.r_b == 0.0
+        # already in standard form: every stage is skipped, not just near-identity
+        np.testing.assert_array_equal(sf.local, np.eye(4))
 
     def test_local_ops_invariance(self):
         # local rotations and squeezers on TMSV leave (a, b, |c|, |d|) alone
@@ -92,8 +90,8 @@ class TestStandardForm:
             sf = gs.standard_form(state)
             cov = sf.as_cov()
             assert sf.c >= 0.0
-            # reconstruct the reduction: apply recorded ops to the input
-            s = sf.local_ops.matrix()
+            # reconstruct the reduction: apply the recorded local symplectic
+            s = sf.local
             reduced = s @ state.cov @ s.T
             np.testing.assert_allclose(reduced, cov, atol=1e-10)
 
@@ -102,7 +100,8 @@ class TestStandardForm:
         for _ in range(20):
             state = gs.random_physical_state(rng)
             sf = gs.standard_form(state)
-            np.testing.assert_allclose(sf.reconstruct_input(), state.cov, atol=1e-9)
+            inv = np.linalg.inv(sf.local)
+            np.testing.assert_allclose(inv @ sf.as_cov() @ inv.T, state.cov, atol=1e-9)
 
     def test_symplectic_invariants_preserved(self):
         rng = np.random.default_rng(7)
@@ -152,8 +151,7 @@ class TestHeterodyneCondition:
         np.testing.assert_allclose(cov0, cov1)
 
     def test_worked_case(self):
-        sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0,
-                             gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
         mean, cov = gs.heterodyne_condition(sf, 1.0 + 1.0j)
         # b - c^2/(a + 1/4) = 1/2.4 and c/(a + 1/4) = 1/3 for the x sector
         assert cov[0, 0] == pytest.approx(1 / 2.4, rel=1e-12)
@@ -183,7 +181,7 @@ class TestPeak:
         assert gs.peak(sf, 1.5 - 0.5j) == 0.0
 
     def test_worked_case_against_integration(self):
-        sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
         got = gs.peak(sf, 1.0 + 1.0j)
         assert got == pytest.approx(complex(1 / 3, 0.0), abs=1e-9)
         oracle = integration_peak_oracle(0.5, 0.5, 0.25, 0.0, 1.0, 1.0)
@@ -196,9 +194,9 @@ class TestPeak:
         assert gs.peak(sf, 2 * out) == 2 * gs.peak(sf, out)
 
     def test_zero_components_follow_c_and_d(self):
-        sf_c_only = gs.StandardForm(0.5, 0.6, 0.2, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf_c_only = gs.StandardForm(0.5, 0.6, 0.2, 0.0, np.eye(4))
         assert gs.peak(sf_c_only, 1.0 + 1.0j).imag == 0.0
-        sf_d_only = gs.StandardForm(0.5, 0.6, 0.0, 0.2, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf_d_only = gs.StandardForm(0.5, 0.6, 0.0, 0.2, np.eye(4))
         assert gs.peak(sf_d_only, 1.0 + 1.0j).real == 0.0
 
 
@@ -217,7 +215,7 @@ class TestPeakCoincidence:
         assert res.separation == pytest.approx(abs(lam * (1 - 1j)), rel=1e-12)
 
     def test_degenerate_outcomes_rejected(self):
-        sf = gs.StandardForm(0.5, 0.5, 0.2, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf = gs.StandardForm(0.5, 0.5, 0.2, 0.0, np.eye(4))
         with pytest.raises(DegenerateOutcomes):
             gs.peak_coincidence_test(sf, 0.0 + 0.0j, 0.0 + 1.0j, tol=1e-9)
         with pytest.raises(DegenerateOutcomes):
@@ -226,7 +224,7 @@ class TestPeakCoincidence:
     def test_overflowing_peaks_rejected(self):
         # a physical gain c/(a + 1/4) of 8 puts the peak of a finite
         # outcome of 1e308 past the largest double
-        sf = gs.StandardForm(0.5, 100.0, 6.0, 0.0, gs.LocalOps(0, 0, 0, 0, 0, 0))
+        sf = gs.StandardForm(0.5, 100.0, 6.0, 0.0, np.eye(4))
         assert gs.validate_physical(gs.GaussianState(np.zeros(4), sf.as_cov()))
         with pytest.raises(DomainError, match="overflow"):
             gs.peak_coincidence_test(sf, 1e308 + 0.0j, 0.0 + 1.0j, tol=1e-9)

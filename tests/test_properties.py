@@ -529,6 +529,18 @@ def test_standard_form_preserves_local_invariants(seed, product):
 
 
 @PROPERTY_SETTINGS
+@given(seed=seeds, product=st.booleans())
+def test_standard_form_local_is_a_local_symplectic_onto_the_form(seed, product):
+    state = gaussian.random_physical_state(np.random.default_rng(seed), product)
+    sf = gaussian.standard_form(state)
+    s = sf.local
+    assert not s[:2, 2:].any() and not s[2:, :2].any()
+    assert np.max(np.abs(s @ gaussian.OMEGA @ s.T - gaussian.OMEGA)) <= 1e-12
+    cov = sf.as_cov()
+    assert np.max(np.abs(s @ state.cov @ s.T - cov)) <= 1e-10 * np.max(np.abs(cov))
+
+
+@PROPERTY_SETTINGS
 @given(seed=seeds, product=st.booleans(), outcome=st.complex_numbers(max_magnitude=10.0))
 def test_heterodyne_condition_is_the_standard_form_schur_complement(seed, product, outcome):
     # with A = aI and C = diag(c, d), G = C^T (A + I/4)^{-1} is diagonal
