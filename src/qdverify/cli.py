@@ -19,8 +19,7 @@ from typing import Optional
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
 from .povm import DEFAULT_POVM_SEED, default_ic_povm, default_kind, dual_frame
-from .statefile import (format_complex, format_float, load, render, resolve_path,
-                        shot_record_doc, wigner_grid_doc, write)
+from .statefile import load, render, resolve_path, shot_record_doc, wigner_grid_doc, write
 
 
 def _parse_outcomes(text: str):
@@ -72,12 +71,12 @@ def cmd_verify_dv(args) -> int:
     return _report("dv_exact", path, {
         "verdict": verdict.verdict,
         "witnesses": {
-            "max_commutator_norm": format_float(verdict.max_commutator_norm),
-            "witness_pair": list(verdict.witness_pair) if verdict.witness_pair else None,
+            "max_commutator_norm": verdict.max_commutator_norm,
+            "witness_pair": verdict.witness_pair,
             "anchor_index": verdict.anchor_index,
             "checked_pairs": verdict.checked_pairs,
         },
-        "thresholds": {"commutator_norm": format_float(verdict.threshold)},
+        "thresholds": {"commutator_norm": verdict.threshold},
         "seeds": {"povm_kind": kind, "povm_seed": args.povm_seed},
     })
 
@@ -92,19 +91,19 @@ def cmd_verify_gaussian(args) -> int:
     return _report("gaussian_peak", path, {
         "verdict": result.verdict,
         "witnesses": {
-            "standard_form": {k: format_float(getattr(form, k)) for k in "abcd"},
-            "peak_1": format_complex(result.peak_1),
-            "peak_2": format_complex(result.peak_2),
-            "separation": format_float(result.separation),
-            "outcome_1": format_complex(out1),
-            "outcome_2": format_complex(out2),
+            "standard_form": {k: getattr(form, k) for k in "abcd"},
+            "peak_1": result.peak_1,
+            "peak_2": result.peak_2,
+            "separation": result.separation,
+            "outcome_1": out1,
+            "outcome_2": out2,
             "cov_block_decision": {
                 "pipeline": "gaussian_cov",
-                "zero_discord": bool(cov_zero),
-                "max_abs_cross_block": format_float(float(abs(state.block_c).max())),
+                "zero_discord": cov_zero,
+                "max_abs_cross_block": abs(state.block_c).max(),
             },
         },
-        "thresholds": {"peak_shift_per_outcome_shift": format_float(args.tol)},
+        "thresholds": {"peak_shift_per_outcome_shift": args.tol},
         "seeds": {},
     })
 
@@ -124,25 +123,17 @@ def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
     path_a, a, err_a = _load_moyal_input(args.state_a)
     path_b, b, err_b = _load_moyal_input(args.state_b)
-    comm, threshold, band = phasespace.moyal_witness(a, b, geom, (err_a, err_b),
-                                                     (path_a, path_b))
-    value, loc = phasespace.grid_max_abs(comm)
+    w = phasespace.moyal_witness(a, b, geom, (err_a, err_b), (path_a, path_b))
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
-    write(out_path, wigner_grid_doc(comm))
-    witnesses = {
-        "grid_max_abs": format_float(value),
-        "location": [loc[0], loc[1]],
-        "emitted_grid": out_path,
-    }
-    if band is not None:
-        witnesses["uncertainty_band"] = format_float(band)
-        witnesses["significant"] = bool(value > band)
-    verdict = dv.NONZERO_DISCORD if value > threshold else dv.CONSISTENT_WITH_ZERO
+    write(out_path, wigner_grid_doc(w.grid))
+    witnesses = {"grid_max_abs": w.max_abs, "location": w.location, "emitted_grid": out_path}
+    if w.band is not None:
+        witnesses.update(uncertainty_band=w.band, significant=w.significant)
     return _report("cv_moyal", path_a, {
         "input_digest_b": _digest(path_b),
-        "verdict": verdict,
+        "verdict": w.verdict,
         "witnesses": witnesses,
-        "thresholds": {"grid_max_abs": format_float(threshold)},
+        "thresholds": {"grid_max_abs": w.threshold},
         "seeds": {},
     })
 
@@ -175,12 +166,12 @@ def cmd_tomo(args) -> int:
         "significance_convention": "z = commutator norm / propagated stderr, "
                                    "maximized over conditional pairs",
         "witnesses": {
-            "max_norm": format_float(verdict.max_norm),
-            "norm_stderr": format_float(verdict.norm_stderr),
-            "z_score": format_float(verdict.z_score),
-            "witness_pair": list(verdict.witness_pair) if verdict.witness_pair else None,
+            "max_norm": verdict.max_norm,
+            "norm_stderr": verdict.norm_stderr,
+            "z_score": verdict.z_score,
+            "witness_pair": verdict.witness_pair,
         },
-        "thresholds": {"z": format_float(verdict.z_threshold)},
+        "thresholds": {"z": verdict.z_threshold},
         "seeds": {
             "sampling_seed": record.seed,
             "povm_seed": args.povm_seed,
@@ -212,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "two-mode Gaussian state")
     p.add_argument("state")
     p.add_argument("--outcomes", required=True,
-                   help="two heterodyne outcomes as 'x1,p1;x1p,p1p'")
+                   help="two heterodyne outcomes, as --outcomes='x1,p1;x2,p2' (this "
+                   "form also takes a leading minus)")
     p.add_argument("--tol", type=float, default=gaussian.DEFAULT_DECISION_TOL)
     p.set_defaults(func=cmd_verify_gaussian)
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import DegenerateOutcomes, DomainError, Unphysical, check_threshold
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
 from .linalg import hermitian_eig
-from .phasespace import CONVENTION_TAG  # noqa: F401  (re-exported: Gaussian files carry it)
 
 VACUUM_VARIANCE = 0.25
 

@@ -16,7 +16,8 @@ The commutator witness W_{kk'} is the Wigner-like function of
   factorizes. This is the route for grid inputs.
 
 moyal_witness decides between the two for a pair of inputs, refuses a
-grid too coarse or too small for them, and sets the verdict threshold.
+grid too coarse or too small for them, and returns the route's verdict
+with its witnesses as one MoyalWitness record.
 
 char_from_fock and the symplectic transforms give the characteristic
 route. The literal lattice sums that check both routes are test oracles,
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
 from .errors import (DimMismatch, DomainError, GeometryMismatch, TooLarge, TruncationTail,
                      UnresolvedGrid)
 from .linalg import dag, physical_memory_bytes
@@ -459,9 +461,22 @@ def _outer_bands(w: WignerGrid) -> WignerGrid:
     return WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
 
 
+@dataclass(frozen=True)
+class MoyalWitness:
+    """The Moyal route's verdict on two inputs and the witnesses behind it."""
+
+    grid: CommutatorGrid
+    max_abs: float                  # largest |grid value|, first occurrence
+    location: Tuple[int, int]       # its index
+    threshold: float
+    band: Optional[float]           # None for exact inputs
+    significant: Optional[bool]     # max_abs > band; None without a band
+    verdict: str
+
+
 def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b")):
-    """(commutator grid, verdict threshold, uncertainty band or None) of two
-    inputs, each a FockOperator or a WignerGrid.
+    """The MoyalWitness of two inputs, each a FockOperator or a WignerGrid:
+    NONZERO_DISCORD when their commutator grid's largest |value| exceeds the threshold.
 
     Two Fock operators are commuted in Fock space on geom, exactly. Any
     other pair goes through the star product on the grid input's geometry,
@@ -480,26 +495,30 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b"
     The route's memory is admitted once, on the geometry it runs on, before
     anything grid-sized is allocated.
     """
+    threshold, band = MOYAL_NUMERICAL_FLOOR, None
     if isinstance(a, FockOperator) and isinstance(b, FockOperator):
         admit_moyal(geom)
-        return fock_commutator(a, b, geom), MOYAL_NUMERICAL_FLOOR, None
-    geom = (a if isinstance(a, WignerGrid) else b).geometry
-    admit_moyal(geom)
-    a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
-            for x in (a, b))
-    threshold, band = MOYAL_NUMERICAL_FLOOR, None
-    if any(s is not None for s in stderr):
-        l1_a, l1_b = (grid_integral(np.abs(w.values), geom) for w in (a, b))
-        band = uncertainty_band(geom, stderr[0] or 0.0, stderr[1] or 0.0, l1_a, l1_b)
-        threshold = max(band, threshold)
-    comm = moyal_commutator(a, b)
-    for name, w, partner in ((names[0], a, b), (names[1], b, a)):
-        v = np.abs(w.values)
-        edge = float(max(v[[0, -1]].max(), v[:, [0, -1]].max()))
-        aliasing = grid_max_abs(moyal_commutator(_outer_bands(w), partner))[0]
-        if max(edge, aliasing) > threshold:
-            raise UnresolvedGrid(
-                f"{name}: the grid cannot resolve this input (edge value "
-                f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
-                f"{threshold:.3g}); widen the extent or add points")
-    return comm, threshold, band
+        comm = fock_commutator(a, b, geom)
+    else:
+        geom = (a if isinstance(a, WignerGrid) else b).geometry
+        admit_moyal(geom)
+        a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
+                for x in (a, b))
+        if any(s is not None for s in stderr):
+            l1_a, l1_b = (grid_integral(np.abs(w.values), geom) for w in (a, b))
+            band = uncertainty_band(geom, stderr[0] or 0.0, stderr[1] or 0.0, l1_a, l1_b)
+            threshold = max(band, threshold)
+        comm = moyal_commutator(a, b)
+        for name, w, partner in ((names[0], a, b), (names[1], b, a)):
+            v = np.abs(w.values)
+            edge = float(max(v[[0, -1]].max(), v[:, [0, -1]].max()))
+            aliasing = grid_max_abs(moyal_commutator(_outer_bands(w), partner))[0]
+            if max(edge, aliasing) > threshold:
+                raise UnresolvedGrid(
+                    f"{name}: the grid cannot resolve this input (edge value "
+                    f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
+                    f"{threshold:.3g}); widen the extent or add points")
+    value, loc = grid_max_abs(comm)
+    return MoyalWitness(comm, value, loc, threshold, band,
+                        None if band is None else bool(value > band),
+                        NONZERO_DISCORD if value > threshold else CONSISTENT_WITH_ZERO)

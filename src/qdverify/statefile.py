@@ -11,11 +11,11 @@ one space per level, "," ending each line but the last, ": " after keys,
 empty containers as {} and [], non-ASCII as \\u escapes, and one final
 newline. Reports use the same writer.
 
-The *_doc functions hold every matrix and vector of a file (a grid's values,
-a Gaussian mean and covariance, a complex matrix as its [re, im] pairs) as a
-finite float array of its own, which render writes as the nested lists of its
-17-digit strings in one call. A document is therefore input for render and
-write, not a JSON tree: json.loads(render(doc)) is its tree.
+The writer, not the *_doc builders or the reports, formats and checks every
+number: floats, complex values, and float or complex arrays, an array in one
+call. It refuses a non-finite value with ParseError, and what json.dumps
+refuses with TypeError. So a document is input for render and write, not a
+JSON tree: json.loads(render(doc)) is its tree.
 """
 from __future__ import annotations
 
@@ -40,12 +40,6 @@ KINDS = ("dv_density", "gaussian", "shot_record", "wigner_grid")
 FIXTURE_DIR_ENV = "QDVERIFY_FIXTURE_DIR"
 
 
-def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ParseError(f"cannot serialize non-finite float {x}")
-    return format(float(x), ".17g")
-
-
 def parse_float(s: Any) -> float:
     try:
         x = float(s)
@@ -61,10 +55,6 @@ def parse_int(v: Any, name: str) -> int:
     if type(v) is not int:
         raise ParseError(f"{name} must be an integer, got {v!r}")
     return v
-
-
-def format_complex(z: complex) -> list:
-    return [format_float(z.real), format_float(z.imag)]
 
 
 def _floats_in(rows: Any, what: str) -> np.ndarray:
@@ -93,21 +83,6 @@ def _cmatrix_in(rows: Any) -> np.ndarray:
         raise ParseError(f"complex values are [re, im] pairs; matrix of shape "
                          f"{pairs.shape}")
     return pairs.view(complex)[..., 0]
-
-
-def _floats_out(m: np.ndarray) -> np.ndarray:
-    """A finite copy of m as floats, which render writes as nested lists of
-    its 17-digit strings."""
-    m = np.array(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ParseError(f"cannot serialize non-finite float {m[~np.isfinite(m)][0]}")
-    return m
-
-
-def _cmatrix_out(m: np.ndarray) -> np.ndarray:
-    # a complex matrix viewed as floats is its [re, im] pairs
-    m = np.ascontiguousarray(m, dtype=complex)
-    return _floats_out(m.view(float).reshape(*m.shape, 2))
 
 
 def _fmatrix_in(rows: Any) -> np.ndarray:
@@ -140,7 +115,7 @@ def dv_density_doc(rho: DensityOperator, fock_cutoff: Optional[int] = None) -> d
         "kind": "dv_density",
         "dim": rho.dim,
         "bipartition": list(rho.bipartition) if rho.bipartition else None,
-        "matrix": _cmatrix_out(rho.matrix),
+        "matrix": rho.matrix,
     }
     if fock_cutoff is not None:
         doc["fock_cutoff"] = int(fock_cutoff)
@@ -152,8 +127,8 @@ def gaussian_doc(g: GaussianState) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "gaussian",
         "convention": CONVENTION_TAG,
-        "mean": _floats_out(g.mean),
-        "cov": _floats_out(g.cov),
+        "mean": g.mean,
+        "cov": g.cov,
     }
 
 
@@ -175,21 +150,19 @@ def wigner_grid_doc(grid, value_stderr: Optional[float] = None) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "wigner_grid",
         "convention": CONVENTION_TAG,
-        "x_min": format_float(geom.x_min),
-        "x_max": format_float(geom.x_max),
-        "p_min": format_float(geom.p_min),
-        "p_max": format_float(geom.p_max),
+        # float fields, also where a caller gave integers
+        **{k: float(getattr(geom, k)) for k in ("x_min", "x_max", "p_min", "p_max")},
         "nx": geom.nx,
         "np": geom.np,
-        "values": _floats_out(grid.values),
+        "values": grid.values,
     }
     if value_stderr is not None:
-        doc["value_stderr"] = format_float(value_stderr)
+        doc["value_stderr"] = float(value_stderr)
     return doc
 
 
 def _povm_doc(p: Povm) -> dict:
-    return {"dim": p.dim, "effects": [_cmatrix_out(e) for e in p.effects]}
+    return {"dim": p.dim, "effects": list(p.effects)}
 
 
 def _povm_in(doc: Any) -> Povm:
@@ -219,12 +192,19 @@ def _float_layout(shape: tuple, indent: str) -> str:
 
 
 def _emit(v: Any, indent: str) -> str:
-    # json.dumps' indent layout, which its C encoder does not write; a float
-    # array is written as nested lists of its format(v, ".17g") strings,
-    # formatted in one call
+    # json.dumps' indent layout, which its C encoder does not write; a float is
+    # its format(v, ".17g") string, a complex value the [re, im] pair of them,
+    # and an array the nested lists of those, formatted in one call
     if isinstance(v, str):
         return _quote(v)
-    if isinstance(v, np.ndarray) and v.dtype == float:
+    if isinstance(v, (float, complex, np.floating, np.complexfloating)):
+        v = np.array(v)
+    if isinstance(v, np.ndarray) and v.dtype.kind in "fc":
+        if v.dtype.kind == "c":
+            # a complex array viewed as floats is its [re, im] pairs
+            v = np.ascontiguousarray(v, dtype=complex).view(float).reshape(v.shape + (2,))
+        if not np.all(np.isfinite(v)):
+            raise ParseError(f"cannot serialize non-finite float {v[~np.isfinite(v)][0]}")
         return _float_layout(v.shape, indent) % tuple(v.ravel().tolist())
     if not isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
@@ -245,8 +225,9 @@ def render(doc: dict) -> str:
 
 
 def write(path: str, doc: dict) -> None:
+    text = render(doc)      # a refused document leaves no file behind
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(render(doc))
+        fh.write(text)
 
 
 def resolve_path(path: str) -> str:

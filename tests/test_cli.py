@@ -124,6 +124,18 @@ class TestVerifyGaussian:
         assert doc["verdict"] == "NONZERO_DISCORD"
         assert doc["witnesses"]["cov_block_decision"]["zero_discord"] is False
 
+    def test_leading_minus_outcomes_in_the_equals_form(self, capsys, workdir):
+        # after a space argparse reads "-1,-1;..." as an option, so the help
+        # text shows the --outcomes=... form, which takes it
+        path = write_fixture(workdir / "tmsv_r05.state",
+                             statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
+        code, out, _ = run(capsys, "verify-gaussian", path, "--outcomes=-1,-1;1.3,0.4")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
+        with pytest.raises(SystemExit):
+            main(["verify-gaussian", "--help"])
+        assert "--outcomes='x1,p1;x2,p2'" in capsys.readouterr().out
+
     @pytest.mark.parametrize("outcomes", ["1e308,1e308;-1e308,-1e308", "nan,0;1,1"],
                              ids=["difference_overflows", "nan"])
     def test_non_finite_outcomes_exit_2(self, capsys, workdir, outcomes):

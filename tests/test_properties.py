@@ -4,9 +4,11 @@ per-row formulas, the soundness of the DV test,
 Fock-space displacement elements, the Fock-space commutator route, no
 false NONZERO_DISCORD from `moyal` on commuting grids, state-file round
 trips, standard-form invariants, heterodyne conditioning, rejection of
-malformed input, and the CLI's exit status on mutated shot records."""
+malformed input, and the CLI's exit status on mutated shot records and on
+any arguments and input file."""
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,13 +25,13 @@ import phasespace_oracles as oracles
 from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
-from qdverify.errors import QdvError
+from qdverify.errors import ParseError, QdvError
 from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
                              hermitian_eig, random_density_matrix, random_unitary,
                              validate_states)
 from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, _fock_series,
-                                 char_from_fock, fock_commutator, random_fock_density,
-                                 square_geometry, wigner_from_fock)
+                                 char_from_fock, fock_commutator, fock_state,
+                                 random_fock_density, square_geometry, wigner_from_fock)
 from qdverify.tomo import ShotRecord
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -423,11 +425,32 @@ render_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.te
 @example({"": [], "a": {}, "b": ["x", 1, ["y", "z"], None, 2.5, True],
           "\u00e9\"\\\x01\n": [["1", "2"], ["\u2028", "\\"]], "c": {"d": ["e"]}})
 def test_render_writes_the_json_dumps_layout(doc):
-    assert statefile.render(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    try:
+        tree = _with_float_strings(doc)
+    except ParseError:
+        with pytest.raises(ParseError, match="cannot serialize non-finite float"):
+            statefile.render(doc)
+    else:
+        assert statefile.render(doc) == json.dumps(tree, sort_keys=True, indent=1) + "\n"
+
+
+def _with_float_strings(node):
+    """node with each float leaf as its 17-digit string; ParseError for a
+    non-finite one."""
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise ParseError(f"non-finite float {node}")
+        return format(node, ".17g")
+    if isinstance(node, dict):
+        return {k: _with_float_strings(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_with_float_strings(v) for v in node]
+    return node
 
 
 @pytest.mark.parametrize("value", [np.int64(1), ["a", np.int64(1)], {"k": [np.int64(2)]},
-                                   object()], ids=["int64", "in_list", "nested", "object"])
+                                   object(), np.bool_(True), np.arange(3)],
+                         ids=["int64", "in_list", "nested", "object", "bool_", "int_array"])
 def test_render_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value)
@@ -513,7 +536,7 @@ def test_grid_values_write_the_json_dumps_layout(values):
     # gives the nested lists of its format(v, ".17g") strings
     doc = statefile.wigner_grid_doc(
         WignerGrid(GridGeometry(-1.0, 1.0, -2.0, 2.0, *values.shape), values))
-    tree = {**doc, "values": [[format(v, ".17g") for v in row] for row in values.tolist()]}
+    tree = _with_float_strings({**doc, "values": values.tolist()})
     assert statefile.render(doc) == json.dumps(tree, sort_keys=True, indent=1) + "\n"
 
 
@@ -708,8 +731,9 @@ def mutated_shot_records(draw):
     sic = povm.sic_qubit()
     counts = np.array(draw(st.lists(st.lists(st.integers(0, 50), min_size=4, max_size=4),
                                     min_size=4, max_size=4)))
-    doc = statefile.shot_record_doc(
-        ShotRecord(sic, sic, counts, int(counts.sum()), draw(st.integers(0, 2 ** 31))))
+    # a JSON tree, so that a float count is written as a JSON number
+    doc = json.loads(statefile.render(statefile.shot_record_doc(
+        ShotRecord(sic, sic, counts, int(counts.sum()), draw(st.integers(0, 2 ** 31))))))
     how = draw(st.sampled_from(["count", "float", "bool", "string", "negative", "huge",
                                 "ragged", "total"]))
     row = doc["counts"][draw(st.integers(0, 3))]
@@ -743,10 +767,116 @@ def test_mutated_shot_records_exit_0_or_2(case):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rec.shots.json")
-        statefile.write(path, doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["tomo", path])
     assert code in ((0, 2) if valid else (2,))
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+FLAG_VALUES = ["-1", "0", "1e308", "nan", "inf", "-0", "1" * 20, "x"]
+BAD_OUTCOMES = ["", ";", "1,2", "1,2;3", "a,b;c,d", "1,2;3,4;5,6", "1,2,3;4,5",
+                "nan,0;1,1", "0,inf;1,1", "1e308,1;-1e308,2", "0,0;0,1", "1,1;1,1"]
+
+
+def _values(*valid, sizes=False):
+    """A valid value or an edge value, evenly; sizes drops the 20-digit one."""
+    return st.sampled_from(valid) | st.sampled_from(
+        [v for v in FLAG_VALUES if not (sizes and v == "1" * 20)])
+
+
+COMMAND_FLAGS = {
+    "verify-dv": {"--povm": st.sampled_from(["sic", "random", "x"]),
+                  "--povm-seed": _values("7"), "--threshold": _values("1e-9")},
+    "verify-gaussian": {"--outcomes": _values("0,0;1,1", "-1,-1;1.3,0.4")
+                        | st.sampled_from(BAD_OUTCOMES),
+                        "--tol": _values("1e-9")},
+    "moyal": {"--extent": _values("6"), "--points": _values("2", "16", "64", sizes=True)},
+    "tomo": {"--shots": _values("100", "10000", sizes=True), "--seed": _values("3"),
+             "--z": _values("5"), "--povm-seed": _values("7")},
+}
+COMMANDS_OF_KIND = {"dv_density": ["moyal", "tomo", "verify-dv"],
+                    "gaussian": ["verify-gaussian"], "shot_record": ["tomo"],
+                    "wigner_grid": ["moyal"]}
+
+
+@st.composite
+def cli_inputs(draw):
+    """A valid document, or one that each command runs on: a Bell pair, a
+    two-mode squeezed vacuum, a Fock vacuum and a vacuum grid with a value
+    error."""
+    if draw(st.booleans()):
+        return draw(state_documents())
+    vacuum = fock_state(0, 3)
+    return draw(st.sampled_from([
+        statefile.dv_density_doc(dv.generate_maximally_entangled(2)),
+        statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)),
+        statefile.dv_density_doc(DensityOperator(vacuum.matrix), fock_cutoff=3),
+        statefile.wigner_grid_doc(wigner_from_fock(vacuum, square_geometry(6.0, 40)),
+                                  value_stderr=1e-9),
+    ]))
+
+
+@st.composite
+def cli_cases(draw):
+    """(command line without its input paths, input document tree): mostly
+    a command that takes the document's kind, each of its flags at most once
+    with its value as one argument (--flag=value) or two, and the document
+    after up to three edits: a key dropped, a leaf replaced, or a list item
+    dropped or duplicated."""
+    tree = json.loads(statefile.render(draw(cli_inputs())))
+    command = draw(st.sampled_from(COMMANDS_OF_KIND[tree["kind"]])
+                   | st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(flags[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if command == "moyal" and not any(a.startswith("--points") for a in argv):
+        argv.append("--points=16")
+    if command == "verify-gaussian" and not any(a.startswith("--outcomes") for a in argv):
+        argv.append("--outcomes=0,0;1,1")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        path = draw(st.sampled_from(list(_paths(tree))[1:]))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        hows = ["drop", "replace"] + (["duplicate"] if isinstance(parent, list) else [])
+        how = draw(st.sampled_from(hows))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "replace":
+            parent[path[-1]] = draw(json_values)
+        else:
+            parent.insert(path[-1], parent[path[-1]])
+    return argv, tree
+
+
+@PROPERTY_SETTINGS
+@given(cli_cases())
+def test_cli_exits_0_or_2_on_any_arguments_and_file(case):
+    # the exit contract: a QdvError is one stderr line and exit 2, never a
+    # traceback (exit 1); argparse's own refusals exit 2 as well
+    argv, tree = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.state")
+        with open(path, "w") as fh:
+            json.dump(tree, fh)
+        argv = argv[:1] + [path] * (2 if argv[0] == "moyal" else 1) + argv[1:]
+        if argv[0] == "moyal":
+            argv.append("--out=" + os.path.join(tmp, "grid.json"))
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("argparse", exc.code)
+    if code == ("argparse", 2):
+        return
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

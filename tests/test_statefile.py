@@ -15,15 +15,22 @@ class TestFloatFormat:
     @pytest.mark.parametrize("x", [0.0, -0.0, 1 / 3, np.pi, 1e-300, 1e300,
                                    0.1 + 0.2, -2 / 3, 5e-324])
     def test_round_trip_exact(self, x):
-        assert statefile.parse_float(statefile.format_float(x)) == x
+        assert statefile.parse_float(json.loads(statefile.render({"v": x}))["v"]) == x
 
     def test_rejects_nan_inf(self):
         with pytest.raises(ParseError):
-            statefile.format_float(float("nan"))
+            statefile.render({"v": float("nan")})
         with pytest.raises(ParseError):
             statefile.parse_float("inf")
         with pytest.raises(ParseError):
             statefile.parse_float("not-a-number")
+
+    def test_refused_write_leaves_no_file(self, tmp_path):
+        # a NaN was once written as a bare NaN, which strict JSON readers refuse
+        path = tmp_path / "v.json"
+        with pytest.raises(ParseError, match="cannot serialize non-finite float"):
+            statefile.write(str(path), {"v": float("nan")})
+        assert not path.exists()
 
 
 class TestDvDensityRoundTrip:
@@ -123,22 +130,19 @@ class TestBatchedMatrixWriters:
         assert rows == [[format(v, ".17g") for v in row] for row in self.EDGE_VALUES]
         assert rows[0][:2] == ["-0", "4.9406564584124654e-324"]
 
+    def test_integer_bounds_and_stderr_are_written_as_floats(self):
+        grid = SimpleNamespace(geometry=GridGeometry(-1, 1, -1, 2, 2, 3),
+                               values=np.array(self.EDGE_VALUES))
+        tree = self.tree(statefile.wigner_grid_doc(grid, value_stderr=0))
+        assert [tree[k] for k in ("x_min", "x_max", "p_min", "p_max", "value_stderr")] == \
+            ["-1", "1", "-1", "2", "0"]
+
     def test_complex_strings_match_per_element_format(self):
         m = np.array(self.EDGE_VALUES) + 1j * np.array(self.EDGE_VALUES)[::-1]
         rho = SimpleNamespace(dim=2, bipartition=None, matrix=m)
         rows = self.tree(statefile.dv_density_doc(rho))["matrix"]
-        assert rows == [[statefile.format_complex(complex(v)) for v in row] for row in m]
-
-    def test_document_holds_its_own_copy(self):
-        values = np.array(self.EDGE_VALUES)
-        matrix = values + 1j * values
-        docs = [statefile.wigner_grid_doc(self.grid(values)),
-                statefile.dv_density_doc(SimpleNamespace(dim=2, bipartition=None,
-                                                         matrix=matrix))]
-        texts = [statefile.render(doc) for doc in docs]
-        values[0, 0] = float("nan")
-        matrix[0, 0] = float("nan")
-        assert [statefile.render(doc) for doc in docs] == texts
+        assert rows == [[[format(v.real, ".17g"), format(v.imag, ".17g")] for v in row]
+                        for row in m]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_refused_without_warnings(self, bad):
@@ -150,9 +154,9 @@ class TestBatchedMatrixWriters:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="cannot serialize non-finite float"):
-                statefile.wigner_grid_doc(self.grid(values))
+                statefile.render(statefile.wigner_grid_doc(self.grid(values)))
             with pytest.raises(ParseError, match="cannot serialize non-finite float"):
-                statefile.dv_density_doc(rho)
+                statefile.render(statefile.dv_density_doc(rho))
 
 
 class TestBatchedMatrixReader:
@@ -204,7 +208,7 @@ class TestBatchedComplexMatrixReader:
         m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         m[0, 0] = complex(-0.0, 5e-324)
         m[1, 1] = complex(1.7976931348623157e308, -0.0)
-        text = statefile.render({"m": statefile._cmatrix_out(m)})
+        text = statefile.render({"m": m})
         got = statefile._cmatrix_in(json.loads(text)["m"])
         assert got.dtype == complex and got.shape == (3, 4)
         np.testing.assert_array_equal(got.view(np.uint64), m.view(np.uint64))
