@@ -485,12 +485,13 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b"
     threshold is the larger of its uncertainty band and
     MOYAL_NUMERICAL_FLOOR, which is the threshold otherwise.
 
-    On the grid route an input is refused with UnresolvedGrid, named by
-    names, when its largest |W| on the outermost rows and columns exceeds
-    the threshold (a box too small), or when its outer frequency bands move
-    the commutator by more than that (a grid too coarse). The
-    self-commutator Im(W*W) is no such check: it vanishes for any real
-    interpolant, so it reads 0 on odd-sized axes at any resolution.
+    Two grid inputs of different geometry are refused with GeometryMismatch,
+    naming both by names. On the grid route an input is refused with
+    UnresolvedGrid, named by names, when its largest |W| on the outermost
+    rows and columns exceeds the threshold (a box too small), or when its
+    outer frequency bands move the commutator by more than that (a grid too
+    coarse). The self-commutator Im(W*W) is no such check: it vanishes for
+    any real interpolant, so it reads 0 on odd-sized axes at any resolution.
 
     The route's memory is admitted once, on the geometry it runs on, before
     anything grid-sized is allocated.
@@ -501,6 +502,9 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b"
         comm = fock_commutator(a, b, geom)
     else:
         geom = (a if isinstance(a, WignerGrid) else b).geometry
+        if isinstance(b, WignerGrid) and b.geometry != geom:
+            raise GeometryMismatch(f"{names[0]} and {names[1]} are grids of different "
+                                   f"geometry: {geom} vs {b.geometry}")
         admit_moyal(geom)
         a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
                 for x in (a, b))

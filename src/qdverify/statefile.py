@@ -13,9 +13,10 @@ newline. Reports use the same writer.
 
 The writer, not the *_doc builders or the reports, formats and checks every
 number: floats, complex values, and float or complex arrays, an array in one
-call. It refuses a non-finite value with ParseError, and what json.dumps
-refuses with TypeError. So a document is input for render and write, not a
-JSON tree: json.loads(render(doc)) is its tree.
+call (a constant one, such as a commuting pair's zero grid, with its value
+formatted once). It refuses a non-finite value with ParseError, and what
+json.dumps refuses with TypeError. So a document is input for render and
+write, not a JSON tree: json.loads(render(doc)) is its tree.
 """
 from __future__ import annotations
 
@@ -180,21 +181,22 @@ def _povm_in(doc: Any) -> Povm:
         raise ParseError(f"invalid povm: {exc}") from None
 
 
-def _float_layout(shape: tuple, indent: str) -> str:
-    # the layout of nested lists of that shape, a "%.17g" slot for each value
+def _float_layout(shape: tuple, indent: str, slot: str = '"%.17g"') -> str:
+    # the layout of nested lists of that shape, the text slot for each value
     if not shape:
-        return '"%.17g"'
+        return slot
     if not shape[0]:
         return "[]"
     inner = indent + " "
-    item = _float_layout(shape[1:], inner)
+    item = _float_layout(shape[1:], inner, slot)
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
 def _emit(v: Any, indent: str) -> str:
     # json.dumps' indent layout, which its C encoder does not write; a float is
     # its format(v, ".17g") string, a complex value the [re, im] pair of them,
-    # and an array the nested lists of those, formatted in one call
+    # and an array the nested lists of those, formatted in one call, or once
+    # when all its values have the same bits
     if isinstance(v, str):
         return _quote(v)
     if isinstance(v, (float, complex, np.floating, np.complexfloating)):
@@ -205,7 +207,13 @@ def _emit(v: Any, indent: str) -> str:
             v = np.ascontiguousarray(v, dtype=complex).view(float).reshape(v.shape + (2,))
         if not np.all(np.isfinite(v)):
             raise ParseError(f"cannot serialize non-finite float {v[~np.isfinite(v)][0]}")
-        return _float_layout(v.shape, indent) % tuple(v.ravel().tolist())
+        # compared as bits, since 0.0 == -0.0 but they write "0" and "-0", and
+        # as float64, since a float32 [a, b, a, b] viewed as int64 looks constant
+        flat = v.ravel().astype(float, copy=False)
+        bits = flat.view(np.int64)
+        if flat.size > 1 and (bits == bits[0]).all():
+            return _float_layout(v.shape, indent, '"%.17g"' % flat[0])
+        return _float_layout(v.shape, indent) % tuple(flat.tolist())
     if not isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     if not v:

@@ -174,10 +174,11 @@ def significant_commutativity(est: EstimatedConditionals,
     z = 0: its norm is at or below the floor too (no gradient), or its rows
     hold so few counts that the plug-in covariance vanishes, and then the
     sample says nothing about the norm. z_threshold must be finite and
-    nonnegative (DomainError). A sweep that would need more than physical
-    memory is refused before it allocates (TooLarge).
+    nonnegative (DomainError, naming it z as the report and CLI do). A sweep
+    that would need more than physical memory is refused before it
+    allocates (TooLarge).
     """
-    check_threshold("z_threshold", z_threshold)
+    check_threshold("z", z_threshold)
     pairs = est.ensemble.pairs()
     if not len(pairs):
         raise InsufficientOutcomes("need at least two conditional states")

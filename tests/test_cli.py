@@ -241,8 +241,11 @@ class TestMoyal:
         g2 = wigner_from_fock(fock_state(1, 8), square_geometry(6.0, 48))
         p1 = write_fixture(workdir / "g1.state", statefile.wigner_grid_doc(g1))
         p2 = write_fixture(workdir / "g2.state", statefile.wigner_grid_doc(g2))
-        code, _, err = run(capsys, "moyal", p1, p2)
+        code, out, err = run(capsys, "moyal", p1, p2)
         assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {p1} and {p2} are grids of different geometry")
+        assert err.count("\n") == 1
 
     def test_wigner_grid_inputs_with_stderr(self, capsys, workdir):
         from qdverify.phasespace import square_geometry, wigner_from_fock
@@ -511,9 +514,9 @@ def test_string_rows_exit_2(capsys, workdir, name):
 @pytest.mark.parametrize("argv, name", [
     (["verify-dv", "cq.state", "--threshold", "-1"], "threshold"),
     (["verify-dv", "cq.state", "--threshold", "nan"], "threshold"),
-    (["tomo", "cq.state", "--shots", "1000", "--z", "-1"], "z_threshold"),
-    (["tomo", "cq.state", "--z", "inf"], "z_threshold"),
-    (["tomo", "cq.state", "--z", "nan"], "z_threshold"),
+    (["tomo", "cq.state", "--shots", "1000", "--z", "-1"], "z"),
+    (["tomo", "cq.state", "--z", "inf"], "z"),
+    (["tomo", "cq.state", "--z", "nan"], "z"),
     (["verify-gaussian", "tmsv.state", "--outcomes", "0,0;1,1", "--tol", "-1"], "tol"),
     (["verify-gaussian", "tmsv.state", "--outcomes", "0,0;1,1", "--tol", "inf"], "tol"),
 ], ids=["dv_negative", "dv_nan", "tomo_negative", "tomo_inf", "tomo_nan",
@@ -528,7 +531,8 @@ def test_negative_or_non_finite_threshold_exit_2(capsys, workdir, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"error: {name} must be finite and nonnegative" in err
+    assert err.startswith(f"error: {name} must be finite and nonnegative")
+    assert err.count("\n") == 1
     assert not os.path.exists("cq.state.shots.json")    # no record of a refused run
 
 

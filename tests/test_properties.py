@@ -29,8 +29,8 @@ from qdverify.errors import ParseError, QdvError
 from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
                              hermitian_eig, random_density_matrix, random_unitary,
                              validate_states)
-from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid, _fock_series,
-                                 char_from_fock, fock_commutator, fock_state,
+from qdverify.phasespace import (CommutatorGrid, FockOperator, GridGeometry, WignerGrid,
+                                 _fock_series, char_from_fock, fock_commutator, fock_state,
                                  random_fock_density, square_geometry, wigner_from_fock)
 from qdverify.tomo import ShotRecord
 
@@ -538,6 +538,58 @@ def test_grid_values_write_the_json_dumps_layout(values):
         WignerGrid(GridGeometry(-1.0, 1.0, -2.0, 2.0, *values.shape), values))
     tree = _with_float_strings({**doc, "values": values.tolist()})
     assert statefile.render(doc) == json.dumps(tree, sort_keys=True, indent=1) + "\n"
+
+
+def _one_slot_set(fill, value):
+    a = np.full((3, 4), fill)
+    a[1, 2] = value
+    return a
+
+
+CONSTANT_ARRAYS = {
+    **{f"constant_{name}": np.full((3, 4), x) for name, x in zip(
+        ["minus_zero", "subnormal", "big", "minus_big", "third"], EDGE_FLOATS)},
+    "constant_zero": np.zeros((3, 4)),
+    # differ from a constant only in the sign bit or the last bit
+    "zeros_and_one_minus_zero": _one_slot_set(0.0, -0.0),
+    "minus_zeros_and_one_zero": _one_slot_set(-0.0, 0.0),
+    "zeros_and_one_subnormal": _one_slot_set(0.0, 5e-324),
+    "thirds_and_one_ulp_up": _one_slot_set(1 / 3, np.nextafter(1 / 3, 1.0)),
+    "complex_re_equal_to_im": np.full((2, 3, 3), 0.25 + 0.25j),
+    "float32_constant": np.full((2, 2), 0.1, dtype=np.float32),
+    # two float32 values whose pairs, viewed as int64, are one constant
+    "float32_alternating": np.array([0.1, 0.2, 0.1, 0.2], dtype=np.float32),
+    "one_element": np.array([0.0]),
+    "one_by_one": np.full((1, 1), -0.0),
+    "empty": np.zeros(0),
+    "empty_rows": np.zeros((2, 0)),
+}
+
+
+@pytest.mark.parametrize("values", CONSTANT_ARRAYS.values(), ids=CONSTANT_ARRAYS.keys())
+def test_constant_and_near_constant_arrays_write_the_json_dumps_layout(values):
+    # a constant array is formatted once and filled in; a near-constant one
+    # takes the per-value path; both write what json.dumps writes
+    pairs = np.stack([values.real, values.imag], axis=-1) if values.dtype.kind == "c" else values
+    tree = _with_float_strings({"values": pairs.tolist()})
+    assert statefile.render({"values": values}) == json.dumps(tree, sort_keys=True,
+                                                              indent=1) + "\n"
+
+
+def test_a_commuting_pairs_zero_grid_writes_the_json_dumps_layout():
+    doc = statefile.wigner_grid_doc(
+        CommutatorGrid(square_geometry(6.0, 128), np.zeros((128, 128))))
+    tree = _with_float_strings({**doc, "values": doc["values"].tolist()})
+    assert statefile.render(doc) == json.dumps(tree, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("values", [np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+                                    np.full(4, -np.inf, dtype=np.float32),
+                                    np.full((2, 2), complex(np.inf, np.inf))],
+                         ids=["nan", "inf", "float32_minus_inf", "complex_inf"])
+def test_a_constant_non_finite_array_is_refused(values):
+    with pytest.raises(ParseError, match="cannot serialize non-finite float"):
+        statefile.render({"values": values})
 
 
 @PROPERTY_SETTINGS
