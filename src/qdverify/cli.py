@@ -5,8 +5,12 @@ Exit status reflects operational success only: 0 when the pipeline ran,
 printed to stdout, never in the exit status.
 
 A report is deterministic JSON written by statefile.render: floats with 17
-significant digits, keys sorted. Every numeric claim in it is reproducible
-from the input digest plus the seeds and thresholds recorded alongside it.
+significant digits, keys sorted. Each route lays out its own part of it,
+the verdict with its witnesses and thresholds, as one dv.Verdict; a command
+loads its inputs, calls the route and adds only the seeds, the input
+digests and the files it wrote. Every numeric claim in a report is
+reproducible from the input digest plus the seeds and thresholds recorded
+alongside it.
 """
 from __future__ import annotations
 
@@ -50,11 +54,11 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _report(pipeline: str, path: str, fields: dict) -> int:
-    """Print the report for a pipeline run on the file at path; exit 0."""
+def _report(pipeline: str, path: str, verdict: dv.Verdict, seeds: dict, **extra) -> int:
+    """Print the report of a route's verdict on the file at path; exit 0."""
     sys.stdout.write(render({"format_version": "1", "tool_version": __version__,
                              "pipeline": pipeline, "input_digest": _digest(path),
-                             **fields}))
+                             **vars(verdict), "seeds": seeds, **extra}))
     return 0
 
 
@@ -65,47 +69,16 @@ def cmd_verify_dv(args) -> int:
         raise ParseError("verify-dv needs a bipartition in the state file")
     dim_a = rho.bipartition[0]
     kind = args.povm or default_kind(dim_a)
-    povm = default_ic_povm(dim_a, seed=args.povm_seed, kind=kind)
-    ensemble = dv.condition_on_povm(rho, povm)
-    verdict = dv.verify_commutativity(ensemble, threshold=args.threshold)
-    return _report("dv_exact", path, {
-        "verdict": verdict.verdict,
-        "witnesses": {
-            "max_commutator_norm": verdict.max_commutator_norm,
-            "witness_pair": verdict.witness_pair,
-            "anchor_index": verdict.anchor_index,
-            "checked_pairs": verdict.checked_pairs,
-        },
-        "thresholds": {"commutator_norm": verdict.threshold},
-        "seeds": {"povm_kind": kind, "povm_seed": args.povm_seed},
-    })
+    ensemble = dv.condition_on_povm(rho, default_ic_povm(dim_a, seed=args.povm_seed, kind=kind))
+    return _report("dv_exact", path, dv.verify_commutativity(ensemble, args.threshold),
+                   {"povm_kind": kind, "povm_seed": args.povm_seed})
 
 
 def cmd_verify_gaussian(args) -> int:
     path, sf = _load(args.state, "verify-gaussian", "gaussian")
-    state = sf.payload
     out1, out2 = _parse_outcomes(args.outcomes)
-    form = gaussian.standard_form(state)
-    result = gaussian.peak_coincidence_test(form, out1, out2, args.tol)
-    cov_zero = gaussian.zero_discord_decision(state, args.tol)
-    return _report("gaussian_peak", path, {
-        "verdict": result.verdict,
-        "witnesses": {
-            "standard_form": {k: getattr(form, k) for k in "abcd"},
-            "peak_1": result.peak_1,
-            "peak_2": result.peak_2,
-            "separation": result.separation,
-            "outcome_1": out1,
-            "outcome_2": out2,
-            "cov_block_decision": {
-                "pipeline": "gaussian_cov",
-                "zero_discord": cov_zero,
-                "max_abs_cross_block": abs(state.block_c).max(),
-            },
-        },
-        "thresholds": {"peak_shift_per_outcome_shift": args.tol},
-        "seeds": {},
-    })
+    return _report("gaussian_peak", path,
+                   gaussian.peak_coincidence_test(sf.payload, out1, out2, args.tol), {})
 
 
 def _load_moyal_input(path_arg: str):
@@ -123,19 +96,11 @@ def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
     path_a, a, err_a = _load_moyal_input(args.state_a)
     path_b, b, err_b = _load_moyal_input(args.state_b)
-    w = phasespace.moyal_witness(a, b, geom, (err_a, err_b), (path_a, path_b))
+    grid, verdict = phasespace.moyal_witness(a, b, geom, (err_a, err_b), (path_a, path_b))
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
-    write(out_path, wigner_grid_doc(w.grid))
-    witnesses = {"grid_max_abs": w.max_abs, "location": w.location, "emitted_grid": out_path}
-    if w.band is not None:
-        witnesses.update(uncertainty_band=w.band, significant=w.significant)
-    return _report("cv_moyal", path_a, {
-        "input_digest_b": _digest(path_b),
-        "verdict": w.verdict,
-        "witnesses": witnesses,
-        "thresholds": {"grid_max_abs": w.threshold},
-        "seeds": {},
-    })
+    write(out_path, wigner_grid_doc(grid))
+    verdict.witnesses["emitted_grid"] = out_path
+    return _report("cv_moyal", path_a, verdict, {}, input_digest_b=_digest(path_b))
 
 
 def _default_grid_out(path_a: str, path_b: str) -> str:
@@ -146,42 +111,28 @@ def _default_grid_out(path_a: str, path_b: str) -> str:
 
 def cmd_tomo(args) -> int:
     path, sf = _load(args.state, "tomo", "dv_density", "shot_record")
-    record_path = None
-    if sf.kind == "dv_density":
+    if sf.kind == "shot_record":    # a replay: its POVMs come from the file
+        record, povm_seed = sf.payload, None
+    else:
         rho = sf.payload
         if rho.bipartition is None:
             raise ParseError("tomo needs a bipartition in the state file")
         dim_a, dim_b = rho.bipartition
-        povm_a = default_ic_povm(dim_a, seed=args.povm_seed)
-        povm_b = default_ic_povm(dim_b, seed=args.povm_seed + 1)
-        record = tomo.sample_joint(rho, povm_a, povm_b, args.shots, args.seed)
-        record_path = args.record_out or (path + ".shots.json")
-    else:
-        record = sf.payload
-    duals_b = dual_frame(record.povm_b)
-    est = tomo.estimate_conditionals(record, duals_b)
+        povm_seed = args.povm_seed
+        record = tomo.sample_joint(rho, default_ic_povm(dim_a, seed=povm_seed),
+                                   default_ic_povm(dim_b, seed=povm_seed + 1),
+                                   args.shots, args.seed)
+    est = tomo.estimate_conditionals(record, dual_frame(record.povm_b))
     verdict = tomo.significant_commutativity(est, z_threshold=args.z)
-    fields = {
-        "verdict": verdict.verdict,
-        "significance_convention": "z = commutator norm / propagated stderr, "
-                                   "maximized over conditional pairs",
-        "witnesses": {
-            "max_norm": verdict.max_norm,
-            "norm_stderr": verdict.norm_stderr,
-            "z_score": verdict.z_score,
-            "witness_pair": verdict.witness_pair,
-        },
-        "thresholds": {"z": verdict.z_threshold},
-        "seeds": {
-            "sampling_seed": record.seed,
-            "povm_seed": args.povm_seed,
-            "shots": int(record.total),
-        },
-    }
-    if record_path:     # written only once the run has succeeded
-        write(record_path, shot_record_doc(record))
-        fields["emitted_record"] = record_path
-    return _report("dv_tomo", path, fields)
+    extra = {}
+    if sf.kind == "dv_density":     # written only once the run has succeeded
+        extra["emitted_record"] = args.record_out or (path + ".shots.json")
+        write(extra["emitted_record"], shot_record_doc(record))
+    return _report("dv_tomo", path, verdict,
+                   {"sampling_seed": record.seed, "povm_seed": povm_seed,
+                    "shots": int(record.total)},
+                   significance_convention="z = commutator norm / propagated stderr, "
+                                           "maximized over conditional pairs", **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -81,13 +81,13 @@ class ConditionalEnsemble:
 
 
 @dataclass
-class CommutativityVerdict:
+class Verdict:
+    """A route's verdict with the numbers behind it. witnesses and thresholds
+    are keyed and valued as the report writes them."""
+
     verdict: str
-    max_commutator_norm: float
-    witness_pair: Optional[Tuple[int, int]]
-    anchor_index: Optional[int]
-    checked_pairs: int
-    threshold: float
+    witnesses: dict
+    thresholds: dict
 
 
 def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
@@ -133,7 +133,7 @@ def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
 
 def verify_commutativity(e: ConditionalEnsemble,
                          threshold: float = DEFAULT_COMMUTATOR_THRESHOLD,
-                         ) -> CommutativityVerdict:
+                         ) -> Verdict:
     """Check pairwise commutativity of the conditional states.
 
     With a nondegenerate anchor present, only the anchor-versus-rest
@@ -155,9 +155,10 @@ def verify_commutativity(e: ConditionalEnsemble,
     above = np.flatnonzero(norms > threshold)
     checked = int(above[0]) + 1 if above.size else len(pairs)
     witness = tuple(pairs[above[0]].tolist()) if above.size else None
-    return CommutativityVerdict(NONZERO_DISCORD if above.size else CONSISTENT_WITH_ZERO,
-                                float(np.max(norms[:checked], initial=0.0)), witness,
-                                anchor, checked, threshold)
+    return Verdict(NONZERO_DISCORD if above.size else CONSISTENT_WITH_ZERO,
+                   {"max_commutator_norm": float(np.max(norms[:checked], initial=0.0)),
+                    "witness_pair": witness, "anchor_index": anchor, "checked_pairs": checked},
+                   {"commutator_norm": threshold})
 
 
 def generate_zero_discord(dim_a: int, dim_b: int, seed: int) -> DensityOperator:

@@ -8,7 +8,8 @@ sigma + (i/4) Omega >= 0.
 
 A heterodyne outcome (x1', p1') on the first mode has covariance A + I/4,
 so conditioning on it is a Schur complement: the second mode keeps mean
-G (x1', p1') and covariance B - G C, with gain G = C^T (A + I/4)^{-1}. G
+m_B + G ((x1', p1') - m_A) and covariance B - G C, with gain
+G = C^T (A + I/4)^{-1} and m the state's mean. G
 exists for every physical A and vanishes exactly when C does, so two
 outcomes that differ in both quadratures decide the discord question for
 Gaussian states.
@@ -21,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DegenerateOutcomes, DomainError, Unphysical, check_threshold
-from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
 from .linalg import hermitian_eig
 
 VACUUM_VARIANCE = 0.25
@@ -83,14 +84,6 @@ class StandardForm:
         return np.diag([self.a, self.a, self.b, self.b]) + np.block([
             [np.zeros((2, 2)), np.diag([self.c, self.d])],
             [np.diag([self.c, self.d]), np.zeros((2, 2))]])
-
-
-@dataclass
-class PeakTestResult:
-    peak_1: complex
-    peak_2: complex
-    separation: float
-    verdict: str
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -201,34 +194,46 @@ def peak(sf: StandardForm, outcome: complex) -> complex:
     return complex(mean[0], mean[1])
 
 
-def peak_coincidence_test(sf: StandardForm, out1: complex, out2: complex,
-                          tol: float) -> PeakTestResult:
-    """Compare the conditional peaks for two heterodyne outcomes.
+def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
+                          tol: float) -> Verdict:
+    """Compare B's conditional peaks for two heterodyne outcomes on A.
 
-    The outcomes must differ in both quadratures; otherwise the test is
-    blind to one of the two cross couplings and DegenerateOutcomes is
-    raised. The verdict is decided per quadrature, on the peak shift per
-    unit outcome shift against tol, so it does not depend on how far apart
-    the outcomes are; separation reports the raw peak distance. Outcomes,
-    their differences and the peaks must be finite (DomainError): an
-    infinite outcome shift would read as a zero peak shift per unit.
+    The state is brought to its standard form, whose frame the outcomes and
+    the peaks are in; the peaks are those of the state itself, its mean
+    included. The outcomes must differ in both quadratures; otherwise the
+    test is blind to one of the two cross couplings and DegenerateOutcomes
+    is raised. The verdict is decided per quadrature, on the peak shift per
+    unit outcome shift against tol, so it depends neither on how far apart
+    the outcomes are nor on the mean, which moves both peaks alike;
+    separation reports the raw peak distance. Outcomes, their differences
+    and the peaks must be finite (DomainError): an infinite outcome shift
+    would read as a zero peak shift per unit. The witnesses carry the cross
+    block's own decision, zero_discord_decision, beside the peaks.
     """
+    sf = standard_form(state)
     check_threshold("tol", tol)
     if not np.isfinite([out1, out2, out1 - out2]).all():
         raise DomainError("outcomes and their differences must be finite")
     if out1.real == out2.real or out1.imag == out2.imag:
         raise DegenerateOutcomes(
             "outcomes must differ in both quadratures to probe both c and d")
-    with np.errstate(over="ignore"):    # an overflow is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):    # refused just below
         p1 = peak(sf, out1)
         p2 = peak(sf, out2)
-    if not np.isfinite([p1, p2, p1 - p2]).all():
+        m = sf.local @ state.mean       # the mean in the standard-form frame
+        shift = complex(m[2], m[3]) - peak(sf, complex(m[0], m[1]))
+    if not np.isfinite([p1, p2, p1 - p2, p1 + shift, p2 + shift]).all():
         raise DomainError("conditional peaks overflow for these outcomes")
     gain_x = abs(p1.real - p2.real) / abs(out1.real - out2.real)
     gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
-    verdict = NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO
-    sep = abs(p1 - p2)
-    return PeakTestResult(p1, p2, sep, verdict)
+    return Verdict(NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO, {
+        "standard_form": {k: getattr(sf, k) for k in "abcd"},
+        "peak_1": p1 + shift, "peak_2": p2 + shift, "separation": abs(p1 - p2),
+        "outcome_1": out1, "outcome_2": out2,
+        "cov_block_decision": {"pipeline": "gaussian_cov",
+                               "zero_discord": zero_discord_decision(state, tol),
+                               "max_abs_cross_block": abs(state.block_c).max()},
+    }, {"peak_shift_per_outcome_shift": tol})
 
 
 def zero_discord_decision(g: GaussianState, tol: float = DEFAULT_DECISION_TOL) -> bool:

@@ -16,8 +16,9 @@ The commutator witness W_{kk'} is the Wigner-like function of
   factorizes. This is the route for grid inputs.
 
 moyal_witness decides between the two for a pair of inputs, refuses a
-grid too coarse or too small for them, and returns the route's verdict
-with its witnesses as one MoyalWitness record.
+grid too coarse or too small for them, and returns the commutator grid with
+the route's dv.Verdict, whose witnesses and thresholds the report writes as
+they are.
 
 char_from_fock and the symplectic transforms give the characteristic
 route. The literal lattice sums that check both routes are test oracles,
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
 from .errors import (DimMismatch, DomainError, GeometryMismatch, TooLarge, TruncationTail,
                      UnresolvedGrid)
 from .linalg import dag, physical_memory_bytes
@@ -461,29 +462,19 @@ def _outer_bands(w: WignerGrid) -> WignerGrid:
     return WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
 
 
-@dataclass(frozen=True)
-class MoyalWitness:
-    """The Moyal route's verdict on two inputs and the witnesses behind it."""
-
-    grid: CommutatorGrid
-    max_abs: float                  # largest |grid value|, first occurrence
-    location: Tuple[int, int]       # its index
-    threshold: float
-    band: Optional[float]           # None for exact inputs
-    significant: Optional[bool]     # max_abs > band; None without a band
-    verdict: str
-
-
-def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b")):
-    """The MoyalWitness of two inputs, each a FockOperator or a WignerGrid:
-    NONZERO_DISCORD when their commutator grid's largest |value| exceeds the threshold.
+def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None),
+                  names=("a", "b")) -> Tuple[CommutatorGrid, Verdict]:
+    """The commutator grid of two inputs, each a FockOperator or a WignerGrid,
+    and its Verdict: NONZERO_DISCORD when the grid's largest |value| (the
+    first occurrence, at location) exceeds the threshold.
 
     Two Fock operators are commuted in Fock space on geom, exactly. Any
     other pair goes through the star product on the grid input's geometry,
     a Fock partner transformed onto it. stderr holds the inputs' per-point
     value errors (None for an exact input); when one is given, the
     threshold is the larger of its uncertainty band and
-    MOYAL_NUMERICAL_FLOOR, which is the threshold otherwise.
+    MOYAL_NUMERICAL_FLOOR, which is the threshold otherwise, and the
+    witnesses add the band and whether the largest |value| exceeds it.
 
     Two grid inputs of different geometry are refused with GeometryMismatch,
     naming both by names. On the grid route an input is refused with
@@ -523,6 +514,8 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None), names=("a", "b"
                     f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
                     f"{threshold:.3g}); widen the extent or add points")
     value, loc = grid_max_abs(comm)
-    return MoyalWitness(comm, value, loc, threshold, band,
-                        None if band is None else bool(value > band),
-                        NONZERO_DISCORD if value > threshold else CONSISTENT_WITH_ZERO)
+    witnesses = {"grid_max_abs": value, "location": loc}
+    if band is not None:
+        witnesses.update(uncertainty_band=band, significant=bool(value > band))
+    return comm, Verdict(NONZERO_DISCORD if value > threshold else CONSISTENT_WITH_ZERO,
+                         witnesses, {"grid_max_abs": threshold})

@@ -10,7 +10,7 @@ counts, and the verdict is a z-score test on the largest norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,11 +19,7 @@ from .errors import (DimMismatch, DomainError, InsufficientOutcomes, TooLarge,
 from .linalg import (DensityOperator, commutator, dag, frobenius_norm, hermitian_eig,
                      physical_memory_bytes)
 from .povm import Povm, reconstruct
-from .dv import (
-    CONSISTENT_WITH_ZERO,
-    NONZERO_DISCORD,
-    ConditionalEnsemble,
-)
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, ConditionalEnsemble, Verdict
 
 DEFAULT_Z_THRESHOLD = 5.0
 
@@ -68,16 +64,6 @@ class EstimatedConditionals:
     freqs: np.ndarray
     counts: np.ndarray
     duals_b: np.ndarray
-
-
-@dataclass
-class SignificantVerdict:
-    verdict: str
-    max_norm: float
-    norm_stderr: float
-    z_score: float
-    witness_pair: Optional[Tuple[int, int]]
-    z_threshold: float
 
 
 def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.ndarray:
@@ -166,7 +152,7 @@ def _delta_variance(freqs: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarr
 
 
 def significant_commutativity(est: EstimatedConditionals,
-                              z_threshold: float = DEFAULT_Z_THRESHOLD) -> SignificantVerdict:
+                              z_threshold: float = DEFAULT_Z_THRESHOLD) -> Verdict:
     """Z-score verdict on the largest pairwise commutator norm.
 
     Standard errors per pair come from the delta method on the linear
@@ -200,6 +186,7 @@ def significant_commutativity(est: EstimatedConditionals,
     usable = stderr > NORM_FLOOR
     z = np.where(usable, norm / np.where(usable, stderr, 1.0), 0.0)
     best = int(np.argmax(z))      # the first of equal maxima
-    verdict = NONZERO_DISCORD if z[best] > z_threshold else CONSISTENT_WITH_ZERO
-    return SignificantVerdict(verdict, float(norm[best]), float(stderr[best]),
-                              float(z[best]), tuple(pairs[best].tolist()), z_threshold)
+    return Verdict(NONZERO_DISCORD if z[best] > z_threshold else CONSISTENT_WITH_ZERO,
+                   {"max_norm": float(norm[best]), "norm_stderr": float(stderr[best]),
+                    "z_score": float(z[best]), "witness_pair": tuple(pairs[best].tolist())},
+                   {"z": z_threshold})

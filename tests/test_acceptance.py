@@ -73,14 +73,15 @@ def test_02_detection_maximally_entangled():
             conds.append(block / np.trace(block).real)
         oracle_norm = frobenius_norm(commutator(conds[0], conds[1]))
         assert oracle_norm == pytest.approx(2 / 3, abs=1e-12)
-        assert verdict.max_commutator_norm == pytest.approx(2 / 3, abs=1e-9)
+        assert verdict.witnesses["max_commutator_norm"] == pytest.approx(2 / 3, abs=1e-9)
 
         for d in (3, 4):
             state = dv.generate_maximally_entangled(d)
             povm = random_ic_povm(d, DEFAULT_POVM_SEED)
             v = dv.verify_commutativity(dv.condition_on_povm(state, povm))
             assert v.verdict == dv.NONZERO_DISCORD, d
-            assert v.max_commutator_norm >= 0.1, (d, v.max_commutator_norm)
+            norm = v.witnesses["max_commutator_norm"]
+            assert norm >= 0.1, (d, norm)
 
 
 def test_03_dual_frame_reconstruction():
@@ -193,8 +194,7 @@ def test_08_gaussian_decision_consistency():
         for i in range(200):
             state = gs.random_physical_state(rng, product=(i % 2 == 0))
             decision = gs.zero_discord_decision(state, tol=1e-8)
-            sf = gs.standard_form(state)
-            seps = [gs.peak_coincidence_test(sf, o1, o2, tol=1e-8).separation
+            seps = [gs.peak_coincidence_test(state, o1, o2, tol=1e-8).witnesses["separation"]
                     for o1, o2 in outcome_pairs]
             peaks_say_zero = all(s <= 1e-8 for s in seps)
             disagreements += (decision != peaks_say_zero)

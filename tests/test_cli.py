@@ -426,6 +426,18 @@ class TestTomo:
         assert replay["witnesses"] == doc["witnesses"]
         assert replay["verdict"] == doc["verdict"]
 
+    def test_replay_reports_no_povm_seed(self, capsys, workdir):
+        # a replay's POVMs come from the record, which input_digest covers
+        path = write_fixture(workdir / "qutrit_qubit.state",
+                             statefile.dv_density_doc(random_bipartite_state(0, 3, 2)))
+        code, out, _ = run(capsys, "tomo", path, "--povm-seed", "7", "--shots", "500",
+                           "--record-out", "record.json")
+        assert code == 0
+        assert json.loads(out)["seeds"]["povm_seed"] == 7
+        code, out, _ = run(capsys, "tomo", "record.json")
+        assert code == 0
+        assert json.loads(out)["seeds"]["povm_seed"] is None
+
     def test_product_consistent(self, capsys, product_file):
         code, out, _ = run(capsys, "tomo", product_file, "--shots", "100000",
                            "--seed", "1")

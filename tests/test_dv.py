@@ -105,14 +105,14 @@ class TestVerifyCommutativity:
         ens = dv.condition_on_povm(random_product_state(1), sic)
         v = dv.verify_commutativity(ens)
         assert v.verdict == dv.CONSISTENT_WITH_ZERO
-        assert v.max_commutator_norm <= 1e-12
+        assert v.witnesses["max_commutator_norm"] <= 1e-12
 
     def test_bell_sic_norm(self, bell, sic):
         v = dv.verify_commutativity(dv.condition_on_povm(bell, sic))
         assert v.verdict == dv.NONZERO_DISCORD
-        assert v.max_commutator_norm == pytest.approx(2 / 3, abs=1e-9)
-        assert v.witness_pair is not None
-        assert v.checked_pairs == 1  # anchor route exits on the first pair
+        assert v.witnesses["max_commutator_norm"] == pytest.approx(2 / 3, abs=1e-9)
+        assert v.witnesses["witness_pair"] is not None
+        assert v.witnesses["checked_pairs"] == 1  # anchor route exits on the first pair
 
     def test_zero_discord_draws_3x3(self):
         povm = random_ic_povm(3, seed=0)
@@ -127,18 +127,19 @@ class TestVerifyCommutativity:
             rho = dv.generate_zero_discord(2, 2, seed)
             ens = dv.condition_on_povm(rho, sic)
             v = dv.verify_commutativity(ens)
-            if v.anchor_index is None or v.verdict != dv.CONSISTENT_WITH_ZERO:
+            if v.witnesses["anchor_index"] is None or v.verdict != dv.CONSISTENT_WITH_ZERO:
                 continue
             present = np.flatnonzero(ens.present)
             for i, j in ((a, b) for a in present for b in present if a < b):
                 norm = frobenius_norm(commutator(ens.states[i],
                                                  ens.states[j]))
-                assert norm <= v.threshold
+                assert norm <= v.thresholds["commutator_norm"]
 
     def test_threshold_recorded(self, bell, sic):
         v = dv.verify_commutativity(dv.condition_on_povm(bell, sic), threshold=1e-3)
-        assert v.threshold == 1e-3
-        assert (v.verdict == dv.NONZERO_DISCORD) == (v.max_commutator_norm > 1e-3)
+        assert v.thresholds["commutator_norm"] == 1e-3
+        assert ((v.verdict == dv.NONZERO_DISCORD)
+                == (v.witnesses["max_commutator_norm"] > 1e-3))
 
 
 class TestGenerators:

@@ -202,32 +202,45 @@ class TestPeak:
 
 class TestPeakCoincidence:
     def test_product_state(self):
-        sf = gs.standard_form(gs.thermal_product(0.4, 0.4))
-        res = gs.peak_coincidence_test(sf, 0.0 + 0.0j, 1.0 + 1.0j, tol=1e-9)
+        state = gs.thermal_product(0.4, 0.4)
+        res = gs.peak_coincidence_test(state, 0.0 + 0.0j, 1.0 + 1.0j, tol=1e-9)
         assert res.verdict == gs.CONSISTENT_WITH_ZERO
-        assert res.separation == 0.0
+        assert res.witnesses["separation"] == 0.0
 
     def test_tmsv_detected(self):
-        sf = gs.standard_form(gs.two_mode_squeezed_vacuum(0.5))
-        res = gs.peak_coincidence_test(sf, 0.0 + 0.0j, 1.0 + 1.0j, tol=1e-9)
+        state = gs.two_mode_squeezed_vacuum(0.5)
+        res = gs.peak_coincidence_test(state, 0.0 + 0.0j, 1.0 + 1.0j, tol=1e-9)
         assert res.verdict == gs.NONZERO_DISCORD
         lam = np.tanh(0.5)
-        assert res.separation == pytest.approx(abs(lam * (1 - 1j)), rel=1e-12)
+        assert res.witnesses["separation"] == pytest.approx(abs(lam * (1 - 1j)), rel=1e-12)
+
+    def test_displaced_product_peaks_at_its_own_mean(self):
+        # a product state's local symplectic is I and its gain 0, so B's
+        # conditional peak is B's mean for every outcome
+        state = gs.GaussianState(np.array([1.0, 2.0, 3.0, 4.0]),
+                                 gs.thermal_product(0.3, 1.2).cov)
+        np.testing.assert_array_equal(gs.standard_form(state).local, np.eye(4))
+        res = gs.peak_coincidence_test(state, -1.0 + 0.5j, 1.3 - 0.25j, tol=1e-9)
+        assert res.verdict == gs.CONSISTENT_WITH_ZERO
+        assert res.witnesses["peak_1"] == res.witnesses["peak_2"] == 3.0 + 4.0j
+        assert res.witnesses["separation"] == 0.0
 
     def test_degenerate_outcomes_rejected(self):
-        sf = gs.StandardForm(0.5, 0.5, 0.2, 0.0, np.eye(4))
+        state = gs.GaussianState(np.zeros(4),
+                                 gs.StandardForm(0.5, 0.5, 0.2, 0.0, np.eye(4)).as_cov())
         with pytest.raises(DegenerateOutcomes):
-            gs.peak_coincidence_test(sf, 0.0 + 0.0j, 0.0 + 1.0j, tol=1e-9)
+            gs.peak_coincidence_test(state, 0.0 + 0.0j, 0.0 + 1.0j, tol=1e-9)
         with pytest.raises(DegenerateOutcomes):
-            gs.peak_coincidence_test(sf, 0.5 + 0.2j, 0.9 + 0.2j, tol=1e-9)
+            gs.peak_coincidence_test(state, 0.5 + 0.2j, 0.9 + 0.2j, tol=1e-9)
 
     def test_overflowing_peaks_rejected(self):
         # a physical gain c/(a + 1/4) of 8 puts the peak of a finite
         # outcome of 1e308 past the largest double
         sf = gs.StandardForm(0.5, 100.0, 6.0, 0.0, np.eye(4))
-        assert gs.validate_physical(gs.GaussianState(np.zeros(4), sf.as_cov()))
+        state = gs.GaussianState(np.zeros(4), sf.as_cov())
+        assert gs.validate_physical(state)
         with pytest.raises(DomainError, match="overflow"):
-            gs.peak_coincidence_test(sf, 1e308 + 0.0j, 0.0 + 1.0j, tol=1e-9)
+            gs.peak_coincidence_test(state, 1e308 + 0.0j, 0.0 + 1.0j, tol=1e-9)
 
 
 class TestZeroDiscordDecision:

@@ -1,12 +1,15 @@
 """Golden bytes of the file and report writer.
 
 Every number here is exact: hand-chosen floats, SIC effects built from one
-square root, a vacuum commuted with itself, and a thermal product whose
-cross block is zero. No platform's BLAS, LAPACK or libm can move these
-bytes, so a test run that differs from golden/ has changed the format. The
-files under golden/ were written by these builders and commands when each
-float was still formatted by a call of its own, and every later writer has
-to reproduce them byte for byte.
+square root, a vacuum commuted with itself, a thermal product whose cross
+block is zero, a classical state whose conditionals are all diagonal, and a
+record whose present rows all read uniform frequencies. No platform's BLAS,
+LAPACK or libm can move these bytes, so a test run that differs from golden/
+has changed the format. The files under golden/ were written by these
+builders and commands when each float was still formatted by a call of its
+own (verify_dv.json and tomo.json, with their inputs, when each route still
+returned a result record of its own), and every later writer has to
+reproduce them byte for byte.
 """
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +32,8 @@ REPORTS = {
                    ["f0__f0.commutator.json"]),
     "gaussian.json": (["verify-gaussian", "thermal.state", "--outcomes=-1,0.5;1.3,-0.25"],
                       []),
+    "verify_dv.json": (["verify-dv", "classical.state"], []),
+    "tomo.json": (["tomo", "uniform_record.state"], []),
 }
 
 
@@ -58,6 +63,10 @@ def documents() -> dict:
         "f0.state": statefile.dv_density_doc(DensityOperator(fock_state(0, 4).matrix),
                                              fock_cutoff=4),
         "thermal.state": statefile.gaussian_doc(gaussian.thermal_product(0.3, 1.2)),
+        "classical.state": statefile.dv_density_doc(
+            DensityOperator(np.diag([0.5, 0.0, 0.0, 0.5]), bipartition=(2, 2))),
+        "uniform_record.state": statefile.shot_record_doc(
+            ShotRecord(sic, sic, np.array([[2] * 4, [1] * 4, [3] * 4, [0] * 4]), 24, 7)),
     }
 
 
@@ -71,7 +80,7 @@ def test_documents_keep_their_bytes(tmp_path, name):
 def test_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, report):
     monkeypatch.chdir(tmp_path)
     docs = documents()
-    for name in ("f0.state", "thermal.state"):
+    for name in ("f0.state", "thermal.state", "classical.state", "uniform_record.state"):
         statefile.write(name, docs[name])
     argv, emitted = REPORTS[report]
     assert main(list(argv)) == 0

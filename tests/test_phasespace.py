@@ -134,20 +134,22 @@ class TestMoyalWitness:
         plus_grid = ph.wigner_from_fock(plus, grid.geometry)
         for pair, as_grids in (((grid, plus), (grid, plus_grid)),
                                ((plus, grid), (plus_grid, grid))):
-            w = ph.moyal_witness(*pair, ph.square_geometry(6.0, 64))
-            assert w.grid.geometry == grid.geometry
-            np.testing.assert_array_equal(w.grid.values,
+            comm, w = ph.moyal_witness(*pair, ph.square_geometry(6.0, 64))
+            assert comm.geometry == grid.geometry
+            np.testing.assert_array_equal(comm.values,
                                           ph.moyal_commutator(*as_grids).values)
-            assert (w.threshold, w.band) == (ph.MOYAL_NUMERICAL_FLOOR, None)
+            assert ((w.thresholds["grid_max_abs"], w.witnesses.get("uncertainty_band"))
+                    == (ph.MOYAL_NUMERICAL_FLOOR, None))
 
     def test_stderr_sets_the_band_and_raises_the_threshold(self):
         geom = ph.square_geometry(6.0, 48)
         a = ph.wigner_from_fock(ph.fock_state(0, 8), geom)
         b = ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom)
-        w = ph.moyal_witness(a, b, geom, (1e-5, None))
+        _, w = ph.moyal_witness(a, b, geom, (1e-5, None))
         l1_a, l1_b = (ph.grid_integral(np.abs(g.values), geom) for g in (a, b))
-        assert w.band == ph.uncertainty_band(geom, 1e-5, 0.0, l1_a, l1_b)
-        assert w.threshold == max(w.band, ph.MOYAL_NUMERICAL_FLOOR)
+        band = w.witnesses["uncertainty_band"]
+        assert band == ph.uncertainty_band(geom, 1e-5, 0.0, l1_a, l1_b)
+        assert w.thresholds["grid_max_abs"] == max(band, ph.MOYAL_NUMERICAL_FLOOR)
 
 
 class TestZeroCoherenceOrders:

@@ -239,6 +239,24 @@ def test_commuting_wigner_grids_never_flagged(cutoff, seed_a, seed_b, extent, po
         assert json.loads(out.getvalue())["verdict"] == dv.CONSISTENT_WITH_ZERO
 
 
+@PROPERTY_SETTINGS
+@given(seed=seeds, product=st.booleans(),
+       mean=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       outcomes=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4, unique=True))
+def test_a_displacement_moves_both_peaks_alike(seed, product, mean, outcomes):
+    # B's conditional peak moves by m_B - G m_A whatever the outcome, so the
+    # verdict and the separation are those of the zero-mean copy
+    cov = gaussian.random_physical_state(np.random.default_rng(seed), product=product).cov
+    out1, out2 = complex(*outcomes[:2]), complex(*outcomes[2:])
+    still, moved = (gaussian.peak_coincidence_test(gaussian.GaussianState(m, cov),
+                                                   out1, out2, 1e-9)
+                    for m in (np.zeros(4), np.array(mean)))
+    assert moved.verdict == still.verdict
+    assert moved.witnesses["separation"] == still.witnesses["separation"]
+    shift_1, shift_2 = (moved.witnesses[k] - still.witnesses[k] for k in ("peak_1", "peak_2"))
+    assert abs(shift_1 - shift_2) <= 1e-12
+
+
 def _ic_povm(dim, rng):
     if dim == 2 and rng.random() < 0.5:
         return povm.sic_qubit()
@@ -368,8 +386,9 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
         for threshold in (0.0, norms[len(norms) // 2], norms[-1]):
             with mock.patch.object(dv, "select_anchor", return_value=chosen):
                 v = dv.verify_commutativity(ens, threshold)
-            assert v.anchor_index == chosen
-            assert ((v.max_commutator_norm, v.witness_pair, v.checked_pairs)
+            w = v.witnesses
+            assert w["anchor_index"] == chosen
+            assert ((w["max_commutator_norm"], w["witness_pair"], w["checked_pairs"])
                     == _sweep_reference(ens.states, pairs, threshold))
 
     # estimation from a sampled record: frequencies, inversion and projection
@@ -410,8 +429,9 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     flat = tomo.estimate_conditionals(
         ShotRecord(pa, pb, counts, int(counts.sum()), seed), duals_b)
     v = tomo.significant_commutativity(flat)
-    assert (v.verdict, v.z_score, v.norm_stderr) == (dv.CONSISTENT_WITH_ZERO, 0.0, 0.0)
-    assert v.witness_pair == tuple(flat.ensemble.pairs()[0])
+    w = v.witnesses
+    assert (v.verdict, w["z_score"], w["norm_stderr"]) == (dv.CONSISTENT_WITH_ZERO, 0.0, 0.0)
+    assert w["witness_pair"] == tuple(flat.ensemble.pairs()[0])
 
 
 render_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -131,8 +131,8 @@ class TestSignificance:
         est = tomo.estimate_conditionals(rec, sic_duals)
         v = tomo.significant_commutativity(est)
         assert v.verdict == dv.NONZERO_DISCORD
-        assert v.z_score > 5
-        assert v.max_norm == pytest.approx(2 / 3, abs=0.1)
+        assert v.witnesses["z_score"] > 5
+        assert v.witnesses["max_norm"] == pytest.approx(2 / 3, abs=0.1)
 
     def test_product_consistent(self, sic, sic_duals):
         rho = random_product_state(77)
@@ -150,7 +150,8 @@ class TestSignificance:
         rec = tomo.ShotRecord(sic, sic, counts, int(counts.sum()), 0)
         v = tomo.significant_commutativity(tomo.estimate_conditionals(rec, sic_duals))
         assert v.verdict == dv.CONSISTENT_WITH_ZERO
-        assert (v.z_score, v.norm_stderr, v.witness_pair) == (0.0, 0.0, (0, 1))
+        w = v.witnesses
+        assert (w["z_score"], w["norm_stderr"], w["witness_pair"]) == (0.0, 0.0, (0, 1))
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 2)], ids=["2x2", "3x3", "4x2"])
     def test_zero_discord_never_flagged_at_a_few_shots(self, dims):
