@@ -15,7 +15,6 @@ alongside it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from typing import Optional
@@ -23,7 +22,7 @@ from typing import Optional
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
 from .povm import DEFAULT_POVM_SEED, default_ic_povm, default_kind, dual_frame
-from .statefile import load, render, resolve_path, shot_record_doc, wigner_grid_doc, write
+from .statefile import StateFile, load, render, shot_record_doc, wigner_grid_doc, write
 
 
 def _parse_outcomes(text: str):
@@ -40,67 +39,65 @@ def _parse_outcomes(text: str):
         raise ParseError(f"bad outcomes {text!r}: {exc}") from None
 
 
-def _load(path_arg: str, command: str, *kinds: str):
-    """Resolve and parse a state file that must be one of the given kinds."""
-    path = resolve_path(path_arg)
-    sf = load(path)
+def _load(path_arg: str, command: str, *kinds: str) -> StateFile:
+    """Parse a state file that must be one of the given kinds."""
+    sf = load(path_arg)
     if sf.kind not in kinds:
         raise ParseError(f"{command} needs {' or '.join(kinds)}, got {sf.kind}")
-    return path, sf
+    return sf
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _report(pipeline: str, path: str, verdict: dv.Verdict, seeds: dict, **extra) -> int:
-    """Print the report of a route's verdict on the file at path; exit 0."""
+def _report(pipeline: str, sf: StateFile, verdict: dv.Verdict, seeds: dict, **extra) -> int:
+    """Print the report of a route's verdict on the input sf; exit 0."""
     sys.stdout.write(render({"format_version": "1", "tool_version": __version__,
-                             "pipeline": pipeline, "input_digest": _digest(path),
+                             "pipeline": pipeline, "input_digest": sf.digest,
                              **vars(verdict), "seeds": seeds, **extra}))
     return 0
 
 
 def cmd_verify_dv(args) -> int:
-    path, sf = _load(args.state, "verify-dv", "dv_density")
+    sf = _load(args.state, "verify-dv", "dv_density")
     rho = sf.payload
     if rho.bipartition is None:
         raise ParseError("verify-dv needs a bipartition in the state file")
     dim_a = rho.bipartition[0]
     kind = args.povm or default_kind(dim_a)
     ensemble = dv.condition_on_povm(rho, default_ic_povm(dim_a, seed=args.povm_seed, kind=kind))
-    return _report("dv_exact", path, dv.verify_commutativity(ensemble, args.threshold),
+    return _report("dv_exact", sf, dv.verify_commutativity(ensemble, args.threshold),
                    {"povm_kind": kind, "povm_seed": args.povm_seed})
 
 
 def cmd_verify_gaussian(args) -> int:
-    path, sf = _load(args.state, "verify-gaussian", "gaussian")
+    sf = _load(args.state, "verify-gaussian", "gaussian")
     out1, out2 = _parse_outcomes(args.outcomes)
-    return _report("gaussian_peak", path,
+    return _report("gaussian_peak", sf,
                    gaussian.peak_coincidence_test(sf.payload, out1, out2, args.tol), {})
 
 
 def _load_moyal_input(path_arg: str):
-    """(path, Fock operator or Wigner grid, per-point stderr) of a moyal input."""
-    path, sf = _load(path_arg, "moyal", "wigner_grid", "dv_density")
+    """(state file, Fock operator or Wigner grid) of a moyal input."""
+    sf = _load(path_arg, "moyal", "wigner_grid", "dv_density")
     if sf.kind == "wigner_grid":
-        return path, sf.payload, sf.value_stderr
+        return sf, sf.payload
     if sf.fock_cutoff is None:
-        raise ParseError(f"{path}: dv_density input to moyal needs a "
+        raise ParseError(f"{sf.path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
-    return path, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix), None
+    if sf.payload.dim != sf.fock_cutoff + 1:
+        raise ParseError(f"{sf.path}: matrix shape {sf.payload.matrix.shape} does not "
+                         f"match fock_cutoff {sf.fock_cutoff}")
+    return sf, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
 
 
 def cmd_moyal(args) -> int:
     geom = phasespace.square_geometry(args.extent, args.points)
-    path_a, a, err_a = _load_moyal_input(args.state_a)
-    path_b, b, err_b = _load_moyal_input(args.state_b)
-    grid, verdict = phasespace.moyal_witness(a, b, geom, (err_a, err_b), (path_a, path_b))
+    sf_a, a = _load_moyal_input(args.state_a)
+    sf_b, b = _load_moyal_input(args.state_b)
+    grid, verdict = phasespace.moyal_witness(a, b, geom, (sf_a.value_stderr, sf_b.value_stderr),
+                                             (sf_a.path, sf_b.path))
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(grid))
     verdict.witnesses["emitted_grid"] = out_path
-    return _report("cv_moyal", path_a, verdict, {}, input_digest_b=_digest(path_b))
+    return _report("cv_moyal", sf_a, verdict, {}, input_digest_b=sf_b.digest)
 
 
 def _default_grid_out(path_a: str, path_b: str) -> str:
@@ -110,7 +107,7 @@ def _default_grid_out(path_a: str, path_b: str) -> str:
 
 
 def cmd_tomo(args) -> int:
-    path, sf = _load(args.state, "tomo", "dv_density", "shot_record")
+    sf = _load(args.state, "tomo", "dv_density", "shot_record")
     if sf.kind == "shot_record":    # a replay: its POVMs come from the file
         record, povm_seed = sf.payload, None
     else:
@@ -126,9 +123,9 @@ def cmd_tomo(args) -> int:
     verdict = tomo.significant_commutativity(est, z_threshold=args.z)
     extra = {}
     if sf.kind == "dv_density":     # written only once the run has succeeded
-        extra["emitted_record"] = args.record_out or (path + ".shots.json")
+        extra["emitted_record"] = args.record_out or (sf.path + ".shots.json")
         write(extra["emitted_record"], shot_record_doc(record))
-    return _report("dv_tomo", path, verdict,
+    return _report("dv_tomo", sf, verdict,
                    {"sampling_seed": record.seed, "povm_seed": povm_seed,
                     "shots": int(record.total)},
                    significance_convention="z = commutator norm / propagated stderr, "

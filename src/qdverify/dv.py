@@ -58,7 +58,6 @@ class ConditionalEnsemble:
     probabilities: np.ndarray
     states: np.ndarray
     present: np.ndarray
-    source_povm: Povm
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -108,7 +107,7 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     states = np.zeros_like(blocks)
     cond = blocks[present] / probs[present, None, None]
     states[present] = (cond + dag(cond)) / 2.0
-    return ConditionalEnsemble(probs, states, present, p)
+    return ConditionalEnsemble(probs, states, present)
 
 
 def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
@@ -191,18 +190,6 @@ def generate_maximally_entangled(d: int) -> DensityOperator:
     for j in range(d):
         psi[j * d + j] = 1.0 / np.sqrt(d)
     return DensityOperator(np.outer(psi, psi.conj()), bipartition=(d, d))
-
-
-def reconstruct_joint(e: ConditionalEnsemble, duals: np.ndarray) -> DensityOperator:
-    """Rebuild the joint state as sum_k p_k N_k x rho_{B|k}."""
-    if len(duals) != len(e.source_povm.effects):
-        raise DimMismatch("dual frame does not match the ensemble's POVM")
-    da, db = e.source_povm.dim, e.states.shape[-1]
-    p = e.present
-    out = np.einsum("k,kac,kbd->abcd", e.probabilities[p], duals[p],
-                    e.states[p]).reshape(da * db, da * db)
-    out = (out + dag(out)) / 2.0
-    return DensityOperator(out, bipartition=(da, db))
 
 
 def _entropy_bits(m: np.ndarray) -> np.ndarray:

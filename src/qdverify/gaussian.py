@@ -57,14 +57,6 @@ class GaussianState:
             raise DomainError("covariance matrix is not symmetric")
 
     @property
-    def block_a(self) -> np.ndarray:
-        return self.cov[:2, :2]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.cov[2:, 2:]
-
-    @property
     def block_c(self) -> np.ndarray:
         return self.cov[:2, 2:]
 

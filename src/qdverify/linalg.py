@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian
+from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian, TooLarge
 
 # Structural checks (hermiticity, trace) and spectral checks (eigenvalues,
 # residuals) use different tolerances, fixed here.
@@ -28,6 +28,16 @@ SPECTRAL_TOL = 1e-10
 def physical_memory_bytes() -> int:
     """Physical memory of the machine, the bound on any one allocation."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def admit_memory(need: int, needs: str, task: str) -> None:
+    """Refuse, with TooLarge, a task that needs more than physical memory;
+    the message reads "<needs> about <need> GiB for <task>; ...". Call it
+    before allocating."""
+    have = physical_memory_bytes()
+    if need > have:
+        raise TooLarge(f"{needs} about {need / 2 ** 30:.3g} GiB for {task}; "
+                       f"physical memory is {have / 2 ** 30:.3g} GiB")
 
 
 def dag(m: np.ndarray) -> np.ndarray:

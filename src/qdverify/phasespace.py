@@ -1,9 +1,8 @@
 """Phase-space commutator verification on finite grids.
 
 Conventions (vacuum variance 1/4): alpha = x + i p, the Wigner function is
-W(alpha) = (2/pi) Tr[rho D(2 alpha) Pi] with Pi the parity operator, and
-the characteristic function is chi(xi) = Tr[rho D(xi)]. Both integrate
-with the measure dx dp, and the vacuum Wigner maximum is 2/pi.
+W(alpha) = (2/pi) Tr[rho D(2 alpha) Pi] with Pi the parity operator. It
+integrates with the measure dx dp, and the vacuum Wigner maximum is 2/pi.
 
 The commutator witness W_{kk'} is the Wigner-like function of
 -i[rho_k, rho_k']. It is computed here two ways:
@@ -20,9 +19,8 @@ grid too coarse or too small for them, and returns the commutator grid with
 the route's dv.Verdict, whose witnesses and thresholds the report writes as
 they are.
 
-char_from_fock and the symplectic transforms give the characteristic
-route. The literal lattice sums that check both routes are test oracles,
-outside the package.
+The literal lattice sums that check both routes, and the route through
+the characteristic function, are test oracles, outside the package.
 
 Grids are uniform, sampled at x_min + k dx with dx = (x_max - x_min)/nx
 (the right edge is excluded, matching the periodic treatment of the
@@ -37,9 +35,9 @@ from typing import Tuple
 import numpy as np
 
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
-from .errors import (DimMismatch, DomainError, GeometryMismatch, TooLarge, TruncationTail,
+from .errors import (DimMismatch, DomainError, GeometryMismatch, TruncationTail,
                      UnresolvedGrid)
-from .linalg import dag, physical_memory_bytes
+from .linalg import admit_memory, dag
 
 CONVENTION_TAG = "vacuum-variance=1/4"
 
@@ -106,13 +104,13 @@ def square_geometry(extent: float = DEFAULT_EXTENT,
     return GridGeometry(-extent, extent, -extent, extent, points, points)
 
 
-def _grid_values(values, geom: GridGeometry, dtype, what: str) -> np.ndarray:
-    """values as a dtype array of the geometry's shape, all finite.
+def _grid_values(values, geom: GridGeometry, what: str) -> np.ndarray:
+    """values as a float array of the geometry's shape, all finite.
 
     Raises DimMismatch on a wrong shape and DomainError("non-finite <what>
     values") otherwise.
     """
-    values = np.asarray(values, dtype=dtype)
+    values = np.asarray(values, dtype=float)
     if values.shape != (geom.nx, geom.np):
         raise DimMismatch(f"values shape {values.shape} does not "
                           f"match geometry {geom.nx}x{geom.np}")
@@ -125,10 +123,9 @@ def _grid_values(values, geom: GridGeometry, dtype, what: str) -> np.ndarray:
 class WignerGrid:
     geometry: GridGeometry
     values: np.ndarray
-    convention: str = CONVENTION_TAG
 
     def __post_init__(self):
-        self.values = _grid_values(self.values, self.geometry, float, "grid")
+        self.values = _grid_values(self.values, self.geometry, "grid")
 
 
 @dataclass
@@ -137,22 +134,9 @@ class CommutatorGrid:
 
     geometry: GridGeometry
     values: np.ndarray
-    convention: str = CONVENTION_TAG
 
     def __post_init__(self):
-        self.values = _grid_values(self.values, self.geometry, float, "commutator")
-
-
-@dataclass
-class CharGrid:
-    """Complex characteristic-function samples on a grid."""
-
-    geometry: GridGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _grid_values(self.values, self.geometry, complex,
-                                   "characteristic-function")
+        self.values = _grid_values(self.values, self.geometry, "commutator")
 
 
 @dataclass
@@ -222,9 +206,8 @@ def random_fock_density(cutoff: int, support: int, seed: int) -> FockOperator:
     return FockOperator(cutoff, m)
 
 
-def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
-                 sign: np.ndarray) -> np.ndarray:
-    """sum_{mn} matrix[m, n] sign[m] <n|D(scale * (x + i p))|m> over the grid.
+def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """sum_{mn} matrix[m, n] (-1)^m <n|D(2 (x + i p))|m> over the grid.
 
     For n <= m, k = m - n, <n|D(beta)|m> = sqrt(n!/m!) (-conj(beta))^k
     e^{-|beta|^2/2} L_n^k(|beta|^2), with L_n^k from its three-term
@@ -248,13 +231,14 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry, scale: float,
     result refuses non-finite values.
     """
     size = matrix.shape[0]
+    sign = (-1.0) ** np.arange(size)
     orders = [k for k in range(size)
               if matrix.diagonal(-k).any() or matrix.diagonal(k).any()]
     if not orders:
         return np.zeros((geom.nx, geom.np), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ps = geom.xs(), geom.ps()
-        beta = scale * (xs[:, None] + 1j * ps[None, :])
+        beta = 2.0 * (xs[:, None] + 1j * ps[None, :])
         x = np.abs(beta) ** 2
         radii, where = np.unique(x, return_inverse=True)
         where = where.reshape(x.shape)          # numpy < 2 returns it flat
@@ -302,8 +286,7 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
 
 
 def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    parity = (-1.0) ** np.arange(matrix.shape[0])
-    w = (2.0 / pi) * _fock_series(matrix, geom, 2.0, parity)
+    w = (2.0 / pi) * _fock_series(matrix, geom)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:
         raise DomainError(f"imaginary residue {residue:g} in Wigner transform; "
@@ -325,13 +308,6 @@ def fock_commutator(a: FockOperator, b: FockOperator,
     size = max(a.cutoff, b.cutoff) + 1
     ma, mb = (np.pad(op.matrix, (0, size - op.cutoff - 1)) for op in (a, b))
     return CommutatorGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
-
-
-def char_from_fock(op: FockOperator, geom: GridGeometry) -> CharGrid:
-    """Characteristic function chi(xi) = Tr[rho D(xi)] on a grid."""
-    _check_tail(op)
-    chi = _fock_series(op.matrix, geom, 1.0, np.ones(op.cutoff + 1))
-    return CharGrid(geom, chi)
 
 
 def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarray:
@@ -365,21 +341,6 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
     return np.fft.ifft(acc, axis=0) * (pi / nx)
 
 
-def admit_moyal(geom: GridGeometry) -> None:
-    """Refuse a Moyal route on geom that would need more than physical memory.
-
-    No array of the route has more than max(nx, np)^2 complex entries, and
-    at most MOYAL_GRID_ARRAYS of them are alive at once. Raises
-    TooLarge; call it before allocating anything grid-sized.
-    """
-    need = 16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2
-    have = physical_memory_bytes()
-    if need > have:
-        raise TooLarge(f"a {geom.nx}x{geom.np} grid needs about "
-                       f"{need / 2 ** 30:.3g} GiB for the Moyal route; "
-                       f"physical memory is {have / 2 ** 30:.3g} GiB")
-
-
 def _require_same_geometry(a, b) -> GridGeometry:
     if a.geometry != b.geometry:
         raise GeometryMismatch(f"{a.geometry} vs {b.geometry}")
@@ -397,35 +358,6 @@ def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
     with np.errstate(over="ignore", invalid="ignore"):  # CommutatorGrid refuses non-finite
         star = _star_product(wk.values, wk2.values, geom)
     return CommutatorGrid(geom, 2.0 * star.imag)
-
-
-def _symplectic_transform(values: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """int dx dp values(x, p) e^{2i(p' x - p x')} at every grid point (x', p').
-
-    The kernel separates into e^{2i p' x} dx and e^{-2i p x'} dp, so the
-    transform is one triple matrix product; both directions between
-    Wigner and characteristic grids are this transform.
-    """
-    kernel = np.exp(2j * np.outer(geom.ps(), geom.xs()))     # (p, x)
-    return ((kernel * geom.dx) @ values @ (kernel.conj() * geom.dp)).T
-
-
-def char_to_wigner(cg: CharGrid) -> np.ndarray:
-    """Wigner values from a characteristic grid by the symplectic transform.
-
-    W(alpha) = (1/pi^2) int d2xi chi(xi) e^{alpha xi* - alpha* xi}; returns
-    the real part (the symmetric imaginary residue is discarded).
-    """
-    w = _symplectic_transform(cg.values, cg.geometry) / (pi * pi)
-    return w.real
-
-
-def wigner_to_char(wg: WignerGrid) -> CharGrid:
-    """Characteristic function from a Wigner grid.
-
-    chi(xi) = int d2alpha W(alpha) e^{xi alpha* - xi* alpha}.
-    """
-    return CharGrid(wg.geometry, _symplectic_transform(wg.values, wg.geometry))
 
 
 def grid_integral(values: np.ndarray, geom: GridGeometry) -> float:
@@ -485,18 +417,22 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None),
     any real interpolant, so it reads 0 on odd-sized axes at any resolution.
 
     The route's memory is admitted once, on the geometry it runs on, before
-    anything grid-sized is allocated.
+    anything grid-sized is allocated: MOYAL_GRID_ARRAYS grids must fit in
+    physical memory (TooLarge).
     """
     threshold, band = MOYAL_NUMERICAL_FLOOR, None
-    if isinstance(a, FockOperator) and isinstance(b, FockOperator):
-        admit_moyal(geom)
-        comm = fock_commutator(a, b, geom)
-    else:
+    fock_pair = isinstance(a, FockOperator) and isinstance(b, FockOperator)
+    if not fock_pair:
         geom = (a if isinstance(a, WignerGrid) else b).geometry
         if isinstance(b, WignerGrid) and b.geometry != geom:
             raise GeometryMismatch(f"{names[0]} and {names[1]} are grids of different "
                                    f"geometry: {geom} vs {b.geometry}")
-        admit_moyal(geom)
+    # no array of the route has more than max(nx, np)^2 complex entries
+    admit_memory(16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2,
+                 f"a {geom.nx}x{geom.np} grid needs", "the Moyal route")
+    if fock_pair:
+        comm = fock_commutator(a, b, geom)
+    else:
         a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
                 for x in (a, b))
         if any(s is not None for s in stderr):

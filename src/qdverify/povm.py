@@ -184,7 +184,10 @@ def default_kind(dim: int) -> str:
 def default_ic_povm(dim: int, seed: int = DEFAULT_POVM_SEED,
                     kind: str | None = None) -> Povm:
     """The qubit SIC or a seeded random IC-POVM, as kind (by default
-    default_kind(dim)) says."""
+    default_kind(dim)) says. The seed must be nonnegative for every kind,
+    though the SIC does not read it (DomainError)."""
+    if seed < 0:
+        raise DomainError(f"POVM seed must be nonnegative, got {seed}")
     if (kind or default_kind(dim)) == "sic":
         if dim != 2:
             raise DimMismatch("the SIC construction here is qubit-only")

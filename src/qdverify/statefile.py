@@ -20,6 +20,8 @@ write, not a JSON tree: json.loads(render(doc)) is its tree.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -96,12 +98,16 @@ def _fmatrix_in(rows: Any) -> np.ndarray:
 
 @dataclass
 class StateFile:
-    """Parsed state file: the kind tag, the payload object, and extras."""
+    """Parsed state file: the kind tag, the payload object, and extras.
+    load sets path, the file it read, and digest, "sha256:<hex>" of the
+    bytes it parsed."""
 
     kind: str
     payload: Any
     fock_cutoff: Optional[int] = None
     value_stderr: Optional[float] = None
+    path: Optional[str] = None
+    digest: Optional[str] = None
 
 
 def _check_keys(doc: dict, allowed: set, where: str) -> None:
@@ -251,10 +257,14 @@ def resolve_path(path: str) -> str:
 
 
 def load(path: str) -> StateFile:
-    """Parse a state file; raises ParseError on any contract violation."""
+    """Read a state file once and parse it; raises ParseError on any
+    contract violation."""
+    resolved = resolve_path(path)
     try:
-        with open(resolve_path(path), "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+        with open(resolved, "rb") as fh:
+            raw = fh.read()
+        # decoded as a text-mode open decodes, newline translation included
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -269,13 +279,15 @@ def load(path: str) -> StateFile:
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     try:
-        return _LOADERS[kind](doc)
+        sf = _LOADERS[kind](doc)
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
     except Exception as exc:
         raise ParseError(f"invalid {kind} payload: {exc}") from None
+    sf.path, sf.digest = resolved, "sha256:" + hashlib.sha256(raw).hexdigest()
+    return sf
 
 
 def _load_dv_density(doc: dict) -> StateFile:

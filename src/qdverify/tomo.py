@@ -14,10 +14,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (DimMismatch, DomainError, InsufficientOutcomes, TooLarge,
-                     check_threshold)
-from .linalg import (DensityOperator, commutator, dag, frobenius_norm, hermitian_eig,
-                     physical_memory_bytes)
+from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
+from .linalg import (DensityOperator, admit_memory, commutator, dag, frobenius_norm,
+                     hermitian_eig)
 from .povm import Povm, reconstruct
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, ConditionalEnsemble, Verdict
 
@@ -56,8 +55,8 @@ class EstimatedConditionals:
     """Linear-inversion estimates of B's conditionals with sampling metadata.
 
     freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .)
-    and counts[k] the per-outcome totals. ensemble.source_povm is A's
-    POVM, the one conditioned on; duals_b is the dual frame of B's.
+    and counts[k] the per-outcome totals; duals_b is the dual frame of B's
+    POVM.
     """
 
     ensemble: ConditionalEnsemble
@@ -122,7 +121,7 @@ def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedCond
     freqs[present] = rec.counts[present] / marg[present, None]
     states = np.zeros((len(marg), rec.povm_b.dim, rec.povm_b.dim), dtype=complex)
     states[present] = project_to_state(reconstruct(rec.povm_b, duals_b, freqs[present]))
-    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present, rec.povm_a)
+    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present)
     return EstimatedConditionals(ensemble, freqs, marg.astype(float), duals_b)
 
 
@@ -171,12 +170,9 @@ def significant_commutativity(est: EstimatedConditionals,
     # the sweep's largest stacks: (P, K, d, d) complex gradient products, then
     # two (P, K, K) float covariances at a time
     n_effects, dim = est.duals_b.shape[:2]
-    need = 16 * len(pairs) * n_effects * max(n_effects, dim * dim)
-    have = physical_memory_bytes()
-    if need > have:
-        raise TooLarge(f"{len(pairs)} conditional pairs over {n_effects} B effects "
-                       f"need about {need / 2 ** 30:.3g} GiB for the significance "
-                       f"test; physical memory is {have / 2 ** 30:.3g} GiB")
+    admit_memory(16 * len(pairs) * n_effects * max(n_effects, dim * dim),
+                 f"{len(pairs)} conditional pairs over {n_effects} B effects need",
+                 "the significance test")
     j, k = pairs.T
     states = est.ensemble.states
     norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qdverify import dv, gaussian, povm, statefile
-from qdverify.linalg import DensityOperator, random_density_matrix, tensor
+from qdverify.errors import DimMismatch
+from qdverify.linalg import DensityOperator, dag, random_density_matrix, tensor
 from qdverify.phasespace import FockOperator, WignerGrid, square_geometry
 
 
@@ -33,6 +34,19 @@ def random_bipartite_state(seed: int, dim_a: int = 2, dim_b: int = 2) -> Density
     rng = np.random.default_rng(seed)
     return DensityOperator(random_density_matrix(dim_a * dim_b, rng),
                            bipartition=(dim_a, dim_b))
+
+
+def reconstruct_joint(e: dv.ConditionalEnsemble, duals: np.ndarray) -> DensityOperator:
+    """Rebuild the joint state as sum_k p_k N_k x rho_{B|k}, from the dual
+    frame N of the POVM measured on A."""
+    if len(duals) != len(e.probabilities):
+        raise DimMismatch("dual frame does not match the ensemble's POVM")
+    da, db = duals.shape[-1], e.states.shape[-1]
+    p = e.present
+    out = np.einsum("k,kac,kbd->abcd", e.probabilities[p], duals[p],
+                    e.states[p]).reshape(da * db, da * db)
+    out = (out + dag(out)) / 2.0
+    return DensityOperator(out, bipartition=(da, db))
 
 
 def random_diagonal_fock(cutoff: int, seed: int) -> FockOperator:

@@ -1,24 +1,83 @@
 """Literal phase-space evaluators, kept as references for the fast routes.
 
-char_commutator and moyal_commutator_quadrature evaluate the two commutator
-integrals by direct lattice sums, O(n^4) in the grid side; they check
-qdverify.phasespace's Moyal and characteristic routes on small grids.
+The characteristic route: the characteristic function is chi(xi) =
+Tr[rho D(xi)], integrating with the measure dx dp as the Wigner function
+does. char_from_fock samples it from a Fock operator, and the symplectic
+transforms char_to_wigner and wigner_to_char move between it and Wigner
+grids. char_commutator and moyal_commutator_quadrature evaluate the two
+commutator integrals by direct lattice sums, O(n^4) in the grid side; they
+check qdverify.phasespace's Moyal route, and each other, on small grids.
 fock_series_all_orders is the Fock series summed over every coherence
 order, zero or not, the reference for phasespace._fock_series, which skips
-the zero ones.
+the zero ones; char_from_fock is built on it.
 
 The module is not named oracles: perfbench/oracles.py takes that module
 name in the same test session.
 """
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
 from qdverify import phasespace as ph
-from qdverify.errors import GeometryMismatch
+from qdverify.errors import DimMismatch, DomainError, GeometryMismatch, TruncationTail
 
 
-def char_commutator(chi_k: ph.CharGrid, chi_k2: ph.CharGrid) -> ph.CharGrid:
+@dataclass
+class CharGrid:
+    """Complex characteristic-function samples on a grid."""
+
+    geometry: ph.GridGeometry
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != (self.geometry.nx, self.geometry.np):
+            raise DimMismatch(f"values shape {self.values.shape} does not match "
+                              f"geometry {self.geometry.nx}x{self.geometry.np}")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("non-finite characteristic-function values")
+
+
+def char_from_fock(op: ph.FockOperator, geom: ph.GridGeometry) -> CharGrid:
+    """Characteristic function chi(xi) = Tr[rho D(xi)] on a grid, refused
+    with TruncationTail as phasespace.wigner_from_fock refuses."""
+    tail = op.tail_mass()
+    if tail > ph.TAIL_TOL:
+        raise TruncationTail(f"tail mass {tail:.2e} above {ph.TAIL_TOL:g}; raise the cutoff")
+    return CharGrid(geom, fock_series_all_orders(op.matrix, geom, 1.0, np.ones(op.cutoff + 1)))
+
+
+def _symplectic_transform(values: np.ndarray, geom: ph.GridGeometry) -> np.ndarray:
+    """int dx dp values(x, p) e^{2i(p' x - p x')} at every grid point (x', p').
+
+    The kernel separates into e^{2i p' x} dx and e^{-2i p x'} dp, so the
+    transform is one triple matrix product; both directions between
+    Wigner and characteristic grids are this transform.
+    """
+    kernel = np.exp(2j * np.outer(geom.ps(), geom.xs()))     # (p, x)
+    return ((kernel * geom.dx) @ values @ (kernel.conj() * geom.dp)).T
+
+
+def char_to_wigner(cg: CharGrid) -> np.ndarray:
+    """Wigner values from a characteristic grid by the symplectic transform.
+
+    W(alpha) = (1/pi^2) int d2xi chi(xi) e^{alpha xi* - alpha* xi}; returns
+    the real part (the symmetric imaginary residue is discarded).
+    """
+    w = _symplectic_transform(cg.values, cg.geometry) / (pi * pi)
+    return w.real
+
+
+def wigner_to_char(wg: ph.WignerGrid) -> CharGrid:
+    """Characteristic function from a Wigner grid.
+
+    chi(xi) = int d2alpha W(alpha) e^{xi alpha* - xi* alpha}.
+    """
+    return CharGrid(wg.geometry, _symplectic_transform(wg.values, wg.geometry))
+
+
+def char_commutator(chi_k: CharGrid, chi_k2: CharGrid) -> CharGrid:
     """Characteristic function of -i[rho_k, rho_k'].
 
     Literal lattice evaluation of
@@ -63,7 +122,7 @@ def char_commutator(chi_k: ph.CharGrid, chi_k2: ph.CharGrid) -> ph.CharGrid:
             r1 = np.sum(ea * block, axis=1)         # over u_p
             r2 = np.sum(eb * block, axis=1)
             out[i, j] = r1 @ c2[j] - r2 @ s2[j]
-    return ph.CharGrid(geom, measure * out)
+    return CharGrid(geom, measure * out)
 
 
 

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 
 from conftest import (STRING_ROW_DOCUMENTS, random_bipartite_state, random_diagonal_fock,
                       random_product_state)
-from qdverify import dv, gaussian, phasespace, statefile, tomo
+from qdverify import dv, gaussian, linalg, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
 from qdverify.phasespace import fock_state, pure_state
@@ -36,6 +38,13 @@ def bell_file(workdir, bell):
 def product_file(workdir):
     rho = random_product_state(0)
     return write_fixture(workdir / "product.state", statefile.dv_density_doc(rho))
+
+
+@pytest.fixture()
+def qubit_qutrit_file(workdir):
+    # a qubit A side takes the SIC, which reads no POVM seed
+    rho = random_bipartite_state(0, 2, 3)
+    return write_fixture(workdir / "qubit_qutrit.state", statefile.dv_density_doc(rho))
 
 
 @pytest.fixture()
@@ -77,6 +86,30 @@ class TestVerifyDv:
         assert code == 2
         assert out == ""
         assert "seed" in err
+
+    def test_negative_povm_seed_exit_2_for_a_qubit(self, capsys, bell_file):
+        # the qubit SIC reads no seed, but the flag is refused as for a qutrit
+        code, out, err = run(capsys, "verify-dv", bell_file, "--povm-seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: POVM seed must be nonnegative, got -3\n"
+
+    def test_input_is_read_once(self, capsys, bell_file, monkeypatch):
+        # the digest covers the bytes the verdict was computed from
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run(capsys, "verify-dv", bell_file)
+        assert code == 0
+        assert opened.count(bell_file) == 1
+        with real_open(bell_file, "rb") as fh:
+            digest = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        assert json.loads(out)["input_digest"] == digest
 
     def test_golden_byte_identical(self, capsys, bell_file):
         _, out1, _ = run(capsys, "verify-dv", bell_file)
@@ -234,6 +267,19 @@ class TestMoyal:
             assert out == ""
             assert "tail mass" in err
 
+    def test_cutoff_not_matching_the_matrix_exit_2(self, capsys, workdir, fock_files):
+        # a 9x9 matrix tagged with cutoff 5; the refusal names the file
+        a, _ = fock_files
+        doc = statefile.dv_density_doc(DensityOperator(fock_state(0, 8).matrix))
+        doc["fock_cutoff"] = 5
+        bad = write_fixture(workdir / "bad.state", doc)
+        for pair in ((a, bad), (bad, a)):
+            code, out, err = run(capsys, "moyal", *pair, "--points", "16")
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: {bad}: matrix shape (9, 9) does not match "
+                           "fock_cutoff 5\n")
+
     def test_geometry_mismatch_exit_2(self, capsys, workdir, fock_files):
         a, b = fock_files
         from qdverify.phasespace import square_geometry, wigner_from_fock
@@ -338,12 +384,12 @@ class TestMoyal:
         path = write_fixture(workdir / "w.state", statefile.wigner_grid_doc(grid))
         # MOYAL_GRID_ARRAYS * 16^2 complex entries need 98304 bytes; pretend
         # there is less
-        monkeypatch.setattr(phasespace, "physical_memory_bytes", lambda: 98303)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 98303)
         code, out, err = run(capsys, "moyal", path, path)
         assert code == 2
         assert out == ""
         assert "16x16 grid" in err
-        monkeypatch.setattr(phasespace, "physical_memory_bytes", lambda: 98304)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 98304)
         code, _, err = run(capsys, "moyal", path, path)
         # admitted; the 16-point vacuum grid is then refused as unresolved
         assert code == 2
@@ -454,14 +500,18 @@ class TestTomo:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--seed", "-1"], ["--povm-seed", "-5"], ["--shots", "10000000000000000000"],
-    ], ids=["negative_seed", "negative_povm_seed", "shots_past_int64"])
-    def test_seed_and_shots_out_of_range_exit_2(self, capsys, qutrit_file, flags):
-        code, out, err = run(capsys, "tomo", qutrit_file, *flags)
+    @pytest.mark.parametrize("state, flags", [
+        ("qutrit_file", ["--seed", "-1"]), ("qutrit_file", ["--povm-seed", "-5"]),
+        ("qutrit_file", ["--shots", "10000000000000000000"]),
+        ("bell_file", ["--povm-seed", "-3"]), ("qubit_qutrit_file", ["--povm-seed", "-1"]),
+    ], ids=["negative_seed", "negative_povm_seed", "shots_past_int64",
+            "qubit_negative_povm_seed", "qubit_qutrit_negative_povm_seed"])
+    def test_seed_and_shots_out_of_range_exit_2(self, capsys, request, state, flags):
+        code, out, err = run(capsys, "tomo", request.getfixturevalue(state), *flags)
         assert code == 2
         assert out == ""
         assert "error:" in err
+        assert not any(f.endswith(".shots.json") for f in os.listdir("."))
 
     def test_record_with_negative_seed_exit_2(self, capsys, workdir, sic):
         # the seed is provenance only, but no sampling run writes a negative one
@@ -492,14 +542,14 @@ class TestTomo:
         # bytes; pretend there is less, and fail if the sweep is reached
         inner = tomo._norm_gradients
         monkeypatch.setattr(tomo, "_norm_gradients", lambda *a: pytest.fail("allocated"))
-        monkeypatch.setattr(tomo, "physical_memory_bytes", lambda: 1535)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 1535)
         code, out, err = run(capsys, "tomo", bell_file)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "physical memory" in err
         assert not os.path.exists(bell_file + ".shots.json")
         monkeypatch.setattr(tomo, "_norm_gradients", inner)
-        monkeypatch.setattr(tomo, "physical_memory_bytes", lambda: 1536)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 1536)
         code, out, _ = run(capsys, "tomo", bell_file)
         assert code == 0
         assert json.loads(out)["verdict"] == "NONZERO_DISCORD"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_bipartite_state, random_product_state
+from conftest import random_bipartite_state, random_product_state, reconstruct_joint
 from qdverify import dv
 from qdverify.errors import BadDimension, DimMismatch
 from qdverify.linalg import (
@@ -67,32 +67,32 @@ class TestConditionOnPovm:
 
 
 class TestSelectAnchor:
-    def _ensemble(self, states, povm):
+    def _ensemble(self, states):
         probs = np.full(len(states), 1.0 / len(states))
-        return dv.ConditionalEnsemble(probs, states, np.ones(len(states), bool), povm)
+        return dv.ConditionalEnsemble(probs, states, np.ones(len(states), bool))
 
-    def test_only_nondegenerate_candidate(self, sic):
+    def test_only_nondegenerate_candidate(self):
         states = [np.eye(2) / 2, np.eye(2) / 2, np.diag([0.9, 0.1]).astype(complex),
                   np.eye(2) / 2]
-        ens = self._ensemble(states, sic)
+        ens = self._ensemble(states)
         assert dv.select_anchor(ens) == 2
 
-    def test_all_degenerate(self, sic):
-        ens = self._ensemble([np.eye(2) / 2] * 4, sic)
+    def test_all_degenerate(self):
+        ens = self._ensemble([np.eye(2) / 2] * 4)
         assert dv.select_anchor(ens) is None
 
     @pytest.mark.parametrize("scales, anchor", [
         ((1.0, 1.0 + 0.5e-9), 0),
         ((1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9), 2),
     ], ids=["within_rtol_of_the_first", "past_rtol_of_the_best_so_far"])
-    def test_gap_scan_is_sequential(self, sic, scales, anchor):
+    def test_gap_scan_is_sequential(self, scales, anchor):
         # gaps g * scale in index order: the first case refuses the argmax
         # (index 1), the second the lowest index within rtol of the max (1)
         g = 0.4
         states = [np.diag([(1 + g * c) / 2, (1 - g * c) / 2]).astype(complex)
                   for c in scales]
         states += [np.eye(2) / 2] * (4 - len(states))
-        assert dv.select_anchor(self._ensemble(states, sic)) == anchor
+        assert dv.select_anchor(self._ensemble(states)) == anchor
 
     def test_tie_breaks_to_lowest_index(self, bell, sic):
         ens = dv.condition_on_povm(bell, sic)
@@ -191,23 +191,23 @@ class TestGenerators:
 class TestReconstructJoint:
     def test_bell_round_trip(self, bell, sic, sic_duals):
         ens = dv.condition_on_povm(bell, sic)
-        rec = dv.reconstruct_joint(ens, sic_duals)
+        rec = reconstruct_joint(ens, sic_duals)
         assert frobenius_norm(rec.matrix - bell.matrix) <= 1e-9
 
     def test_product_round_trip(self, sic, sic_duals):
         rho = random_product_state(2)
-        rec = dv.reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
+        rec = reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
         assert frobenius_norm(rec.matrix - rho.matrix) <= 1e-9
 
     def test_random_states_round_trip(self, sic, sic_duals):
         for seed in range(30):
             rho = random_bipartite_state(seed, 2, 2)
-            rec = dv.reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
+            rec = reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
             assert frobenius_norm(rec.matrix - rho.matrix) <= 1e-9
 
     def test_zero_discord_form_preserved(self, sic, sic_duals):
         rho = dv.generate_zero_discord(2, 2, 13)
-        rec = dv.reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
+        rec = reconstruct_joint(dv.condition_on_povm(rho, sic), sic_duals)
         v = dv.verify_commutativity(dv.condition_on_povm(rec, sic))
         assert v.verdict == dv.CONSISTENT_WITH_ZERO
 
@@ -215,7 +215,7 @@ class TestReconstructJoint:
         other = dual_frame(random_ic_povm(3, seed=1))
         ens = dv.condition_on_povm(bell, sic)
         with pytest.raises(DimMismatch):
-            dv.reconstruct_joint(ens, other)
+            reconstruct_joint(ens, other)
 
 
 class TestDiscordEstimator:

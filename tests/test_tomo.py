@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_bipartite_state, random_product_state
+from conftest import random_bipartite_state, random_product_state, reconstruct_joint
 from qdverify import dv, tomo
 from qdverify.errors import DimMismatch, InsufficientOutcomes
 from qdverify.linalg import frobenius_norm, hermitian_eig
@@ -66,14 +66,14 @@ class TestEstimateConditionals:
             assert err <= 1e-10
 
     def test_exact_ensemble_rebuilds_the_joint_state(self, sic, sic_duals):
-        # the ensemble records A's POVM, as dv's does, so the dual frame of
-        # A's POVM rebuilds an asymmetric 2x3 state
+        # the ensemble holds one state per outcome on A, as dv's does, so
+        # the dual frame of A's POVM rebuilds an asymmetric 2x3 state
         rho = random_bipartite_state(4, 2, 3)
         povm_b = random_ic_povm(3, seed=1)
         probs = tomo.joint_probabilities(rho, sic, povm_b)
         est = tomo.estimate_conditionals(tomo.ShotRecord(sic, povm_b, probs, 1, 0),
                                          dual_frame(povm_b))
-        joint = dv.reconstruct_joint(est.ensemble, sic_duals)
+        joint = reconstruct_joint(est.ensemble, sic_duals)
         assert np.max(np.abs(joint.matrix - rho.matrix)) <= 1e-10
 
     def test_bell_error_calibration(self, bell, sic, sic_duals):
