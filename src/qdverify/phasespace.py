@@ -22,6 +22,7 @@ they are.
 The literal lattice sums that check both routes, and the route through
 the characteristic function, are test oracles, outside the package.
 
+Wigner functions and commutator witnesses are one grid type, WignerGrid.
 Grids are uniform, sampled at x_min + k dx with dx = (x_max - x_min)/nx
 (the right edge is excluded, matching the periodic treatment of the
 spectral route).
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,39 +105,25 @@ def square_geometry(extent: float = DEFAULT_EXTENT,
     return GridGeometry(-extent, extent, -extent, extent, points, points)
 
 
-def _grid_values(values, geom: GridGeometry, what: str) -> np.ndarray:
-    """values as a float array of the geometry's shape, all finite.
-
-    Raises DimMismatch on a wrong shape and DomainError("non-finite <what>
-    values") otherwise.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (geom.nx, geom.np):
-        raise DimMismatch(f"values shape {values.shape} does not "
-                          f"match geometry {geom.nx}x{geom.np}")
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"non-finite {what} values")
-    return values
-
-
 @dataclass
 class WignerGrid:
-    geometry: GridGeometry
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _grid_values(self.values, self.geometry, "grid")
-
-
-@dataclass
-class CommutatorGrid:
-    """Wigner-like function of -i[rho_k, rho_k'] on a grid."""
+    """Finite real values of the geometry's shape (else DomainError or
+    DimMismatch), and their per-point error, finite and >= 0, when they are
+    sampled rather than exact."""
 
     geometry: GridGeometry
     values: np.ndarray
+    value_stderr: Optional[float] = None
 
     def __post_init__(self):
-        self.values = _grid_values(self.values, self.geometry, "commutator")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.geometry.nx, self.geometry.np):
+            raise DimMismatch(f"values shape {self.values.shape} does not match "
+                              f"geometry {self.geometry.nx}x{self.geometry.np}")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("non-finite grid values")
+        if self.value_stderr is not None and not 0.0 <= self.value_stderr < np.inf:
+            raise DomainError(f"value_stderr {self.value_stderr} is not finite and >= 0")
 
 
 @dataclass
@@ -227,7 +214,7 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
     bit for bit.
 
     On a huge extent |beta|^2 overflows and the result holds inf or NaN.
-    numpy's warnings for that are silenced: every grid type built from the
+    numpy's warnings for that are silenced: the WignerGrid built from the
     result refuses non-finite values.
     """
     size = matrix.shape[0]
@@ -295,7 +282,7 @@ def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
 
 
 def fock_commutator(a: FockOperator, b: FockOperator,
-                    geom: GridGeometry) -> CommutatorGrid:
+                    geom: GridGeometry) -> WignerGrid:
     """Wigner-like function of -i[a, b] from two Fock-space operators.
 
     The commutator lies exactly inside the larger truncation (the smaller
@@ -307,7 +294,7 @@ def fock_commutator(a: FockOperator, b: FockOperator,
     _check_tail(b)
     size = max(a.cutoff, b.cutoff) + 1
     ma, mb = (np.pad(op.matrix, (0, size - op.cutoff - 1)) for op in (a, b))
-    return CommutatorGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
+    return WignerGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
 
 
 def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarray:
@@ -347,7 +334,7 @@ def _require_same_geometry(a, b) -> GridGeometry:
     return a.geometry
 
 
-def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
+def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> WignerGrid:
     """Wigner-like function of -i[rho_k, rho_k'] from two Wigner grids.
 
     For Hermitian operators the reversed star product is the complex
@@ -355,9 +342,9 @@ def moyal_commutator(wk: WignerGrid, wk2: WignerGrid) -> CommutatorGrid:
     imaginary part of a single star product.
     """
     geom = _require_same_geometry(wk, wk2)
-    with np.errstate(over="ignore", invalid="ignore"):  # CommutatorGrid refuses non-finite
+    with np.errstate(over="ignore", invalid="ignore"):  # WignerGrid refuses non-finite
         star = _star_product(wk.values, wk2.values, geom)
-    return CommutatorGrid(geom, 2.0 * star.imag)
+    return WignerGrid(geom, 2.0 * star.imag)
 
 
 def grid_integral(values: np.ndarray, geom: GridGeometry) -> float:
@@ -372,15 +359,19 @@ def grid_max_abs(g) -> Tuple[float, Tuple[int, int]]:
     return float(np.abs(g.values[loc])), (int(loc[0]), int(loc[1]))
 
 
-def uncertainty_band(geom: GridGeometry, stderr_a: float, stderr_b: float,
-                     l1_a: float, l1_b: float) -> float:
-    """Conservative bound on commutator-grid error from input grid noise.
+def uncertainty_band(a: WignerGrid, b: WignerGrid) -> float:
+    """Conservative bound on the error of the commutator of two grids from
+    their value_stderr, an exact grid's taken as 0.
 
     Uses |sin| <= 1 in the double integral: a uniform per-point error s on
     one input contributes at most (8/pi) A s ||other||_1 with A the box
     area, plus the second-order cross term.
     """
+    geom = _require_same_geometry(a, b)
     area = (geom.x_max - geom.x_min) * (geom.p_max - geom.p_min)
+    stderr_a, stderr_b = (w.value_stderr or 0.0 for w in (a, b))
+    with np.errstate(over="ignore"):    # an overflow reads inf, which moyal_witness refuses
+        l1_a, l1_b = (grid_integral(np.abs(w.values), geom) for w in (a, b))
     return (8.0 / pi) * area * (stderr_a * l1_b + stderr_b * l1_a
                                 + stderr_a * stderr_b * area)
 
@@ -394,27 +385,26 @@ def _outer_bands(w: WignerGrid) -> WignerGrid:
     return WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
 
 
-def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None),
-                  names=("a", "b")) -> Tuple[CommutatorGrid, Verdict]:
+def moyal_witness(a, b, geom: GridGeometry, names=("a", "b")) -> Tuple[WignerGrid, Verdict]:
     """The commutator grid of two inputs, each a FockOperator or a WignerGrid,
     and its Verdict: NONZERO_DISCORD when the grid's largest |value| (the
     first occurrence, at location) exceeds the threshold.
 
     Two Fock operators are commuted in Fock space on geom, exactly. Any
     other pair goes through the star product on the grid input's geometry,
-    a Fock partner transformed onto it. stderr holds the inputs' per-point
-    value errors (None for an exact input); when one is given, the
-    threshold is the larger of its uncertainty band and
+    a Fock partner transformed onto it as an exact grid. When either grid has
+    a value_stderr, the threshold is the larger of uncertainty_band(a, b) and
     MOYAL_NUMERICAL_FLOOR, which is the threshold otherwise, and the
     witnesses add the band and whether the largest |value| exceeds it.
 
     Two grid inputs of different geometry are refused with GeometryMismatch,
-    naming both by names. On the grid route an input is refused with
-    UnresolvedGrid, named by names, when its largest |W| on the outermost
-    rows and columns exceeds the threshold (a box too small), or when its
-    outer frequency bands move the commutator by more than that (a grid too
-    coarse). The self-commutator Im(W*W) is no such check: it vanishes for
-    any real interpolant, so it reads 0 on odd-sized axes at any resolution.
+    and a band that overflows with DomainError, naming both by names. On the
+    grid route an input is refused with UnresolvedGrid, named by names, when
+    its largest |W| on the outermost rows and columns exceeds the threshold
+    (a box too small), or when its outer frequency bands move the commutator
+    by more than that (a grid too coarse). The self-commutator Im(W*W) is
+    no such check: it vanishes for any real interpolant, so it reads 0 on
+    odd-sized axes at any resolution.
 
     The route's memory is admitted once, on the geometry it runs on, before
     anything grid-sized is allocated: MOYAL_GRID_ARRAYS grids must fit in
@@ -435,9 +425,10 @@ def moyal_witness(a, b, geom: GridGeometry, stderr=(None, None),
     else:
         a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
                 for x in (a, b))
-        if any(s is not None for s in stderr):
-            l1_a, l1_b = (grid_integral(np.abs(w.values), geom) for w in (a, b))
-            band = uncertainty_band(geom, stderr[0] or 0.0, stderr[1] or 0.0, l1_a, l1_b)
+        if a.value_stderr is not None or b.value_stderr is not None:
+            band = uncertainty_band(a, b)
+            if not band < np.inf:       # inf, or NaN from 0 * inf
+                raise DomainError(f"{names[0]} and {names[1]}: their uncertainty band is {band}")
             threshold = max(band, threshold)
         comm = moyal_commutator(a, b)
         for name, w, partner in ((names[0], a, b), (names[1], b, a)):

@@ -105,7 +105,6 @@ class StateFile:
     kind: str
     payload: Any
     fock_cutoff: Optional[int] = None
-    value_stderr: Optional[float] = None
     path: Optional[str] = None
     digest: Optional[str] = None
 
@@ -151,7 +150,7 @@ def shot_record_doc(rec: ShotRecord) -> dict:
     }
 
 
-def wigner_grid_doc(grid, value_stderr: Optional[float] = None) -> dict:
+def wigner_grid_doc(grid: WignerGrid) -> dict:
     geom = grid.geometry
     doc = {
         "format_version": FORMAT_VERSION,
@@ -163,8 +162,8 @@ def wigner_grid_doc(grid, value_stderr: Optional[float] = None) -> dict:
         "np": geom.np,
         "values": grid.values,
     }
-    if value_stderr is not None:
-        doc["value_stderr"] = float(value_stderr)
+    if grid.value_stderr is not None:
+        doc["value_stderr"] = float(grid.value_stderr)
     return doc
 
 
@@ -240,8 +239,11 @@ def render(doc: dict) -> str:
 
 def write(path: str, doc: dict) -> None:
     text = render(doc)      # a refused document leaves no file behind
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def resolve_path(path: str) -> str:
@@ -342,11 +344,10 @@ def _load_wigner_grid(doc: dict) -> StateFile:
     geom = GridGeometry(parse_float(doc["x_min"]), parse_float(doc["x_max"]),
                         parse_float(doc["p_min"]), parse_float(doc["p_max"]),
                         parse_int(doc["nx"], "nx"), parse_int(doc["np"], "np"))
-    values = _fmatrix_in(doc["values"])
-    grid = WignerGrid(geom, values)
     stderr = doc.get("value_stderr")
-    return StateFile("wigner_grid", grid,
-                     value_stderr=parse_float(stderr) if stderr is not None else None)
+    return StateFile("wigner_grid", WignerGrid(
+        geom, _fmatrix_in(doc["values"]),
+        parse_float(stderr) if stderr is not None else None))
 
 
 _LOADERS = {

@@ -128,7 +128,7 @@ def char_commutator(chi_k: CharGrid, chi_k2: CharGrid) -> CharGrid:
 
 
 def moyal_commutator_quadrature(wk: ph.WignerGrid,
-                                wk2: ph.WignerGrid) -> ph.CommutatorGrid:
+                                wk2: ph.WignerGrid) -> ph.WignerGrid:
     """Literal Riemann-sum quadrature of the commutator double integral.
 
     Evaluates, on the grid's own lattice,
@@ -176,7 +176,7 @@ def moyal_commutator_quadrature(wk: ph.WignerGrid,
             block = chi_tab[np.ix_(ii, jj)]
             acc = np.sum(wa * phase * block) * h2
             out[ia, ib] = -(8.0 / pi) * acc.imag
-    return ph.CommutatorGrid(geom, out)
+    return ph.WignerGrid(geom, out)
 
 
 def fock_series_all_orders(matrix: np.ndarray, geom: ph.GridGeometry, scale: float,

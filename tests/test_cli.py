@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -299,14 +300,33 @@ class TestMoyal:
         g1 = wigner_from_fock(fock_state(0, 8), geom)
         g2 = wigner_from_fock(pure_state([1, 1], 8), geom)
         p1 = write_fixture(workdir / "w1.state",
-                           statefile.wigner_grid_doc(g1, value_stderr=1e-5))
+                           statefile.wigner_grid_doc(replace(g1, value_stderr=1e-5)))
         p2 = write_fixture(workdir / "w2.state",
-                           statefile.wigner_grid_doc(g2, value_stderr=1e-5))
+                           statefile.wigner_grid_doc(replace(g2, value_stderr=1e-5)))
         code, out, _ = run(capsys, "moyal", p1, p2)
         assert code == 0
         doc = json.loads(out)
         assert doc["witnesses"]["significant"] is True
         assert float(doc["witnesses"]["uncertainty_band"]) > 0
+
+    @pytest.mark.parametrize("stderr, message", [
+        (-1e-6, "invalid wigner_grid payload: value_stderr -1e-06 is not finite and >= 0"),
+        (1e308, "{noisy} and {exact}: their uncertainty band is inf"),
+    ], ids=["negative", "overflowing_band"])
+    def test_refused_value_stderr_exit_2_without_a_grid_file(self, capsys, workdir,
+                                                             stderr, message):
+        # a negative error once set a negative band, reported significant
+        # beside CONSISTENT_WITH_ZERO; an infinite band was refused only by
+        # the report, after the grid file had been written
+        vac = phasespace.wigner_from_fock(fock_state(0, 8), phasespace.square_geometry(6.0, 48))
+        exact = write_fixture(workdir / "vac48.state", statefile.wigner_grid_doc(vac))
+        doc = statefile.wigner_grid_doc(vac)
+        doc["value_stderr"] = stderr
+        noisy = write_fixture(workdir / "noisy.state", doc)
+        code, out, err = run(capsys, "moyal", noisy, exact, "--out", "c.json")
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.format(noisy=noisy, exact=exact) + "\n"
+        assert not (workdir / "c.json").exists()
 
     @staticmethod
     def grid_file(workdir, name, op, geom):
@@ -407,7 +427,7 @@ class TestMoyal:
         monkeypatch.setattr(phasespace, "grid_max_abs", checked)
 
     @pytest.mark.parametrize("extent, message", [
-        ("1e200", "non-finite commutator values"),
+        ("1e200", "non-finite grid values"),
         ("inf", "non-finite grid bounds or step"),
     ])
     def test_non_finite_fock_grid_exit_2(self, capsys, fock_files, finite_grid_max_abs,
@@ -446,7 +466,7 @@ class TestMoyal:
             code, out, err = run(capsys, "moyal", path, path)
         assert code == 2
         assert out == ""
-        assert err == "error: non-finite commutator values\n"
+        assert err == "error: non-finite grid values\n"
 
     def test_golden(self, capsys, fock_files):
         a, b = fock_files
@@ -558,6 +578,21 @@ class TestTomo:
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         _, out2, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("moyal", "fock0.state", "fock0.state", "--points", "16", "--out", "missing/x.json"),
+    ("tomo", "bell2.state", "--record-out", "missing/x.json"),
+    ("tomo", "bell2.state", "--record-out", "."),
+])
+def test_unwritable_output_path_exit_2(capsys, workdir, bell, argv):
+    # an OSError from the writer was once a traceback with exit 1
+    write_fixture(workdir / "bell2.state", statefile.dv_density_doc(bell))
+    write_fixture(workdir / "fock0.state", statefile.dv_density_doc(
+        DensityOperator(fock_state(0, 8).matrix), fock_cutoff=8))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {argv[-1]}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(STRING_ROW_DOCUMENTS))

@@ -58,8 +58,8 @@ def documents() -> dict:
         "shot_record.state": statefile.shot_record_doc(
             ShotRecord(sic, sic, counts, int(counts.sum()), 7)),
         "wigner_grid.state": statefile.wigner_grid_doc(
-            WignerGrid(GridGeometry(-1 / 3, 5e-324, -0.0, 1e308, 2, 3), edge),
-            value_stderr=1 / 3),
+            WignerGrid(GridGeometry(-1 / 3, 5e-324, -0.0, 1e308, 2, 3), edge,
+                       value_stderr=1 / 3)),
         "f0.state": statefile.dv_density_doc(DensityOperator(fock_state(0, 4).matrix),
                                              fock_cutoff=4),
         "thermal.state": statefile.gaussian_doc(gaussian.thermal_product(0.3, 1.2)),

@@ -1,6 +1,10 @@
+import warnings
+from dataclasses import replace
+from math import pi
+from unittest import mock
+
 import numpy as np
 import pytest
-from math import pi
 
 import phasespace_oracles as oracles
 from conftest import random_diagonal_fock
@@ -143,13 +147,41 @@ class TestMoyalWitness:
 
     def test_stderr_sets_the_band_and_raises_the_threshold(self):
         geom = ph.square_geometry(6.0, 48)
-        a = ph.wigner_from_fock(ph.fock_state(0, 8), geom)
+        a = ph.WignerGrid(geom, ph.wigner_from_fock(ph.fock_state(0, 8), geom).values,
+                          value_stderr=1e-5)
         b = ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom)
-        _, w = ph.moyal_witness(a, b, geom, (1e-5, None))
-        l1_a, l1_b = (ph.grid_integral(np.abs(g.values), geom) for g in (a, b))
+        _, w = ph.moyal_witness(a, b, geom)
         band = w.witnesses["uncertainty_band"]
-        assert band == ph.uncertainty_band(geom, 1e-5, 0.0, l1_a, l1_b)
+        assert band == ph.uncertainty_band(a, b)
         assert w.thresholds["grid_max_abs"] == max(band, ph.MOYAL_NUMERICAL_FLOOR)
+
+    @pytest.mark.parametrize("stderr_a, stderr_b", [
+        (1e-5, None), (None, 2e-5), (1e-5, 2e-5), (0.0, None), (None, None)])
+    def test_uncertainty_band_reads_both_grids_errors(self, stderr_a, stderr_b):
+        # an exact grid counts as error 0; the L1 norms are Riemann sums
+        geom = ph.square_geometry(6.0, 48)
+        a = replace(ph.wigner_from_fock(ph.fock_state(0, 8), geom), value_stderr=stderr_a)
+        b = replace(ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom), value_stderr=stderr_b)
+        l1_a, l1_b = (float(np.sum(np.abs(w.values)) * geom.dx * geom.dp) for w in (a, b))
+        s_a, s_b, area = stderr_a or 0.0, stderr_b or 0.0, 12.0 ** 2
+        assert ph.uncertainty_band(a, b) == \
+            (8.0 / pi) * area * (s_a * l1_b + s_b * l1_a + s_a * s_b * area)
+
+    @pytest.mark.parametrize("scale, stderr, band", [(1.0, 1e308, "inf"),
+                                                     (1e308, 1e-5, "nan")])
+    def test_an_overflowing_band_is_refused_naming_both_inputs(self, scale, stderr, band):
+        # 1e308 overflows the band; so do grid values whose L1 norm is inf,
+        # and times the partner's error 0 that reads NaN. Either is refused
+        # before the commutator is computed.
+        geom = ph.square_geometry(6.0, 48)
+        vac = ph.wigner_from_fock(ph.fock_state(0, 8), geom)
+        a = ph.WignerGrid(geom, scale * vac.values, stderr)
+        with warnings.catch_warnings(), mock.patch.object(ph, "moyal_commutator") as commute:
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=f"^x.state and y.state: their uncertainty band is {band}$"):
+                ph.moyal_witness(a, vac, geom, ("x.state", "y.state"))
+        commute.assert_not_called()
 
 
 class TestZeroCoherenceOrders:
@@ -269,13 +301,18 @@ class TestNonFiniteGrids:
         with pytest.raises(DomainError, match="non-finite grid bounds or step"):
             ph.GridGeometry(*bounds, 4, 4)
 
+    @pytest.mark.parametrize("bad", [-1e-6, np.nan, np.inf])
+    def test_grid_refuses_a_negative_or_non_finite_value_stderr(self, bad):
+        with pytest.raises(DomainError, match="value_stderr .* is not finite and >= 0"):
+            ph.WignerGrid(ph.square_geometry(2.0, 4), np.zeros((4, 4)), value_stderr=bad)
+
     def test_commutator_grid_refuses_non_finite_values(self):
         geom = ph.square_geometry(2.0, 4)
         for bad in (np.nan, np.inf):
             values = np.zeros((4, 4))
             values[1, 2] = bad
-            with pytest.raises(DomainError, match="non-finite commutator values"):
-                ph.CommutatorGrid(geom, values)
+            with pytest.raises(DomainError, match="non-finite grid values"):
+                ph.WignerGrid(geom, values)
 
     def test_char_grid_refuses_non_finite_values(self):
         # |xi|^2 overflows in the series at extent 1e200; before, 255 of the
@@ -294,14 +331,14 @@ class TestNonFiniteGrids:
         values[::2] *= -1
         w = ph.WignerGrid(ph.square_geometry(6.0, 16), values)
         with np.errstate(all="ignore"), pytest.raises(DomainError,
-                                                      match="non-finite commutator"):
+                                                      match="non-finite grid values"):
             ph.moyal_commutator(w, w)
 
 
 class TestGridMaxAbs:
     def test_zero_grid(self):
         geom = ph.square_geometry(2.0, 8)
-        value, loc = ph.grid_max_abs(ph.CommutatorGrid(geom, np.zeros((8, 8))))
+        value, loc = ph.grid_max_abs(ph.WignerGrid(geom, np.zeros((8, 8))))
         assert value == 0.0
         assert loc == (0, 0)
 
@@ -309,7 +346,7 @@ class TestGridMaxAbs:
         geom = ph.square_geometry(6.0, 32)
         vals = np.zeros((32, 32))
         vals[10, 20] = 0.5
-        value, loc = ph.grid_max_abs(ph.CommutatorGrid(geom, vals))
+        value, loc = ph.grid_max_abs(ph.WignerGrid(geom, vals))
         assert value == 0.5
         assert loc == (10, 20)
 
@@ -321,14 +358,12 @@ class TestGridMaxAbs:
         geom = ph.square_geometry(6.0, 64)
         cond_a = ph.fock_state(0, cutoff)
         cond_b = ph.pure_state([1, 1], cutoff)
-        wa = ph.wigner_from_fock(cond_a, geom)
-        wb = ph.wigner_from_fock(cond_b, geom)
+        stderr = 1e-5
+        wa = ph.WignerGrid(geom, ph.wigner_from_fock(cond_a, geom).values, stderr)
+        wb = ph.WignerGrid(geom, ph.wigner_from_fock(cond_b, geom).values, stderr)
         m = ph.moyal_commutator(wa, wb)
         value, _ = ph.grid_max_abs(m)
-        stderr = 1e-5
-        l1_a = float(np.sum(np.abs(wa.values)) * geom.dx * geom.dp)
-        l1_b = float(np.sum(np.abs(wb.values)) * geom.dx * geom.dp)
-        band = ph.uncertainty_band(geom, stderr, stderr, l1_a, l1_b)
+        band = ph.uncertainty_band(wa, wb)
         assert value > 10 * band
 
 

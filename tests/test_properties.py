@@ -12,7 +12,7 @@ import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from unittest import mock
 
@@ -29,7 +29,7 @@ from qdverify.errors import ParseError, QdvError
 from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
                              hermitian_eig, random_density_matrix, random_unitary,
                              validate_states)
-from qdverify.phasespace import (CommutatorGrid, FockOperator, GridGeometry, WignerGrid,
+from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid,
                                  _fock_series, fock_commutator, fock_state,
                                  random_fock_density, square_geometry, wigner_from_fock)
 from qdverify.tomo import ShotRecord
@@ -500,9 +500,9 @@ def state_documents(draw):
     x0, p0 = rng.normal(size=2) * 10
     geom = GridGeometry(x0, x0 + rng.exponential() + 1e-3,
                         p0, p0 + rng.exponential() + 1e-3, nx, npts)
-    grid = WignerGrid(geom, rng.normal(size=(nx, npts)))
-    stderr = draw(st.none() | st.floats(0.0, 1.0))
-    return statefile.wigner_grid_doc(grid, value_stderr=stderr)
+    grid = WignerGrid(geom, rng.normal(size=(nx, npts)),
+                      value_stderr=draw(st.none() | st.floats(0.0, 1.0)))
+    return statefile.wigner_grid_doc(grid)
 
 
 def _document_of(sf):
@@ -512,7 +512,7 @@ def _document_of(sf):
         return statefile.gaussian_doc(sf.payload)
     if sf.kind == "shot_record":
         return statefile.shot_record_doc(sf.payload)
-    return statefile.wigner_grid_doc(sf.payload, value_stderr=sf.value_stderr)
+    return statefile.wigner_grid_doc(sf.payload)
 
 
 def _load_text(text: str):
@@ -597,7 +597,7 @@ def test_constant_and_near_constant_arrays_write_the_json_dumps_layout(values):
 
 def test_a_commuting_pairs_zero_grid_writes_the_json_dumps_layout():
     doc = statefile.wigner_grid_doc(
-        CommutatorGrid(square_geometry(6.0, 128), np.zeros((128, 128))))
+        WignerGrid(square_geometry(6.0, 128), np.zeros((128, 128))))
     tree = _with_float_strings({**doc, "values": doc["values"].tolist()})
     assert statefile.render(doc) == json.dumps(tree, sort_keys=True, indent=1) + "\n"
 
@@ -886,18 +886,20 @@ def cli_inputs(draw):
         statefile.dv_density_doc(dv.generate_maximally_entangled(2)),
         statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)),
         statefile.dv_density_doc(DensityOperator(vacuum.matrix), fock_cutoff=3),
-        statefile.wigner_grid_doc(wigner_from_fock(vacuum, square_geometry(6.0, 40)),
-                                  value_stderr=1e-9),
+        statefile.wigner_grid_doc(replace(wigner_from_fock(vacuum, square_geometry(6.0, 40)),
+                                          value_stderr=1e-9)),
     ]))
 
 
 @st.composite
 def cli_cases(draw):
-    """(command line without its input paths, input document tree): mostly
-    a command that takes the document's kind, each of its flags at most once
-    with its value as one argument (--flag=value) or two, and the document
-    after up to three edits: a key dropped, a leaf replaced, or a list item
-    dropped or duplicated."""
+    """(command line without its input paths, input document tree, output
+    path): mostly a command that takes the document's kind, each of its
+    flags at most once with its value as one argument (--flag=value) or two,
+    the document after up to three edits: a key dropped, a leaf replaced, or
+    a list item dropped or duplicated, and where moyal writes its grid and
+    tomo its record, relative to a temporary directory: a writable file, a
+    file in a missing directory, or the directory itself."""
     tree = json.loads(statefile.render(draw(cli_inputs())))
     command = draw(st.sampled_from(COMMANDS_OF_KIND[tree["kind"]])
                    | st.sampled_from(sorted(COMMAND_FLAGS)))
@@ -923,23 +925,29 @@ def cli_cases(draw):
             parent[path[-1]] = draw(json_values)
         else:
             parent.insert(path[-1], parent[path[-1]])
-    return argv, tree
+    out = draw(st.sampled_from(["out.json", "out.json", os.path.join("missing", "out.json"), ""]))
+    return argv, tree, out
 
 
 @PROPERTY_SETTINGS
 @given(cli_cases())
+@example((["tomo", "--shots=100"], json.loads(statefile.render(statefile.dv_density_doc(
+    dv.generate_maximally_entangled(2)))), os.path.join("missing", "out.json")))
+@example((["moyal", "--points=16"], json.loads(statefile.render(statefile.dv_density_doc(
+    DensityOperator(fock_state(0, 3).matrix), fock_cutoff=3))), ""))
 def test_cli_exits_0_or_2_on_any_arguments_and_file(case):
     # the exit contract: a QdvError is one stderr line and exit 2, never a
     # traceback (exit 1); argparse's own refusals exit 2 as well
-    argv, tree = case
+    argv, tree, out_path = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.state")
         with open(path, "w") as fh:
             json.dump(tree, fh)
         argv = argv[:1] + [path] * (2 if argv[0] == "moyal" else 1) + argv[1:]
-        if argv[0] == "moyal":
-            argv.append("--out=" + os.path.join(tmp, "grid.json"))
+        out_flag = {"moyal": "--out=", "tomo": "--record-out="}.get(argv[0])
+        if out_flag:
+            argv.append(out_flag + os.path.join(tmp, out_path))
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from conftest import STRING_ROW_DOCUMENTS, random_bipartite_state
 from qdverify import gaussian, statefile, tomo
 from qdverify.errors import ParseError
-from qdverify.phasespace import GridGeometry, square_geometry, wigner_from_fock, fock_state
+from qdverify.phasespace import (GridGeometry, WignerGrid, square_geometry, wigner_from_fock,
+                                 fock_state)
 
 
 class TestFloatFormat:
@@ -104,11 +106,11 @@ class TestWignerGridRoundTrip:
         geom = square_geometry(6.0, 16)
         grid = wigner_from_fock(fock_state(0, 8), geom)
         path = tmp_path / "w.state"
-        statefile.write(str(path), statefile.wigner_grid_doc(grid, value_stderr=1e-4))
+        statefile.write(str(path), statefile.wigner_grid_doc(replace(grid, value_stderr=1e-4)))
         sf = statefile.load(str(path))
         assert sf.payload.geometry == geom
         np.testing.assert_array_equal(sf.payload.values, grid.values)
-        assert sf.value_stderr == 1e-4
+        assert sf.payload.value_stderr == 1e-4
 
 
 class TestBatchedMatrixWriters:
@@ -118,7 +120,7 @@ class TestBatchedMatrixWriters:
     @staticmethod
     def grid(values):
         return SimpleNamespace(geometry=GridGeometry(-1.0, 1.0, -1.0, 2.0, 2, 3),
-                               values=values)
+                               values=values, value_stderr=None)
 
     @staticmethod
     def tree(doc):
@@ -131,9 +133,9 @@ class TestBatchedMatrixWriters:
         assert rows[0][:2] == ["-0", "4.9406564584124654e-324"]
 
     def test_integer_bounds_and_stderr_are_written_as_floats(self):
-        grid = SimpleNamespace(geometry=GridGeometry(-1, 1, -1, 2, 2, 3),
-                               values=np.array(self.EDGE_VALUES))
-        tree = self.tree(statefile.wigner_grid_doc(grid, value_stderr=0))
+        grid = WignerGrid(GridGeometry(-1, 1, -1, 2, 2, 3), np.array(self.EDGE_VALUES),
+                          value_stderr=0)
+        tree = self.tree(statefile.wigner_grid_doc(grid))
         assert [tree[k] for k in ("x_min", "x_max", "p_min", "p_max", "value_stderr")] == \
             ["-1", "1", "-1", "2", "0"]
 
