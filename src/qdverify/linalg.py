@@ -203,13 +203,3 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dag(g)
     return rho / np.trace(rho).real
-
-
-def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian with zero trace, normalized to unit operator norm."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + dag(g)) / 2.0
-    h -= np.trace(h).real / dim * np.eye(dim)
-    w = hermitian_eig(h).eigenvalues
-    top = max(abs(w[0]), abs(w[-1]))
-    return h / top if top > 0 else h

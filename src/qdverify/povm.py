@@ -19,7 +19,6 @@ from .linalg import (
     dag,
     frobenius_norm,
     hermitian_eig,
-    random_traceless_hermitian,
 )
 
 # Numerical-rank cutoff for the completeness test and the frame pseudoinverse.
@@ -143,6 +142,11 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
     renormalized symmetrically (S^{-1/2} M S^{-1/2} with S the sum) so
     completeness of the sum is exact by construction. Resamples up to ten
     times if the completeness check fails, then raises CompletenessFailure.
+
+    Each attempt draws K = dim^2 blocks of [re, im] dim x dim normals, in
+    that order: effect k's perturbation is the Hermitian part of re + i im,
+    made traceless and scaled to unit operator norm. The order fixes each
+    seed's POVM.
     """
     if dim < 2:
         raise DimMismatch("dim must be at least 2")
@@ -151,15 +155,16 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
     rng = np.random.default_rng(seed)
     eye = np.eye(dim, dtype=complex)
     for _ in range(10):
-        effects = []
-        for _k in range(dim * dim):
-            h = random_traceless_hermitian(dim, rng)
-            cand = (eye + PERTURBATION_SCALE * h) / (dim * dim)
-            e = hermitian_eig(cand)
-            clipped = np.maximum(e.eigenvalues, 0.0)
-            v = e.eigenvectors
-            effects.append((v * clipped) @ dag(v))
-        effects = np.array(effects)
+        z = rng.normal(size=(dim * dim, 2, dim, dim))
+        g = z[:, 0] + 1j * z[:, 1]
+        h = (g + dag(g)) / 2.0
+        h -= np.trace(h, axis1=1, axis2=2).real[:, None, None] / dim * eye
+        w = hermitian_eig(h).eigenvalues
+        top = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))[:, None, None]
+        h = h / np.where(top > 0, top, 1.0)    # a zero perturbation stays zero
+        e = hermitian_eig((eye + PERTURBATION_SCALE * h) / (dim * dim))
+        v = e.eigenvectors
+        effects = (v * np.maximum(e.eigenvalues, 0.0)[:, None, :]) @ dag(v)
         es = hermitian_eig(effects.sum(axis=0))
         if es.eigenvalues[-1] <= 1e-12:
             continue

@@ -44,6 +44,9 @@ FIXTURE_DIR_ENV = "QDVERIFY_FIXTURE_DIR"
 
 
 def parse_float(s: Any) -> float:
+    """A finite float from a JSON number or decimal string, but not a bool."""
+    if isinstance(s, bool):
+        raise ParseError(f"bad float value {s!r}")
     try:
         x = float(s)
     except (TypeError, ValueError):
@@ -62,19 +65,19 @@ def parse_int(v: Any, name: str) -> int:
 
 def _floats_in(rows: Any, what: str) -> np.ndarray:
     """Nested lists of numbers or decimal strings as one finite float array;
-    the caller checks its shape."""
+    the caller checks its shape. A JSON true or false is refused."""
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{what} must be a non-empty list")
     try:
-        a = np.array(rows, dtype=float)
+        values = np.array(rows, dtype=object)
+        a = values.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad {what}: {exc}") from None
-    bad = np.argwhere(~np.isfinite(a))
-    if len(bad):
-        value = rows
-        for i in bad[0]:
-            value = value[i]
-        raise ParseError(f"non-finite float value {value!r}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ParseError(f"non-finite float value {values[~finite][0]!r}")
+    if (np.frompyfunc(type, 1, 1)(values) == bool).any():    # float(True) is 1.0
+        raise ParseError(f"bad {what}: true and false are not numbers")
     return a
 
 
@@ -265,10 +268,20 @@ def load(path: str) -> StateFile:
     try:
         with open(resolved, "rb") as fh:
             raw = fh.read()
-        # decoded as a text-mode open decodes, newline translation included
-        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    try:
+        sf = _parse(raw)
+    except ParseError as exc:
+        raise ParseError(f"{resolved}: {exc}") from None
+    sf.path, sf.digest = resolved, "sha256:" + hashlib.sha256(raw).hexdigest()
+    return sf
+
+
+def _parse(raw: bytes) -> StateFile:
+    try:
+        # decoded as a text-mode open decodes, newline translation included
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"))
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
         # integer literal past Python's digit limit; deep nesting recurses
@@ -281,15 +294,13 @@ def load(path: str) -> StateFile:
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     try:
-        sf = _LOADERS[kind](doc)
+        return _LOADERS[kind](doc)
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from None
     except Exception as exc:
         raise ParseError(f"invalid {kind} payload: {exc}") from None
-    sf.path, sf.digest = resolved, "sha256:" + hashlib.sha256(raw).hexdigest()
-    return sf
 
 
 def _load_dv_density(doc: dict) -> StateFile:

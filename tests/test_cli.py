@@ -310,7 +310,8 @@ class TestMoyal:
         assert float(doc["witnesses"]["uncertainty_band"]) > 0
 
     @pytest.mark.parametrize("stderr, message", [
-        (-1e-6, "invalid wigner_grid payload: value_stderr -1e-06 is not finite and >= 0"),
+        (-1e-6, "{noisy}: invalid wigner_grid payload: value_stderr -1e-06 is not finite "
+                "and >= 0"),
         (1e308, "{noisy} and {exact}: their uncertainty band is inf"),
     ], ids=["negative", "overflowing_band"])
     def test_refused_value_stderr_exit_2_without_a_grid_file(self, capsys, workdir,
@@ -327,6 +328,27 @@ class TestMoyal:
         assert (code, out) == (2, "")
         assert err == "error: " + message.format(noisy=noisy, exact=exact) + "\n"
         assert not (workdir / "c.json").exists()
+
+    @pytest.mark.parametrize("stderr, message", [
+        (-1e-6, "invalid wigner_grid payload: value_stderr -1e-06 is not finite and >= 0"),
+        (True, "bad float value True"),
+    ], ids=["negative", "json_true"])
+    def test_a_bad_second_input_is_named(self, capsys, workdir, stderr, message):
+        # a load error once named neither file, and a JSON true loaded as 1.0
+        vac = phasespace.wigner_from_fock(fock_state(0, 8), phasespace.square_geometry(6.0, 48))
+        exact = write_fixture(workdir / "vac48.state", statefile.wigner_grid_doc(vac))
+        doc = json.loads(statefile.render(statefile.wigner_grid_doc(vac)))
+        doc["value_stderr"] = stderr
+        (workdir / "noisy.state").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "moyal", exact, "noisy.state")
+        assert (code, out) == (2, "")
+        assert err == f"error: noisy.state: {message}\n"
+
+    def test_an_unreadable_input_is_not_named_twice(self, capsys, workdir):
+        # "cannot read" names the path itself and takes no prefix
+        code, out, err = run(capsys, "moyal", "missing.state", "missing.state")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read missing.state: ")
 
     @staticmethod
     def grid_file(workdir, name, op, geom):

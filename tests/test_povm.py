@@ -2,7 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from povm_oracles import random_ic_povm_loop
+from qdverify import povm as povm_mod
 from qdverify.errors import (CompletenessFailure, DimMismatch, DomainError,
                              NotInformationallyComplete)
 from qdverify.linalg import dag, frobenius_norm, hermitian_eig, random_density_matrix
@@ -77,6 +81,44 @@ class TestRandomIcPovm:
         p = random_ic_povm(4, seed=2)
         for e in p.effects:
             assert hermitian_eig(e).eigenvalues[-1] >= -1e-10
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRandomIcPovmMatchesTheLoop:
+    """The stacked construction gives the per-effect loop's effects bit for
+    bit, so every seed keeps its POVM."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_seeds(self, dim):
+        for seed in [*range(100), 20240, 20241]:
+            assert _same_bits(random_ic_povm(dim, seed).effects,
+                              random_ic_povm_loop(dim, seed).effects), seed
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_a_rejected_first_attempt(self, monkeypatch, dim):
+        # the second attempt continues the generator where the first left it
+        calls = []
+        real = povm_mod.is_informationally_complete
+
+        def reject_first(p):
+            calls.append(len(calls) % 2 == 0)
+            return real(p) and not calls[-1]
+
+        monkeypatch.setattr(povm_mod, "is_informationally_complete", reject_first)
+        second = random_ic_povm(dim, 20240)
+        assert _same_bits(second.effects, random_ic_povm_loop(dim, 20240).effects)
+        assert calls == [True, False, True, False]
+        monkeypatch.undo()
+        assert not _same_bits(second.effects, random_ic_povm(dim, 20240).effects)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(dim=st.integers(2, 7), seed=st.integers(0, 2 ** 63 - 1))
+    def test_any_seed(self, dim, seed):
+        assert _same_bits(random_ic_povm(dim, seed).effects,
+                          random_ic_povm_loop(dim, seed).effects)
 
 
 def test_projective_measurement_not_ic():
@@ -178,8 +220,6 @@ def test_default_ic_povm_dispatch():
 
 
 def test_completeness_failure_after_retries(monkeypatch):
-    import qdverify.povm as povm_mod
-
     monkeypatch.setattr(povm_mod, "is_informationally_complete", lambda p: False)
     with pytest.raises(CompletenessFailure):
         povm_mod.random_ic_povm(2, seed=0)

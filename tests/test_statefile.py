@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -26,6 +27,12 @@ class TestFloatFormat:
             statefile.parse_float("inf")
         with pytest.raises(ParseError):
             statefile.parse_float("not-a-number")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_json_booleans(self, value):
+        # float(True) is 1.0, so a grid bound of false once loaded as 0.0
+        with pytest.raises(ParseError, match=f"bad float value {value}"):
+            statefile.parse_float(value)
 
     def test_refused_write_leaves_no_file(self, tmp_path):
         # a NaN was once written as a bare NaN, which strict JSON readers refuse
@@ -216,8 +223,35 @@ class TestBatchedComplexMatrixReader:
         np.testing.assert_array_equal(got.view(np.uint64), m.view(np.uint64))
 
     def test_accepts_numeric_json_values(self):
-        np.testing.assert_array_equal(statefile._cmatrix_in([[[1, 0.5], ["-2", True]]]),
+        np.testing.assert_array_equal(statefile._cmatrix_in([[[1, 0.5], ["-2", 1]]]),
                                       [[1 + 0.5j, -2 + 1j]])
+
+
+class TestJsonBooleansRefused:
+    @pytest.mark.parametrize("rows", [
+        [[True, False]], [["0.5", True]], [[1, 0, 1.0, "0", False]], [[[1, 0.5], ["-2", True]]],
+    ])
+    def test_floats_in(self, rows):
+        # a bool beside numbers or strings, at any depth, is refused
+        with pytest.raises(ParseError, match="true and false are not numbers"):
+            statefile._floats_in(rows, "x")
+
+    def test_zeros_and_ones_that_are_numbers_pass(self):
+        rows = [[0, 1, "0", "1", 0.0, 1.0, -0.0, "-0"]] * 3
+        np.testing.assert_array_equal(statefile._floats_in(rows, "x"),
+                                      np.array(rows, dtype=float))
+
+    @pytest.mark.parametrize("field, value", [
+        ("value_stderr", True), ("x_min", False), ("values", [[True] * 16] * 16),
+    ])
+    def test_in_a_wigner_grid(self, tmp_path, field, value):
+        grid = wigner_from_fock(fock_state(0, 8), square_geometry(6.0, 16))
+        doc = json.loads(statefile.render(statefile.wigner_grid_doc(grid)))
+        doc[field] = value
+        path = tmp_path / "g.state"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            statefile.load(str(path))
 
 
 class TestStrictMode:
