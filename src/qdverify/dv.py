@@ -72,10 +72,14 @@ class ConditionalEnsemble:
             raise DomainError("outcome probabilities do not sum to 1")
         validate_states(self.states[self.present])
 
-    def pairs(self) -> np.ndarray:
+    def pairs(self, anchor: Optional[int] = None) -> np.ndarray:
         """(P, 2) array of every pair (j, k) of present outcomes with j < k,
-        in row-major order."""
+        in row-major order; given a present anchor, the pairs (anchor, k)
+        for every other present k instead, in order of k."""
         present = np.flatnonzero(self.present)
+        if anchor is not None:
+            rest = present[present != anchor]
+            return np.column_stack([np.full_like(rest, anchor), rest])
         return present[np.column_stack(np.triu_indices(present.size, k=1))]
 
 
@@ -145,11 +149,7 @@ def verify_commutativity(e: ConditionalEnsemble,
     """
     check_threshold("threshold", threshold)
     anchor = select_anchor(e)
-    if anchor is not None:
-        rest = np.flatnonzero(e.present & (np.arange(e.present.size) != anchor))
-        pairs = np.column_stack([np.full_like(rest, anchor), rest])
-    else:
-        pairs = e.pairs()
+    pairs = e.pairs(anchor)
     norms = frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]]))
     above = np.flatnonzero(norms > threshold)
     checked = int(above[0]) + 1 if above.size else len(pairs)
@@ -186,9 +186,7 @@ def generate_maximally_entangled(d: int) -> DensityOperator:
     """Density operator of sum_j |jj> / sqrt(d)."""
     if d < 2:
         raise BadDimension("d must be at least 2")
-    psi = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        psi[j * d + j] = 1.0 / np.sqrt(d)
+    psi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityOperator(np.outer(psi, psi.conj()), bipartition=(d, d))
 
 

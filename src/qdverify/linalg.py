@@ -5,7 +5,8 @@ DensityOperator, which validates the physical invariants (Hermitian, unit
 trace, positive semidefinite) on construction through validate_states, the
 check that also takes a stack of states. Every spectral question in
 the package goes through hermitian_eig, a checked wrapper over numpy's
-LAPACK eigh. All functions are pure.
+LAPACK eigh, and every rebuild V diag(w) V^dagger from its result through
+EigenDecomposition.reconstruct. All functions are pure.
 """
 from __future__ import annotations
 
@@ -81,9 +82,11 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, w: Optional[np.ndarray] = None) -> np.ndarray:
+        """V diag(w) V^dagger, with w (..., n) the eigenvalues by default."""
         v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dag(v)
+        w = self.eigenvalues if w is None else w
+        return (v * w[..., None, :]) @ dag(v)
 
 
 def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
@@ -91,7 +94,9 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
 
     The input is symmetrised before the call, and the result is reordered
     to descending eigenvalues. Raises NotHermitian if m is not square, has
-    non-finite entries, or max |m - m^dagger| exceeds SPECTRAL_TOL.
+    non-finite entries, or max |m - m^dagger| exceeds SPECTRAL_TOL, and
+    also if its entries are so large (about 9e307 or more) that the
+    symmetrisation or eigh overflows to non-finite eigenvalues.
     """
     a = np.array(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
@@ -101,7 +106,14 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     if np.max(np.abs(a - dag(a)), initial=0.0) > SPECTRAL_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance "
                            f"{SPECTRAL_TOL:g}")
-    w, v = np.linalg.eigh((a + dag(a)) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w, v = np.linalg.eigh((a + dag(a)) / 2.0)
+        except np.linalg.LinAlgError:
+            w = None
+    # n eigenvalues to check, not n^2 entries: a NaN passes every < test
+    if w is None or not np.isfinite(w).all():
+        raise NotHermitian("matrix entries overflow the eigensolver")
     return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 

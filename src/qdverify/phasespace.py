@@ -38,7 +38,7 @@ import numpy as np
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
 from .errors import (DimMismatch, DomainError, GeometryMismatch, TruncationTail,
                      UnresolvedGrid)
-from .linalg import admit_memory, dag
+from .linalg import admit_memory, random_density_matrix
 
 CONVENTION_TAG = "vacuum-variance=1/4"
 
@@ -183,13 +183,9 @@ def random_fock_density(cutoff: int, support: int, seed: int) -> FockOperator:
     """
     if support > cutoff:
         raise DimMismatch("support exceeds cutoff")
-    rng = np.random.default_rng(seed)
     d = support + 1
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ dag(g)
-    rho /= np.trace(rho).real
     m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    m[:d, :d] = rho
+    m[:d, :d] = random_density_matrix(d, np.random.default_rng(seed))
     return FockOperator(cutoff, m)
 
 

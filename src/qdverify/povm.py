@@ -163,12 +163,11 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
         top = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))[:, None, None]
         h = h / np.where(top > 0, top, 1.0)    # a zero perturbation stays zero
         e = hermitian_eig((eye + PERTURBATION_SCALE * h) / (dim * dim))
-        v = e.eigenvectors
-        effects = (v * np.maximum(e.eigenvalues, 0.0)[:, None, :]) @ dag(v)
+        effects = e.reconstruct(np.maximum(e.eigenvalues, 0.0))
         es = hermitian_eig(effects.sum(axis=0))
         if es.eigenvalues[-1] <= 1e-12:
             continue
-        inv_sqrt = (es.eigenvectors * (1.0 / np.sqrt(es.eigenvalues))) @ dag(es.eigenvectors)
+        inv_sqrt = es.reconstruct(1.0 / np.sqrt(es.eigenvalues))
         effects = inv_sqrt @ effects @ inv_sqrt
         # symmetrize away rounding before validation
         povm = Povm(dim, (effects + dag(effects)) / 2.0)
@@ -216,7 +215,7 @@ def dual_frame(p: Povm) -> np.ndarray:
     e = hermitian_eig(frame)
     w = e.eigenvalues
     inv = np.where(w > RANK_CUTOFF * w[0], 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    pinv = (e.eigenvectors * inv) @ dag(e.eigenvectors)
+    pinv = e.reconstruct(inv)
     dual_coords = (pinv @ coords.T).T.real   # (K, d^2)
     return np.einsum("ka,aij->kij", dual_coords, hermitian_basis(p.dim))
 

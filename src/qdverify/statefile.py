@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
@@ -39,8 +38,6 @@ from .tomo import ShotRecord
 
 FORMAT_VERSION = "1"
 KINDS = ("dv_density", "gaussian", "shot_record", "wigner_grid")
-
-FIXTURE_DIR_ENV = "QDVERIFY_FIXTURE_DIR"
 
 
 def parse_float(s: Any) -> float:
@@ -249,32 +246,19 @@ def write(path: str, doc: dict) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
-def resolve_path(path: str) -> str:
-    """Resolve a state-file path, falling back to the fixture directory."""
-    if os.path.exists(path):
-        return path
-    fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
-    if fixture_dir and not os.path.isabs(path):
-        candidate = os.path.join(fixture_dir, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
 def load(path: str) -> StateFile:
     """Read a state file once and parse it; raises ParseError on any
     contract violation."""
-    resolved = resolve_path(path)
     try:
-        with open(resolved, "rb") as fh:
+        with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     try:
         sf = _parse(raw)
     except ParseError as exc:
-        raise ParseError(f"{resolved}: {exc}") from None
-    sf.path, sf.digest = resolved, "sha256:" + hashlib.sha256(raw).hexdigest()
+        raise ParseError(f"{path}: {exc}") from None
+    sf.path, sf.digest = path, "sha256:" + hashlib.sha256(raw).hexdigest()
     return sf
 
 

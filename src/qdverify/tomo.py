@@ -100,8 +100,7 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
     w = np.maximum(e.eigenvalues, 0.0)
     tr = w.sum(axis=-1, keepdims=True)
     w = np.where(tr > 0.0, w / np.where(tr > 0.0, tr, 1.0), 1.0 / w.shape[-1])
-    v = e.eigenvectors
-    out = (v * w[..., None, :]) @ dag(v)
+    out = e.reconstruct(w)
     return (out + dag(out)) / 2.0
 
 

@@ -655,17 +655,6 @@ def test_negative_or_non_finite_threshold_exit_2(capsys, workdir, argv, name):
     assert not os.path.exists("cq.state.shots.json")    # no record of a refused run
 
 
-def test_fixture_dir_resolution(capsys, tmp_path, monkeypatch, bell):
-    fixtures = tmp_path / "fx"
-    fixtures.mkdir()
-    statefile.write(str(fixtures / "bell.state"), statefile.dv_density_doc(bell))
-    monkeypatch.setenv(statefile.FIXTURE_DIR_ENV, str(fixtures))
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "verify-dv", "bell.state")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
-
-
 def test_cli_import_does_not_load_scipy(tmp_path):
     # the package needs numpy only: neither importing the CLI nor running
     # the phase-space route on Fock inputs loads scipy

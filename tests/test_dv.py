@@ -100,6 +100,27 @@ class TestSelectAnchor:
         assert dv.select_anchor(ens) == 0
 
 
+class TestPairs:
+    # six outcomes, of which 1 and 4 are absent
+    present = np.array([True, False, True, True, False, True])
+
+    def _ensemble(self):
+        probs = np.where(self.present, 0.25, 0.0)
+        states = np.where(self.present[:, None, None], np.eye(2) / 2, 0.0)
+        return dv.ConditionalEnsemble(probs, states, self.present)
+
+    @pytest.mark.parametrize("anchor, rest", [(0, [2, 3, 5]), (3, [0, 2, 5]),
+                                              (5, [0, 2, 3])],
+                             ids=["first", "middle", "last"])
+    def test_anchor_pairs_skip_absent_outcomes(self, anchor, rest):
+        np.testing.assert_array_equal(self._ensemble().pairs(anchor),
+                                      [[anchor, k] for k in rest])
+
+    def test_all_pairs_in_row_major_order(self):
+        np.testing.assert_array_equal(self._ensemble().pairs(),
+                                      [[0, 2], [0, 3], [0, 5], [2, 3], [2, 5], [3, 5]])
+
+
 class TestVerifyCommutativity:
     def test_product_state(self, sic):
         ens = dv.condition_on_povm(random_product_state(1), sic)

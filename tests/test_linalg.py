@@ -236,6 +236,12 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_entries_that_overflow_the_eigensolver(self):
+        # Hermitian with unit trace, but (m + m^dagger) / 2 overflows and a
+        # NaN spectrum would pass the PSD check
+        with pytest.raises(NotHermitian, match="overflow"):
+            DensityOperator(np.diag([1e308, -1e308, 1.0, 0.0]), bipartition=(2, 2))
+
     def test_rejects_bad_bipartition(self):
         with pytest.raises(DimMismatch):
             DensityOperator(np.eye(4) / 4, bipartition=(2, 3))

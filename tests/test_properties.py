@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasespace_oracles as oracles
+import test_golden
 from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
@@ -935,6 +936,8 @@ def cli_cases(draw):
     dv.generate_maximally_entangled(2)))), os.path.join("missing", "out.json")))
 @example((["moyal", "--points=16"], json.loads(statefile.render(statefile.dv_density_doc(
     DensityOperator(fock_state(0, 3).matrix), fock_cutoff=3))), ""))
+@example((["verify-gaussian", "--outcomes=0,0;1,1"],
+          json.loads(statefile.render(test_golden.documents()["gaussian.state"])), ""))
 def test_cli_exits_0_or_2_on_any_arguments_and_file(case):
     # the exit contract: a QdvError is one stderr line and exit 2, never a
     # traceback (exit 1); argparse's own refusals exit 2 as well

@@ -326,16 +326,6 @@ class TestStrictMode:
             statefile.load(str(path))
 
 
-def test_fixture_dir_env(tmp_path, monkeypatch, bell):
-    fixture_dir = tmp_path / "fixtures"
-    fixture_dir.mkdir()
-    statefile.write(str(fixture_dir / "bell.state"), statefile.dv_density_doc(bell))
-    monkeypatch.setenv(statefile.FIXTURE_DIR_ENV, str(fixture_dir))
-    monkeypatch.chdir(tmp_path)
-    sf = statefile.load("bell.state")
-    assert sf.kind == "dv_density"
-
-
 def test_emitted_files_are_ascii_and_stable(tmp_path, bell):
     doc = statefile.dv_density_doc(bell)
     a = statefile.render(doc)
