@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
-from .povm import DEFAULT_POVM_SEED, default_ic_povm, default_kind, dual_frame
+from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
 from .statefile import StateFile, load, render, shot_record_doc, wigner_grid_doc, write
 
 
@@ -61,7 +61,7 @@ def cmd_verify_dv(args) -> int:
     if rho.bipartition is None:
         raise ParseError("verify-dv needs a bipartition in the state file")
     dim_a = rho.bipartition[0]
-    kind = args.povm or default_kind(dim_a)
+    kind = args.povm or ("sic" if dim_a == 2 else "mub")
     ensemble = dv.condition_on_povm(rho, default_ic_povm(dim_a, seed=args.povm_seed, kind=kind))
     return _report("dv_exact", sf, dv.verify_commutativity(ensemble, args.threshold),
                    {"povm_kind": kind, "povm_seed": args.povm_seed})
@@ -140,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dv", help="commutativity test for a bipartite "
                        "discrete-variable state")
     p.add_argument("state")
-    p.add_argument("--povm", choices=["sic", "random"], default=None,
-                   help="IC-POVM choice (default: sic for qubits, random otherwise)")
+    p.add_argument("--povm", choices=["sic", "mub", "random"], default=None,
+                   help="IC-POVM on A (default: sic for qubits, otherwise mub, the "
+                   "closed-form Wootters-Fields MUBs tensored over the prime factors "
+                   "of its dimension; random is the seeded random POVM that tomo uses)")
     p.add_argument("--povm-seed", type=int, default=DEFAULT_POVM_SEED)
     p.add_argument("--threshold", type=float, default=dv.DEFAULT_COMMUTATOR_THRESHOLD)
     p.set_defaults(func=cmd_verify_dv)

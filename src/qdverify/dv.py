@@ -134,6 +134,19 @@ def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
     return best_idx
 
 
+def anchor_bound(norm: float, gap: float) -> float:
+    """Bound on the commutator norm of any two conditionals when each
+    commutes with an anchor of minimum gap `gap` up to Frobenius norm `norm`.
+
+    Each conditional's part off the anchor's diagonal then has norm at most
+    r = norm / gap, and the bound is 2 r + sqrt(2) r^2: two commutators of
+    a diagonal part (entries in [0, 1]) with an off-diagonal one, plus the
+    commutator of the two off-diagonal parts (Boettcher-Wenzel).
+    """
+    r = norm / gap
+    return 2.0 * r + np.sqrt(2.0) * r * r
+
+
 def verify_commutativity(e: ConditionalEnsemble,
                          threshold: float = DEFAULT_COMMUTATOR_THRESHOLD,
                          ) -> Verdict:
@@ -142,15 +155,24 @@ def verify_commutativity(e: ConditionalEnsemble,
     With a nondegenerate anchor present, only the anchor-versus-rest
     commutators are needed; commuting with a nondegenerate state forces
     every conditional into its eigenbasis, so the remaining pairs commute
-    as well. Without an anchor all pairs are checked. The first pair, in
-    sweep order, whose Frobenius norm exceeds the threshold is the witness;
-    checked_pairs and max_commutator_norm count the pairs up to it.
-    threshold must be finite and nonnegative (DomainError).
+    as well. At a finite threshold that holds only as far as anchor_bound
+    says: when no anchor pair exceeds the threshold but the bound on the
+    unchecked pairs does, all pairs are checked and reported as for an
+    ensemble without an anchor. Without an anchor all pairs are checked.
+    The first pair, in sweep order, whose Frobenius norm exceeds the
+    threshold is the witness; checked_pairs and max_commutator_norm count
+    the pairs up to it. threshold must be finite and nonnegative
+    (DomainError).
     """
     check_threshold("threshold", threshold)
     anchor = select_anchor(e)
     pairs = e.pairs(anchor)
-    norms = frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]]))
+    norms = _pair_norms(e, pairs)
+    if anchor is not None and not np.any(norms > threshold):
+        gap = degeneracy_gap(hermitian_eig(e.states[anchor]))
+        if anchor_bound(np.max(norms, initial=0.0), gap) > threshold:
+            anchor, pairs = None, e.pairs()
+            norms = _pair_norms(e, pairs)
     above = np.flatnonzero(norms > threshold)
     checked = int(above[0]) + 1 if above.size else len(pairs)
     witness = tuple(pairs[above[0]].tolist()) if above.size else None
@@ -158,6 +180,11 @@ def verify_commutativity(e: ConditionalEnsemble,
                    {"max_commutator_norm": float(np.max(norms[:checked], initial=0.0)),
                     "witness_pair": witness, "anchor_index": anchor, "checked_pairs": checked},
                    {"commutator_norm": threshold})
+
+
+def _pair_norms(e: ConditionalEnsemble, pairs: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the commutator of each pair of conditionals."""
+    return frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]]))
 
 
 def generate_zero_discord(dim_a: int, dim_b: int, seed: int) -> DensityOperator:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomes, DomainError, Unphysical, check_threshold
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
-from .linalg import hermitian_eig
+from .linalg import hermitian_defect, hermitian_eig
 
 VACUUM_VARIANCE = 0.25
 
@@ -53,7 +53,7 @@ class GaussianState:
             raise DomainError(f"covariance must be 4x4, got {self.cov.shape}")
         if not np.all(np.isfinite(self.cov)) or not np.all(np.isfinite(self.mean)):
             raise DomainError("non-finite covariance or mean")
-        if np.max(np.abs(self.cov - self.cov.T)) > SYMMETRY_TOL:
+        if hermitian_defect(self.cov) > SYMMETRY_TOL:
             raise DomainError("covariance matrix is not symmetric")
 
     @property

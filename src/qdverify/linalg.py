@@ -46,6 +46,14 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """max |m - m^dagger| of a matrix, or of each matrix in a (..., n, n)
+    stack. A difference that overflows reads inf, which fails every
+    tolerance, and raises no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m - dag(m)).max(axis=(-2, -1), initial=0.0)
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -103,7 +111,7 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
         raise NotHermitian(f"not a square matrix: {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotHermitian("matrix has non-finite entries")
-    if np.max(np.abs(a - dag(a)), initial=0.0) > SPECTRAL_TOL:
+    if np.max(hermitian_defect(a), initial=0.0) > SPECTRAL_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance "
                            f"{SPECTRAL_TOL:g}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +142,7 @@ def validate_states(m: np.ndarray) -> np.ndarray:
         raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DomainError("density operator has non-finite entries")
-    herm = np.max(np.abs(m - dag(m)), initial=0.0)
+    herm = np.max(hermitian_defect(m), initial=0.0)
     if herm > HERMITIAN_TOL:
         raise NotHermitian(f"density operator not Hermitian: {herm:g}")
     tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)

@@ -18,6 +18,7 @@ from .linalg import (
     HERMITIAN_TOL,
     dag,
     frobenius_norm,
+    hermitian_defect,
     hermitian_eig,
 )
 
@@ -66,7 +67,7 @@ class Povm:
         finite = np.isfinite(e).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"effect {np.argmin(finite)} has non-finite entries")
-        hermitian = np.abs(e - dag(e)).max(axis=(1, 2)) <= HERMITIAN_TOL
+        hermitian = hermitian_defect(e) <= HERMITIAN_TOL
         if not hermitian.all():
             raise DomainError(f"effect {np.argmin(hermitian)} is not Hermitian")
         lowest = hermitian_eig(e).eigenvalues[:, -1]
@@ -177,6 +178,35 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
         f"no informationally complete POVM after 10 attempts (dim={dim}, seed={seed})")
 
 
+def _mub_effects(p: int) -> np.ndarray:
+    """The p(p+1) Wootters-Fields MUB projectors on an odd prime p, each
+    weighted 1/(p+1): the computational basis, then for a = 0..p-1 the basis
+    with amplitudes omega^(a j^2 + b j)/sqrt(p), b = 0..p-1."""
+    j = np.arange(p)
+    phase = (j[:, None, None] * j ** 2 + j[None, :, None] * j) % p     # (a, b, j)
+    kets = np.concatenate([np.eye(p)[None], np.exp(2j * np.pi / p * phase) / np.sqrt(p)])
+    kets = kets.reshape(-1, p)
+    return np.einsum("ki,kj->kij", kets, kets.conj()) / (p + 1)
+
+
+def mub_povm(dim: int) -> Povm:
+    """Closed-form IC-POVM: the tensor product, over dim's prime factors in
+    ascending order, of the qubit SIC for each 2 and the Wootters-Fields MUBs
+    (Ann. Phys. 191, 363, 1989) for each odd prime. Each factor is a
+    2-design, so its frame operator has condition number p + 1, and the
+    product's is the product of those."""
+    if dim < 2:
+        raise DimMismatch("dim must be at least 2")
+    effects, n = np.ones((1, 1, 1)), dim
+    for p in range(2, dim + 1):
+        while n % p == 0:           # p is prime: its smaller factors are gone
+            f = sic_qubit().effects if p == 2 else _mub_effects(p)
+            m = effects.shape[1] * p
+            effects = np.einsum("aij,bkl->abikjl", effects, f).reshape(-1, m, m)
+            n //= p
+    return Povm(dim, effects)
+
+
 DEFAULT_POVM_SEED = 20240
 
 
@@ -187,15 +217,19 @@ def default_kind(dim: int) -> str:
 
 def default_ic_povm(dim: int, seed: int = DEFAULT_POVM_SEED,
                     kind: str | None = None) -> Povm:
-    """The qubit SIC or a seeded random IC-POVM, as kind (by default
-    default_kind(dim)) says. The seed must be nonnegative for every kind,
-    though the SIC does not read it (DomainError)."""
+    """The qubit SIC, the closed-form MUB POVM or a seeded random IC-POVM,
+    as kind ("sic", "mub" or "random"; by default default_kind(dim)) says.
+    The seed must be nonnegative for every kind, though only "random" reads
+    it (DomainError)."""
     if seed < 0:
         raise DomainError(f"POVM seed must be nonnegative, got {seed}")
-    if (kind or default_kind(dim)) == "sic":
+    kind = kind or default_kind(dim)
+    if kind == "sic":
         if dim != 2:
             raise DimMismatch("the SIC construction here is qubit-only")
         return sic_qubit()
+    if kind == "mub":
+        return mub_povm(dim)
     return random_ic_povm(dim, seed)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +51,8 @@ def qubit_qutrit_file(workdir):
 
 @pytest.fixture()
 def qutrit_file(workdir):
-    # a qutrit A side takes a seeded random IC-POVM, not the SIC
+    # a qutrit A side takes the MUB POVM in verify-dv and a seeded random
+    # IC-POVM in tomo, not the SIC
     rho = random_bipartite_state(0, 3, 3)
     return write_fixture(workdir / "qutrits.state", statefile.dv_density_doc(rho))
 
@@ -116,6 +118,17 @@ class TestVerifyDv:
         _, out1, _ = run(capsys, "verify-dv", bell_file)
         _, out2, _ = run(capsys, "verify-dv", bell_file)
         assert out1 == out2
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_mub_default_above_qubits(self, capsys, workdir, dim):
+        for rho, verdict in ((dv.generate_zero_discord(dim, dim, dim), "CONSISTENT_WITH_ZERO"),
+                             (dv.generate_maximally_entangled(dim), "NONZERO_DISCORD")):
+            path = write_fixture(workdir / "s.state", statefile.dv_density_doc(rho))
+            code, out, _ = run(capsys, "verify-dv", path)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["verdict"] == verdict
+            assert doc["seeds"] == {"povm_kind": "mub", "povm_seed": 20240}
 
 
 class TestVerifyGaussian:
@@ -670,3 +683,45 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "0 []"
+
+
+def _overflow_inputs(workdir):
+    """Inputs whose Hermiticity or symmetry defect overflows to inf: a 1x2
+    dv_density and a gaussian covariance with an off-diagonal pair of
+    +-1.7e308, and a shot record whose first A effect has such a pair."""
+    golden = Path(__file__).parent / "golden"
+    big = "1.7e308"
+    (workdir / "overflow_dv.state").write_text(json.dumps({
+        "format_version": "1", "kind": "dv_density", "dim": 2, "bipartition": [1, 2],
+        "matrix": [[["0.5", "0"], [big, "0"]], [["-" + big, "0"], ["0.5", "0"]]]}))
+    doc = json.loads((golden / "gaussian.state").read_text())
+    doc["cov"][0][3], doc["cov"][3][0] = "1.797e308", "-1.797e308"
+    (workdir / "overflow_gaussian.state").write_text(json.dumps(doc))
+    doc = json.loads((golden / "shot_record.state").read_text())
+    effect = doc["povm_a"]["effects"][0]
+    effect[0][1], effect[1][0] = [big, "0"], ["-" + big, "0"]
+    (workdir / "overflow_record.state").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-dv", "overflow_dv.state"], "density operator not Hermitian: inf"),
+    (["tomo", "overflow_dv.state"], "density operator not Hermitian: inf"),
+    (["verify-gaussian", "overflow_gaussian.state", "--outcomes", "0,0;1,1"],
+     "covariance matrix is not symmetric"),
+    (["tomo", "overflow_record.state"], "effect 0 is not Hermitian"),
+], ids=["verify_dv", "tomo", "verify_gaussian", "tomo_replay"])
+def test_an_overflowing_hermitian_defect_exits_2_with_one_stderr_line(workdir, argv,
+                                                                      message):
+    # run in a fresh interpreter with default warning filters: a RuntimeWarning
+    # would print two lines of its own before the refusal
+    _overflow_inputs(workdir)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-m", "qdverify.cli", *argv], env=env,
+                          cwd=workdir, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {argv[1]}: ")
+    assert proc.stderr.rstrip().endswith(message)

@@ -14,7 +14,25 @@ from qdverify.linalg import (
     swap_subsystems,
     tensor,
 )
-from qdverify.povm import dual_frame, random_ic_povm, sic_qubit
+from qdverify.povm import default_ic_povm, dual_frame, mub_povm, random_ic_povm, sic_qubit
+
+
+def near_degenerate_cq_states(n, rng):
+    """sum_j q_j |j><j| x (diag(0.4, 0.3, 0.3) + delta H_j) on 3x3, with H_j a
+    random traceless Hermitian on the degenerate block and delta from 1e-6
+    to 1e-3: discordant, but every conditional of B is nearly degenerate."""
+    base = np.diag([0.4, 0.3, 0.3]).astype(complex)
+    for _ in range(n):
+        q = rng.dirichlet(np.ones(3))
+        delta = 10 ** rng.uniform(-6, -3)
+        rho = np.zeros((9, 9), dtype=complex)
+        for j in range(3):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            h = np.zeros((3, 3), dtype=complex)
+            h[1:, 1:] = (g + dag(g)) / 2
+            h[1:, 1:] -= np.trace(h[1:, 1:]) / 2 * np.eye(2)
+            rho += q[j] * tensor(np.diag(np.eye(3)[j]), base + delta * h)
+        yield DensityOperator((rho + dag(rho)) / 2, bipartition=(3, 3))
 
 
 class TestConditionOnPovm:
@@ -155,6 +173,20 @@ class TestVerifyCommutativity:
                 norm = frobenius_norm(commutator(ens.states[i],
                                                  ens.states[j]))
                 assert norm <= v.thresholds["commutator_norm"]
+
+    @pytest.mark.parametrize("povm", [default_ic_povm(3), mub_povm(3)],
+                             ids=["random", "mub"])
+    def test_anchor_shortcut_is_certified_near_degeneracy(self, povm):
+        # the anchor's small commutators bound the unchecked pairs only
+        # through its gap; a CONSISTENT_WITH_ZERO must hold for every pair
+        for rho in near_degenerate_cq_states(3000, np.random.default_rng(12345)):
+            ens = dv.condition_on_povm(rho, povm)
+            v = dv.verify_commutativity(ens)
+            if v.verdict == dv.CONSISTENT_WITH_ZERO:
+                pairs = ens.pairs()
+                norms = frobenius_norm(commutator(ens.states[pairs[:, 0]],
+                                                  ens.states[pairs[:, 1]]))
+                assert norms.max() <= v.thresholds["commutator_norm"]
 
     def test_threshold_recorded(self, bell, sic):
         v = dv.verify_commutativity(dv.condition_on_povm(bell, sic), threshold=1e-3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestValidatePhysical:
     def test_subvacuum_rejected(self):
         bad = gs.GaussianState(np.zeros(4), np.eye(4) / 8)
         assert not gs.validate_physical(bad)
+
+    def test_an_overflowing_asymmetry_is_refused_without_a_warning(self):
+        cov = np.eye(4)
+        cov[0, 3], cov[3, 0] = 1.797e308, -1.797e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not symmetric"):
+                gs.GaussianState(np.zeros(4), cov)
 
     def test_tmsv(self):
         g = gs.two_mode_squeezed_vacuum(0.5)

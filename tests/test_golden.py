@@ -2,14 +2,17 @@
 
 Every number here is exact: hand-chosen floats, SIC effects built from one
 square root, a vacuum commuted with itself, a thermal product whose cross
-block is zero, a classical state whose conditionals are all diagonal, and a
-record whose present rows all read uniform frequencies. No platform's BLAS,
-LAPACK or libm can move these bytes, so a test run that differs from golden/
-has changed the format. The files under golden/ were written by these
-builders and commands when each float was still formatted by a call of its
-own (verify_dv.json and tomo.json, with their inputs, when each route still
-returned a result record of its own), and every later writer has to
-reproduce them byte for byte.
+block is zero, classical states whose conditionals are all diagonal under
+any POVM (so every commutator is exactly zero, also under the seeded random
+POVM of verify_dv_random.json), and a record whose present rows all read
+uniform frequencies. No platform's BLAS, LAPACK or libm can move these
+bytes, so a test run that differs from golden/ has changed the format. The
+files under golden/ were written by these builders and commands when each
+float was still formatted by a call of its own (verify_dv.json and
+tomo.json, with their inputs, when each route still returned a result
+record of its own; verify_dv_random.json and classical3.state when
+verify-dv's default POVM above qubits was still the random one), and every
+later writer has to reproduce them byte for byte.
 """
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,6 +36,7 @@ REPORTS = {
     "gaussian.json": (["verify-gaussian", "thermal.state", "--outcomes=-1,0.5;1.3,-0.25"],
                       []),
     "verify_dv.json": (["verify-dv", "classical.state"], []),
+    "verify_dv_random.json": (["verify-dv", "classical3.state", "--povm", "random"], []),
     "tomo.json": (["tomo", "uniform_record.state"], []),
 }
 
@@ -65,6 +69,8 @@ def documents() -> dict:
         "thermal.state": statefile.gaussian_doc(gaussian.thermal_product(0.3, 1.2)),
         "classical.state": statefile.dv_density_doc(
             DensityOperator(np.diag([0.5, 0.0, 0.0, 0.5]), bipartition=(2, 2))),
+        "classical3.state": statefile.dv_density_doc(
+            DensityOperator(np.diag([6, 1, 1, 2, 3, 0, 1, 0, 2]) / 16, bipartition=(3, 3))),
         "uniform_record.state": statefile.shot_record_doc(
             ShotRecord(sic, sic, np.array([[2] * 4, [1] * 4, [3] * 4, [0] * 4]), 24, 7)),
     }
@@ -80,7 +86,8 @@ def test_documents_keep_their_bytes(tmp_path, name):
 def test_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, report):
     monkeypatch.chdir(tmp_path)
     docs = documents()
-    for name in ("f0.state", "thermal.state", "classical.state", "uniform_record.state"):
+    for name in ("f0.state", "thermal.state", "classical.state", "classical3.state",
+                 "uniform_record.state"):
         statefile.write(name, docs[name])
     argv, emitted = REPORTS[report]
     assert main(list(argv)) == 0

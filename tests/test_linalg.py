@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qdverify.linalg import (
     random_unitary,
     swap_subsystems,
     tensor,
+    validate_states,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -260,3 +263,13 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(9)
     u = random_unitary(4, rng)
     np.testing.assert_allclose(dag(u) @ u, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("check", [hermitian_eig, validate_states])
+def test_an_overflowing_hermitian_defect_is_refused_without_a_warning(check):
+    # m - m^dagger overflows to inf, which fails the tolerance quietly
+    m = np.array([[0.5, 1.7e308], [-1.7e308, 0.5]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            check(m)

@@ -16,6 +16,7 @@ from qdverify.povm import (
     dual_frame,
     hermitian_basis,
     is_informationally_complete,
+    mub_povm,
     probabilities,
     random_ic_povm,
     reconstruct,
@@ -121,6 +122,56 @@ class TestRandomIcPovmMatchesTheLoop:
                           random_ic_povm_loop(dim, seed).effects)
 
 
+def _prime_factors(dim):
+    factors, p = [], 2
+    while dim > 1:
+        while dim % p == 0:
+            factors.append(p)
+            dim //= p
+        p += 1
+    return factors
+
+
+class TestMubPovm:
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_psd_complete_ic_with_the_product_condition_number(self, dim):
+        p = mub_povm(dim)
+        factors = _prime_factors(dim)
+        assert len(p) == np.prod([4 if f == 2 else f * (f + 1) for f in factors])
+        assert hermitian_eig(p.effects).eigenvalues[:, -1].min() >= -1e-12
+        assert np.abs(p.effects.sum(axis=0) - np.eye(dim)).max() <= 1e-12
+        assert is_informationally_complete(p)
+        coords = povm_mod._effect_coordinates(p)
+        w = hermitian_eig(coords.T @ coords).eigenvalues
+        assert w[0] / w[-1] == pytest.approx(np.prod([f + 1.0 for f in factors]), rel=1e-9)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_odd_prime_bases_are_mutually_unbiased(self, p):
+        # effects are the projectors of p + 1 bases, weighted 1/(p+1)
+        kets = (p + 1) * mub_povm(p).effects
+        overlaps = np.einsum("jab,kba->jk", kets, kets).real
+        basis = np.arange(p * (p + 1)) // p
+        same = basis[:, None] == basis[None, :]
+        np.testing.assert_allclose(overlaps[same], np.eye(p * (p + 1))[same], atol=1e-12)
+        np.testing.assert_allclose(overlaps[~same], 1.0 / p, atol=1e-12)
+
+    def test_is_a_kind_that_reads_no_seed(self):
+        for dim in (2, 3, 6):
+            effects = default_ic_povm(dim, seed=0, kind="mub").effects
+            np.testing.assert_array_equal(
+                effects, default_ic_povm(dim, seed=20241, kind="mub").effects)
+            np.testing.assert_array_equal(effects, mub_povm(dim).effects)
+        with pytest.raises(DomainError, match="POVM seed must be nonnegative"):
+            default_ic_povm(3, seed=-1, kind="mub")
+
+    def test_qubit_factor_is_the_sic(self, sic):
+        np.testing.assert_array_equal(mub_povm(2).effects, sic.effects)
+
+    def test_refuses_a_trivial_dimension(self):
+        with pytest.raises(DimMismatch):
+            mub_povm(1)
+
+
 def test_projective_measurement_not_ic():
     p = Povm(2, [np.diag([1.0, 0.0]).astype(complex),
                  np.diag([0.0, 1.0]).astype(complex)])
@@ -144,6 +195,8 @@ def _set_entry(where, value):
                  "effect 2 has non-finite entries", id="nanj-where2"),
     pytest.param(2, lambda e: e + np.array([[0, 1e-6], [0, 0]]), DomainError,
                  "effect 2 is not Hermitian", id="non_hermitian"),
+    pytest.param(2, lambda e: e + np.array([[0, 1.7e308], [-1.7e308, 0]]), DomainError,
+                 "effect 2 is not Hermitian", id="overflowing_pair"),
     pytest.param(2, lambda e: e - 0.6 * np.eye(2), DomainError,
                  "effect 2 has eigenvalue -0.6", id="negative_eigenvalue"),
     pytest.param(1, lambda e: np.eye(3), DimMismatch,

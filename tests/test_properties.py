@@ -27,9 +27,9 @@ from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
 from qdverify.errors import ParseError, QdvError
-from qdverify.linalg import (DensityOperator, dag, degeneracy_gap, frobenius_norm,
-                             hermitian_eig, random_density_matrix, random_unitary,
-                             validate_states)
+from qdverify.linalg import (DensityOperator, commutator, dag, degeneracy_gap,
+                             frobenius_norm, hermitian_eig, random_density_matrix,
+                             random_unitary, validate_states)
 from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid,
                                  _fock_series, fock_commutator, fock_state,
                                  random_fock_density, square_geometry, wigner_from_fock)
@@ -74,6 +74,38 @@ def test_classical_quantum_states_never_flagged(dim_a, dim_b, state_seed, povm_s
     rho = dv.generate_zero_discord(dim_a, dim_b, state_seed)
     ens = dv.condition_on_povm(rho, povm.random_ic_povm(dim_a, povm_seed))
     assert dv.verify_commutativity(ens).verdict == dv.CONSISTENT_WITH_ZERO
+
+
+_BLOCK_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@PROPERTY_SETTINGS
+@given(dim=st.integers(2, 4), count=st.integers(3, 8), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(-6.0, -3.0), spread=st.floats(-3.0, 0.0), factor=st.floats(0.5, 2.0))
+def test_anchored_verdict_equals_the_all_pairs_verdict(dim, count, seed, scale, spread,
+                                                      factor):
+    # conditionals diag(l, l, ...) + delta r_k.sigma on a degenerate block,
+    # with r_k = z + 10^spread n_k: the anchor's gap is about 2 delta |r_a|
+    # and its pair norms about 2 delta^2 |r_a x r_k|, and an unchecked pair
+    # can reach about twice the largest of those, so the threshold is drawn
+    # around it
+    rng = np.random.default_rng(seed)
+    w = np.r_[2.0, 2.0, 3.0 + np.arange(dim - 2)]
+    r = 10 ** spread * rng.normal(size=(count, 3)) + [0.0, 0.0, 1.0]
+    states = np.zeros((count, dim, dim), dtype=complex) + np.diag(w / w.sum())
+    states[:, :2, :2] += 10 ** scale * np.einsum("ki,iab->kab", r, _BLOCK_PAULIS)
+    u = random_unitary(dim, rng)
+    states = u @ states @ dag(u)
+    ens = dv.ConditionalEnsemble(np.full(count, 1.0 / count), (states + dag(states)) / 2,
+                                 np.ones(count, dtype=bool))
+
+    def max_norm(pairs):
+        return frobenius_norm(commutator(ens.states[pairs[:, 0]], ens.states[pairs[:, 1]])).max()
+
+    threshold = factor * max_norm(ens.pairs(dv.select_anchor(ens)))
+    expected = (dv.NONZERO_DISCORD if max_norm(ens.pairs()) > threshold
+                else dv.CONSISTENT_WITH_ZERO)
+    assert dv.verify_commutativity(ens, threshold).verdict == expected
 
 
 @st.composite
@@ -387,9 +419,13 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
             with mock.patch.object(dv, "select_anchor", return_value=chosen):
                 v = dv.verify_commutativity(ens, threshold)
             w = v.witnesses
-            assert w["anchor_index"] == chosen
-            assert ((w["max_commutator_norm"], w["witness_pair"], w["checked_pairs"])
-                    == _sweep_reference(ens.states, pairs, threshold))
+            expected, ref = chosen, _sweep_reference(ens.states, pairs, threshold)
+            if (chosen is not None and ref[1] is None and dv.anchor_bound(
+                    ref[0], gaps[present.index(chosen)]) > threshold):
+                # the anchor pairs do not certify the rest: every pair is swept
+                expected, ref = None, _sweep_reference(ens.states, all_pairs, threshold)
+            assert w["anchor_index"] == expected
+            assert (w["max_commutator_norm"], w["witness_pair"], w["checked_pairs"]) == ref
 
     # estimation from a sampled record: frequencies, inversion and projection
     duals_b = povm.dual_frame(pb)
@@ -861,7 +897,7 @@ def _values(*valid, sizes=False):
 
 
 COMMAND_FLAGS = {
-    "verify-dv": {"--povm": st.sampled_from(["sic", "random", "x"]),
+    "verify-dv": {"--povm": st.sampled_from(["sic", "mub", "random", "x"]),
                   "--povm-seed": _values("7"), "--threshold": _values("1e-9")},
     "verify-gaussian": {"--outcomes": _values("0,0;1,1", "-1,-1;1.3,0.4")
                         | st.sampled_from(BAD_OUTCOMES),
