@@ -8,7 +8,7 @@ anchor, cutting the check from all pairs down to anchor-versus-rest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -53,11 +53,13 @@ class ConditionalEnsemble:
 
     states is one (K, d, d) array of the rho_{B|k}; present[k] is False, and
     states[k] zero, when outcome k has probability at or below the floor.
+    gaps[k] is the degeneracy_gap of states[k] from the validated spectrum, 0 if absent.
     """
 
     probabilities: np.ndarray
     states: np.ndarray
     present: np.ndarray
+    gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -70,7 +72,8 @@ class ConditionalEnsemble:
             raise DomainError("negative outcome probability")
         if abs(self.probabilities.sum() - 1.0) > 1e-10:
             raise DomainError("outcome probabilities do not sum to 1")
-        validate_states(self.states[self.present])
+        self.gaps = np.zeros(self.probabilities.shape)
+        self.gaps[self.present] = degeneracy_gap(validate_states(self.states[self.present]))
 
     def pairs(self, anchor: Optional[int] = None) -> np.ndarray:
         """(P, 2) array of every pair (j, k) of present outcomes with j < k,
@@ -117,20 +120,18 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
 def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
     """Index of the least degenerate conditional state, or None.
 
-    Returns the present state with the largest minimum eigenvalue gap,
-    provided that gap exceeds DEGENERACY_THRESHOLD. The gaps are scanned in
-    index order, and one replaces the best so far only when it exceeds it
-    by the relative ANCHOR_TIE_RTOL, so gaps equal up to rounding tie to the
-    lowest index.
+    Returns the present state with the largest minimum eigenvalue gap in
+    e.gaps, provided that gap exceeds DEGENERACY_THRESHOLD. The gaps are
+    scanned in index order, and one replaces the best so far only when it
+    exceeds it by the relative ANCHOR_TIE_RTOL, so gaps equal up to rounding
+    tie to the lowest index.
     """
-    present = np.flatnonzero(e.present)
-    gaps = degeneracy_gap(hermitian_eig(e.states[present]))
     best_idx = None
     best_gap = DEGENERACY_THRESHOLD
-    for k, gap in zip(present, gaps):
+    for k, gap in enumerate(e.gaps):      # an absent outcome's 0 never wins
         if gap > best_gap * (1.0 + ANCHOR_TIE_RTOL):
             best_gap = gap
-            best_idx = int(k)
+            best_idx = k
     return best_idx
 
 
@@ -169,8 +170,7 @@ def verify_commutativity(e: ConditionalEnsemble,
     pairs = e.pairs(anchor)
     norms = _pair_norms(e, pairs)
     if anchor is not None and not np.any(norms > threshold):
-        gap = degeneracy_gap(hermitian_eig(e.states[anchor]))
-        if anchor_bound(np.max(norms, initial=0.0), gap) > threshold:
+        if anchor_bound(np.max(norms, initial=0.0), e.gaps[anchor]) > threshold:
             anchor, pairs = None, e.pairs()
             norms = _pair_norms(e, pairs)
     above = np.flatnonzero(norms > threshold)

@@ -2,11 +2,11 @@
 
 Matrices are plain complex numpy arrays. The only structured value is
 DensityOperator, which validates the physical invariants (Hermitian, unit
-trace, positive semidefinite) on construction through validate_states, the
-check that also takes a stack of states. Every spectral question in
-the package goes through hermitian_eig, a checked wrapper over numpy's
-LAPACK eigh, and every rebuild V diag(w) V^dagger from its result through
-EigenDecomposition.reconstruct. All functions are pure.
+trace, positive semidefinite) on construction through validate_states, a
+check that also takes a stack and returns the spectrum it read. Every
+spectral question goes through hermitian_eig, a checked wrapper over
+numpy's LAPACK eigh, and every rebuild V diag(w) V^dagger from its result
+through EigenDecomposition.reconstruct. All functions are pure.
 """
 from __future__ import annotations
 
@@ -132,11 +132,11 @@ def degeneracy_gap(e: EigenDecomposition) -> np.ndarray:
     return np.min(np.diff(w, axis=-1), axis=-1, initial=np.inf)
 
 
-def validate_states(m: np.ndarray) -> np.ndarray:
-    """m as a complex array, checked to be a density operator or a (..., n, n)
-    stack of them: square and nonempty (DimMismatch), finite, Hermitian
-    (NotHermitian), unit trace and PSD, each within its tolerance
-    (DomainError otherwise). A stack reports its worst member."""
+def validate_states(m: np.ndarray) -> EigenDecomposition:
+    """Check that m is a density operator or a (..., n, n) stack of them:
+    square and nonempty (DimMismatch), finite, Hermitian (NotHermitian), unit
+    trace and PSD, each within its tolerance (DomainError otherwise). A stack
+    reports its worst member. Returns the hermitian_eig of m the check read."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
         raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
@@ -149,10 +149,11 @@ def validate_states(m: np.ndarray) -> np.ndarray:
     off = np.abs(tr - 1.0)
     if np.any(off > TRACE_TOL):
         raise DomainError(f"trace is {tr[np.argmax(off)]}, not 1 within {TRACE_TOL:g}")
-    lowest = np.min(hermitian_eig(m).eigenvalues[..., -1], initial=np.inf)
+    e = hermitian_eig(m)
+    lowest = np.min(e.eigenvalues[..., -1], initial=np.inf)
     if lowest < -PSD_TOL:
         raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")
-    return m
+    return e
 
 
 @dataclass
@@ -170,7 +171,8 @@ class DensityOperator:
         if np.ndim(self.matrix) != 2:
             raise DimMismatch("density operator must be square and nonempty: "
                               f"{np.shape(self.matrix)}")
-        m = self.matrix = validate_states(self.matrix)
+        m = self.matrix = np.asarray(self.matrix, dtype=complex)
+        validate_states(m)
         if self.bipartition is not None:
             da, db = self.bipartition
             if da < 1 or db < 1 or da * db != m.shape[0]:

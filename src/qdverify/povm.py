@@ -22,7 +22,7 @@ from .linalg import (
     hermitian_eig,
 )
 
-# Numerical-rank cutoff for the completeness test and the frame pseudoinverse.
+# Completeness cutoff on the frame operator's smallest-to-largest eigenvalue ratio.
 RANK_CUTOFF = 1e-10
 
 # Scale of the Hermitian perturbations used by random_ic_povm. Large enough
@@ -107,10 +107,20 @@ def hermitian_basis(dim: int) -> np.ndarray:
 
 def _effect_coordinates(p: Povm) -> np.ndarray:
     """Real coordinate vectors of the effects in the fixed Hermitian basis."""
-    # contiguous: on a strided view, dual_frame's coords.T @ coords sums in
+    # contiguous: on a strided view, _frame's coords.T @ coords sums in
     # another order and the duals move in their last bits
     return np.ascontiguousarray(
         np.einsum("aij,kji->ka", hermitian_basis(p.dim), p.effects).real)
+
+
+def _frame(p: Povm) -> tuple:
+    """(coords, e, complete): the effect coordinates, the hermitian_eig of
+    the frame operator coords^T coords, and whether every frame eigenvalue
+    exceeds RANK_CUTOFF times the largest."""
+    coords = _effect_coordinates(p)          # (K, d^2)
+    e = hermitian_eig(coords.T @ coords)     # (d^2, d^2), symmetric PSD
+    w = e.eigenvalues
+    return coords, e, bool(w[-1] > RANK_CUTOFF * w[0])
 
 
 def sic_qubit() -> Povm:
@@ -121,18 +131,10 @@ def sic_qubit() -> Povm:
 
 
 def is_informationally_complete(p: Povm) -> bool:
-    """True iff the effects span the full d^2 operator space.
-
-    Checked through the numerical rank of the Gram matrix Tr[M_j M_k]:
-    eigenvalues above RANK_CUTOFF times the largest count toward the rank.
-    """
-    gram = np.einsum("jab,kab->jk", p.effects.conj(), p.effects).real
-    w = hermitian_eig(gram).eigenvalues
-    top = w[0]
-    if top <= 0:
-        return False
-    rank = int(np.sum(w > RANK_CUTOFF * top))
-    return rank >= p.dim * p.dim
+    """True iff the effects span the full d^2 operator space: every
+    eigenvalue of the frame operator sum_k |M_k)(M_k|, the operator
+    dual_frame inverts, exceeds RANK_CUTOFF times the largest."""
+    return _frame(p)[2]
 
 
 def random_ic_povm(dim: int, seed: int) -> Povm:
@@ -237,20 +239,15 @@ def dual_frame(p: Povm) -> np.ndarray:
     """Dual operators N_k satisfying rho = sum_k N_k Tr[M_k rho], as one
     (K, d, d) array matching p.effects.
 
-    Built from the pseudoinverse of the frame operator sum_k |M_k)(M_k| in
-    the fixed Hermitian basis, with eigenvalues below RANK_CUTOFF times the
-    largest treated as zero.
+    Built from the inverse of the frame operator sum_k |M_k)(M_k| in the
+    fixed Hermitian basis. A POVM that is_informationally_complete refuses,
+    judged on this same spectrum, raises NotInformationallyComplete.
     """
-    if not is_informationally_complete(p):
+    coords, e, complete = _frame(p)
+    if not complete:
         raise NotInformationallyComplete(
             "dual frame requires an informationally complete POVM")
-    coords = _effect_coordinates(p)          # (K, d^2)
-    frame = coords.T @ coords                # (d^2, d^2), symmetric PSD
-    e = hermitian_eig(frame)
-    w = e.eigenvalues
-    inv = np.where(w > RANK_CUTOFF * w[0], 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    pinv = e.reconstruct(inv)
-    dual_coords = (pinv @ coords.T).T.real   # (K, d^2)
+    dual_coords = (e.reconstruct(1.0 / e.eigenvalues) @ coords.T).T.real
     return np.einsum("ka,aij->kij", dual_coords, hermitian_basis(p.dim))
 
 

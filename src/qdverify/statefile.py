@@ -298,9 +298,9 @@ def _load_dv_density(doc: dict) -> StateFile:
     bipartition = tuple(parse_int(v, "bipartition") for v in bip) if bip is not None else None
     rho = DensityOperator(matrix, bipartition=bipartition)
     cutoff = doc.get("fock_cutoff")
-    return StateFile("dv_density", rho,
-                     fock_cutoff=(parse_int(cutoff, "fock_cutoff")
-                                  if cutoff is not None else None))
+    if cutoff is not None and parse_int(cutoff, "fock_cutoff") < 0:
+        raise ParseError(f"fock_cutoff must be nonnegative, got {cutoff}")
+    return StateFile("dv_density", rho, fock_cutoff=cutoff)
 
 
 def _load_gaussian(doc: dict) -> StateFile:

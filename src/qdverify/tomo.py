@@ -94,9 +94,9 @@ def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
 
 
 def project_to_state(m: np.ndarray) -> np.ndarray:
-    """Nearest-in-spirit density operator to a matrix, or to each matrix of
-    a (..., n, n) stack: clip eigenvalues, renormalize."""
-    e = hermitian_eig((m + dag(m)) / 2.0)
+    """Nearest-in-spirit density operator to a Hermitian matrix, or to each
+    matrix of a (..., n, n) stack: clip eigenvalues, renormalize."""
+    e = hermitian_eig(m)
     w = np.maximum(e.eigenvalues, 0.0)
     tr = w.sum(axis=-1, keepdims=True)
     w = np.where(tr > 0.0, w / np.where(tr > 0.0, tr, 1.0), 1.0 / w.shape[-1])

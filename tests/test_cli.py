@@ -725,3 +725,42 @@ def test_an_overflowing_hermitian_defect_exits_2_with_one_stderr_line(workdir, a
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"error: {argv[1]}: ")
     assert proc.stderr.rstrip().endswith(message)
+
+
+def _eigensolves(monkeypatch, capsys, *argv):
+    """hermitian_eig calls made by one successful CLI run, counted in every
+    qdverify module that holds the eigensolver."""
+    solve, calls = linalg.hermitian_eig, []
+
+    def counting(m):
+        calls.append(1)
+        return solve(m)
+
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qdverify" and getattr(module, "hermitian_eig",
+                                                            None) is solve:
+                patch.setattr(module, "hermitian_eig", counting)
+        code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    return len(calls)
+
+
+@pytest.mark.parametrize("rho", [
+    pytest.param(lambda: dv.generate_zero_discord(3, 3, 11), id="zero_discord"),
+    pytest.param(lambda: dv.generate_maximally_entangled(3), id="maximally_entangled"),
+])
+def test_verify_dv_eigensolves_state_povm_and_conditionals_once(capsys, workdir,
+                                                                monkeypatch, rho):
+    # the anchor and its gap read the conditionals' validated spectrum
+    path = write_fixture(workdir / "rho.state", statefile.dv_density_doc(rho()))
+    assert _eigensolves(monkeypatch, capsys, "verify-dv", path) == 3
+
+
+def test_tomo_eigensolves_each_stack_once(capsys, workdir, monkeypatch):
+    # the state (sampling only), both POVMs, B's frame operator, the
+    # projection to states and the conditionals' validation
+    path = write_fixture(workdir / "rho.state",
+                         statefile.dv_density_doc(random_bipartite_state(3)))
+    assert _eigensolves(monkeypatch, capsys, "tomo", path, "--shots", "1000") == 6
+    assert _eigensolves(monkeypatch, capsys, "tomo", path + ".shots.json") == 5

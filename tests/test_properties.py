@@ -1,5 +1,6 @@
 """Property-based tests: the eigensolver, the batched POVM layers against
-per-effect formulas, the batched conditional-ensemble layers against
+per-effect formulas, the one completeness rule behind the dual frame, the
+conditional ensemble's stored gaps, the batched conditional-ensemble layers against
 per-row formulas, the soundness of the DV test,
 Fock-space displacement elements, the Fock-space commutator route, no
 false NONZERO_DISCORD from `moyal` on commuting grids, state-file round
@@ -26,7 +27,7 @@ import test_golden
 from conftest import random_diagonal_fock
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
-from qdverify.errors import ParseError, QdvError
+from qdverify.errors import NotInformationallyComplete, ParseError, QdvError
 from qdverify.linalg import (DensityOperator, commutator, dag, degeneracy_gap,
                              frobenius_norm, hermitian_eig, random_density_matrix,
                              random_unitary, validate_states)
@@ -325,12 +326,13 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
     basis = povm.hermitian_basis(dim_a)
     close(povm._effect_coordinates(pa),
           [[np.trace(b @ m).real for b in basis] for m in pa.effects])
-    grams = []
+    # the frame operator sum_k |M_k)(M_k|, effect by effect, in that basis
+    frames = []
     with mock.patch.object(povm, "hermitian_eig",
-                           side_effect=lambda g: grams.append(g) or hermitian_eig(g)):
+                           side_effect=lambda f: frames.append(f) or hermitian_eig(f)):
         assert povm.is_informationally_complete(pa)
-    close(grams[0], [[np.trace(dag(mj) @ mk).real for mk in pa.effects]
-                     for mj in pa.effects])
+    close(frames[0], sum(np.outer(c, c) for c in
+                         [[np.trace(b @ m).real for b in basis] for m in pa.effects]))
 
     # sum_k N_k Tr[M_k X] = X on a random Hermitian X, not only on states;
     # random frames can be ill-conditioned (1.1e-7 relative error at worst
@@ -342,6 +344,50 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
     rebuilt = povm.reconstruct(pa, duals, coeffs)
     close(rebuilt, sum(c * n for c, n in zip(coeffs, duals)))
     np.testing.assert_allclose(rebuilt, x, rtol=0, atol=1e-5 * np.abs(x).max())
+
+
+@PROPERTY_SETTINGS
+@given(dim=st.integers(2, 4), seed=seeds, log_keep=st.floats(-7.0, 0.0))
+@example(dim=3, seed=0, log_keep=-7.0)
+@example(dim=3, seed=0, log_keep=-2.0)
+def test_dual_frame_refuses_exactly_what_is_not_complete(dim, seed, log_keep):
+    # M_k(t) = (1 - t) M_k + t Tr[M_k] I / d is still a POVM, but its frame
+    # operator's traceless block shrinks as (1 - t)^2 toward rank one
+    p = _ic_povm(dim, np.random.default_rng(seed))
+    keep = 10.0 ** log_keep
+    traces = np.trace(p.effects, axis1=1, axis2=2).real[:, None, None]
+    p = povm.Povm(dim, keep * p.effects + (1.0 - keep) * traces * np.eye(dim) / dim)
+    if not povm.is_informationally_complete(p):
+        with pytest.raises(NotInformationallyComplete):
+            povm.dual_frame(p)
+        return
+    duals = povm.dual_frame(p)
+    coords = povm._effect_coordinates(p)
+    w = hermitian_eig(coords.T @ coords).eigenvalues
+    for b in povm.hermitian_basis(dim):
+        np.testing.assert_allclose(povm.reconstruct(p, duals, povm.probabilities(p, b)), b,
+                                   rtol=0, atol=1e-12 * w[0] / w[-1])
+
+
+@PROPERTY_SETTINGS
+@given(dim=st.integers(1, 4), count=st.integers(1, 9), seed=seeds)
+def test_ensemble_gaps_are_each_states_degeneracy_gap(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    present = rng.random(count) < 0.7
+    present[rng.integers(count)] = True
+    states = np.zeros((count, dim, dim), dtype=complex)
+    for k in np.flatnonzero(present):
+        if rng.random() < 0.5:
+            states[k] = random_density_matrix(dim, rng)
+        else:       # repeated eigenvalues: a gap of 0 up to rounding
+            u = random_unitary(dim, rng)
+            w = rng.choice(rng.random(2), size=dim)
+            states[k] = (u * (w / w.sum())) @ dag(u)
+            states[k] = (states[k] + dag(states[k])) / 2.0
+    ens = dv.ConditionalEnsemble(present / present.sum(), states, present)
+    for k in range(count):
+        expected = degeneracy_gap(hermitian_eig(states[k])) if present[k] else 0.0
+        np.testing.assert_array_equal(ens.gaps[k], expected)
 
 
 def _project_reference(m):

@@ -66,6 +66,15 @@ class TestDvDensityRoundTrip:
         sf = statefile.load(str(path))
         assert sf.fock_cutoff == 8
 
+    @pytest.mark.parametrize("cutoff", [-1, -5])
+    def test_negative_fock_cutoff_refused(self, tmp_path, bell, cutoff):
+        # verify-dv and tomo once ran on a Bell file tagged with cutoff -5
+        path = tmp_path / "neg.state"
+        statefile.write(str(path), statefile.dv_density_doc(bell, fock_cutoff=cutoff))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: fock_cutoff "
+                                             f"must be nonnegative, got {cutoff}$"):
+            statefile.load(str(path))
+
 
 class TestGaussianRoundTrip:
     def test_value_identical(self, tmp_path):
