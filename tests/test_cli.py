@@ -685,6 +685,29 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert out.splitlines()[-1] == "0 []"
 
 
+def test_verifiers_do_not_load_openssl(tmp_path):
+    # the input digest uses the interpreter's own SHA-256, so a command that
+    # draws no random numbers never imports hashlib's OpenSSL module; all
+    # commands run in one fresh interpreter, each checked right after it ran
+    golden = Path(__file__).parent / "golden"
+    commands = [["verify-dv", str(golden / "classical.state")],
+                ["verify-dv", str(golden / "classical3.state")],
+                ["verify-gaussian", str(golden / "thermal.state"),
+                 "--outcomes=-1,0.5;1.3,-0.25"],
+                ["moyal", str(golden / "f0.state"), str(golden / "f0.state"),
+                 "--out", str(tmp_path / "f0__f0.json")],
+                ["tomo", str(golden / "shot_record.state")]]
+    code = ("import contextlib, io, sys, qdverify.cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = qdverify.cli.main(argv)\n"
+            "    print(argv[0], code, '_hashlib' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, cwd=tmp_path, capture_output=True, text=True).stdout
+    assert out.splitlines() == [f"{argv[0]} 0 False" for argv in commands]
+
+
 def _overflow_inputs(workdir):
     """Inputs whose Hermiticity or symmetry defect overflows to inf: a 1x2
     dv_density and a gaussian covariance with an off-diagonal pair of

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import STRING_ROW_DOCUMENTS, random_bipartite_state
+from test_golden import GOLDEN, REPORTS
 from qdverify import gaussian, statefile, tomo
 from qdverify.errors import ParseError
 from qdverify.phasespace import (GridGeometry, WignerGrid, square_geometry, wigner_from_fock,
@@ -70,10 +75,19 @@ class TestDvDensityRoundTrip:
     def test_negative_fock_cutoff_refused(self, tmp_path, bell, cutoff):
         # verify-dv and tomo once ran on a Bell file tagged with cutoff -5
         path = tmp_path / "neg.state"
-        statefile.write(str(path), statefile.dv_density_doc(bell, fock_cutoff=cutoff))
+        doc = json.loads(statefile.render(statefile.dv_density_doc(bell)))
+        doc["fock_cutoff"] = cutoff
+        path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: fock_cutoff "
                                              f"must be nonnegative, got {cutoff}$"):
             statefile.load(str(path))
+
+    @pytest.mark.parametrize("cutoff", [-1, -5])
+    def test_writer_refuses_negative_fock_cutoff(self, bell, cutoff):
+        # the writer once wrote, without complaint, a file that load refuses
+        with pytest.raises(ParseError, match=f"^fock_cutoff must be nonnegative, "
+                                             f"got {cutoff}$"):
+            statefile.dv_density_doc(bell, fock_cutoff=cutoff)
 
 
 class TestGaussianRoundTrip:
@@ -341,3 +355,31 @@ def test_emitted_files_are_ascii_and_stable(tmp_path, bell):
     b = statefile.render(statefile.dv_density_doc(bell))
     assert a == b
     a.encode("ascii")
+
+
+# the files under golden/ that load accepts: all but the command reports and
+# dv_density.state, whose edge values overflow its Hermiticity check
+GOLDEN_STATES = sorted(p for p in GOLDEN.iterdir()
+                       if p.name not in REPORTS and p.name != "dv_density.state")
+
+
+@pytest.mark.parametrize("path", GOLDEN_STATES, ids=lambda p: p.name)
+def test_digest_is_sha256_of_the_bytes_read(path):
+    assert statefile.load(str(path)).digest == \
+        "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_falls_back_to_hashlib(tmp_path):
+    # an interpreter built without its own SHA-256 modules digests through
+    # hashlib, to the same values
+    code = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "import hashlib, pathlib; from qdverify import statefile\n"
+            "assert statefile.sha256 is hashlib.sha256\n"
+            f"for p in {[str(p) for p in GOLDEN_STATES]!r}:\n"
+            "    digest = 'sha256:' + hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()\n"
+            "    assert statefile.load(p).digest == digest, p\n"
+            "print('ok')")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, cwd=tmp_path, capture_output=True, text=True).stdout
+    assert out == "ok\n"
