@@ -82,9 +82,6 @@ def _load_moyal_input(path_arg: str):
     if sf.fock_cutoff is None:
         raise ParseError(f"{sf.path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
-    if sf.payload.dim != sf.fock_cutoff + 1:
-        raise ParseError(f"{sf.path}: matrix shape {sf.payload.matrix.shape} does not "
-                         f"match fock_cutoff {sf.fock_cutoff}")
     return sf, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
 
 

@@ -4,9 +4,9 @@ Matrices are plain complex numpy arrays. The only structured value is
 DensityOperator, which validates the physical invariants (Hermitian, unit
 trace, positive semidefinite) on construction through validate_states, a
 check that also takes a stack and returns the spectrum it read. Every
-spectral question goes through hermitian_eig, a checked wrapper over
-numpy's LAPACK eigh, and every rebuild V diag(w) V^dagger from its result
-through EigenDecomposition.reconstruct. All functions are pure.
+spectral question goes through one eigh kernel, reached through the checks
+of hermitian_eig or, by a value checked already, directly; and every rebuild
+V diag(w) V^dagger through EigenDecomposition.reconstruct. All are pure.
 """
 from __future__ import annotations
 
@@ -114,6 +114,12 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     if np.max(hermitian_defect(a), initial=0.0) > SPECTRAL_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance "
                            f"{SPECTRAL_TOL:g}")
+    return _eigh(a)
+
+
+def _eigh(m: np.ndarray) -> EigenDecomposition:
+    """hermitian_eig past its checks, for m that passed them or is built from such values."""
+    a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             w, v = np.linalg.eigh((a + dag(a)) / 2.0)
@@ -149,7 +155,7 @@ def validate_states(m: np.ndarray) -> EigenDecomposition:
     off = np.abs(tr - 1.0)
     if np.any(off > TRACE_TOL):
         raise DomainError(f"trace is {tr[np.argmax(off)]}, not 1 within {TRACE_TOL:g}")
-    e = hermitian_eig(m)
+    e = _eigh(m)
     lowest = np.min(e.eigenvalues[..., -1], initial=np.inf)
     if lowest < -PSD_TOL:
         raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")

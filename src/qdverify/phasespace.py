@@ -205,9 +205,7 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
     grid-sized arrays, whatever the cutoff.
 
     A coherence order k whose two diagonals are zero adds only exact zeros,
-    so it is skipped, and an all-zero matrix (the commutator of two
-    commuting operators) costs nothing. The skip keeps every finite output
-    bit for bit.
+    so it is skipped. The skip keeps every finite output bit for bit.
 
     On a huge extent |beta|^2 overflows and the result holds inf or NaN.
     numpy's warnings for that are silenced: the WignerGrid built from the
@@ -217,8 +215,6 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
     sign = (-1.0) ** np.arange(size)
     orders = [k for k in range(size)
               if matrix.diagonal(-k).any() or matrix.diagonal(k).any()]
-    if not orders:
-        return np.zeros((geom.nx, geom.np), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         xs, ps = geom.xs(), geom.ps()
         beta = 2.0 * (xs[:, None] + 1j * ps[None, :])
@@ -228,7 +224,7 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
         power = np.exp(-0.5 * x) + 0j           # (-conj(beta))^k e^{-x/2}
         out = np.zeros(x.shape, dtype=complex)
-        for k in range(orders[-1] + 1):
+        for k in range(max(orders, default=-1) + 1):
             if k:
                 power = power * -np.conj(beta)
             if k not in orders:
@@ -269,6 +265,9 @@ def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
 
 
 def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    # an all-zero matrix, a commuting pair's commutator, is float zeros with no series
+    if not matrix.any():
+        return np.zeros((geom.nx, geom.np))
     w = (2.0 / pi) * _fock_series(matrix, geom)
     residue = float(np.max(np.abs(w.imag)))
     if residue > 1e-10:

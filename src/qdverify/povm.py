@@ -16,6 +16,7 @@ from .errors import (CompletenessFailure, DimMismatch, DomainError,
 from .linalg import (
     PSD_TOL,
     HERMITIAN_TOL,
+    _eigh,
     dag,
     frobenius_norm,
     hermitian_defect,
@@ -70,7 +71,7 @@ class Povm:
         hermitian = hermitian_defect(e) <= HERMITIAN_TOL
         if not hermitian.all():
             raise DomainError(f"effect {np.argmin(hermitian)} is not Hermitian")
-        lowest = hermitian_eig(e).eigenvalues[:, -1]
+        lowest = _eigh(e).eigenvalues[:, -1]
         if np.any(lowest < -PSD_TOL):
             i = np.argmax(lowest < -PSD_TOL)
             raise DomainError(f"effect {i} has eigenvalue {lowest[i]:g}")
@@ -105,22 +106,17 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return basis
 
 
-def _effect_coordinates(p: Povm) -> np.ndarray:
-    """Real coordinate vectors of the effects in the fixed Hermitian basis."""
-    # contiguous: on a strided view, _frame's coords.T @ coords sums in
-    # another order and the duals move in their last bits
-    return np.ascontiguousarray(
-        np.einsum("aij,kji->ka", hermitian_basis(p.dim), p.effects).real)
-
-
 def _frame(p: Povm) -> tuple:
-    """(coords, e, complete): the effect coordinates, the hermitian_eig of
-    the frame operator coords^T coords, and whether every frame eigenvalue
-    exceeds RANK_CUTOFF times the largest."""
-    coords = _effect_coordinates(p)          # (K, d^2)
-    e = hermitian_eig(coords.T @ coords)     # (d^2, d^2), symmetric PSD
+    """(basis, coords, e, complete): hermitian_basis(p.dim), the effects'
+    real coordinates in it, the eigendecomposition of the frame operator
+    coords^T coords, and whether each eigenvalue tops RANK_CUTOFF x the largest."""
+    basis = hermitian_basis(p.dim)
+    # contiguous: on a strided view, coords.T @ coords sums in another
+    # order and the duals move in their last bits
+    coords = np.ascontiguousarray(np.einsum("aij,kji->ka", basis, p.effects).real)
+    e = _eigh(coords.T @ coords)             # (d^2, d^2), symmetric PSD
     w = e.eigenvalues
-    return coords, e, bool(w[-1] > RANK_CUTOFF * w[0])
+    return basis, coords, e, bool(w[-1] > RANK_CUTOFF * w[0])
 
 
 def sic_qubit() -> Povm:
@@ -134,7 +130,7 @@ def is_informationally_complete(p: Povm) -> bool:
     """True iff the effects span the full d^2 operator space: every
     eigenvalue of the frame operator sum_k |M_k)(M_k|, the operator
     dual_frame inverts, exceeds RANK_CUTOFF times the largest."""
-    return _frame(p)[2]
+    return _frame(p)[3]
 
 
 def random_ic_povm(dim: int, seed: int) -> Povm:
@@ -243,12 +239,12 @@ def dual_frame(p: Povm) -> np.ndarray:
     fixed Hermitian basis. A POVM that is_informationally_complete refuses,
     judged on this same spectrum, raises NotInformationallyComplete.
     """
-    coords, e, complete = _frame(p)
+    basis, coords, e, complete = _frame(p)
     if not complete:
         raise NotInformationallyComplete(
             "dual frame requires an informationally complete POVM")
     dual_coords = (e.reconstruct(1.0 / e.eigenvalues) @ coords.T).T.real
-    return np.einsum("ka,aij->kij", dual_coords, hermitian_basis(p.dim))
+    return np.einsum("ka,aij->kij", dual_coords, basis)
 
 
 def reconstruct(p: Povm, duals: np.ndarray, probs: np.ndarray) -> np.ndarray:

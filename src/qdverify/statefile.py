@@ -310,6 +310,8 @@ def _load_dv_density(doc: dict) -> StateFile:
     cutoff = doc.get("fock_cutoff")
     if cutoff is not None and parse_int(cutoff, "fock_cutoff") < 0:
         raise ParseError(f"fock_cutoff must be nonnegative, got {cutoff}")
+    if cutoff is not None and cutoff + 1 != dim:
+        raise ParseError(f"matrix shape {matrix.shape} does not match fock_cutoff {cutoff}")
     return StateFile("dv_density", rho, fock_cutoff=cutoff)
 
 

@@ -193,6 +193,17 @@ class TestZeroCoherenceOrders:
             values = ph.fock_commutator(a, b, ph.square_geometry(extent, 32)).values
             assert not np.any(values) and not np.any(np.signbit(values))
 
+    @pytest.mark.parametrize("zero", [np.zeros((13, 13), dtype=complex),
+                                      np.full((5, 5), complex(-0.0, -0.0))])
+    def test_zero_operator_is_float_plus_zeros_without_the_series(self, zero):
+        # a zero matrix, signed zeros included, never becomes a complex grid
+        geom = ph.GridGeometry(-7.0, 2.0, -1.0, 5.0, 16, 40)
+        with mock.patch.object(ph, "_fock_series") as series:
+            values = ph._wigner_values(zero, geom)
+        series.assert_not_called()
+        assert values.dtype == np.float64 and values.shape == (16, 40)
+        assert not np.any(values) and not np.any(np.signbit(values))
+
 
 class TestCharCommutator:
     GEOM = ph.square_geometry(6.0, 64)

@@ -141,8 +141,7 @@ class TestMubPovm:
         assert hermitian_eig(p.effects).eigenvalues[:, -1].min() >= -1e-12
         assert np.abs(p.effects.sum(axis=0) - np.eye(dim)).max() <= 1e-12
         assert is_informationally_complete(p)
-        coords = povm_mod._effect_coordinates(p)
-        w = hermitian_eig(coords.T @ coords).eigenvalues
+        w = povm_mod._frame(p)[2].eigenvalues
         assert w[0] / w[-1] == pytest.approx(np.prod([f + 1.0 for f in factors]), rel=1e-9)
 
     @pytest.mark.parametrize("p", [3, 5, 7])

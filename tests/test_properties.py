@@ -324,11 +324,12 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
             close(state, block / np.trace(block).real)
 
     basis = povm.hermitian_basis(dim_a)
-    close(povm._effect_coordinates(pa),
-          [[np.trace(b @ m).real for b in basis] for m in pa.effects])
+    frame_basis, coords = povm._frame(pa)[:2]
+    np.testing.assert_array_equal(frame_basis, basis)
+    close(coords, [[np.trace(b @ m).real for b in basis] for m in pa.effects])
     # the frame operator sum_k |M_k)(M_k|, effect by effect, in that basis
     frames = []
-    with mock.patch.object(povm, "hermitian_eig",
+    with mock.patch.object(povm, "_eigh",
                            side_effect=lambda f: frames.append(f) or hermitian_eig(f)):
         assert povm.is_informationally_complete(pa)
     close(frames[0], sum(np.outer(c, c) for c in
@@ -362,8 +363,7 @@ def test_dual_frame_refuses_exactly_what_is_not_complete(dim, seed, log_keep):
             povm.dual_frame(p)
         return
     duals = povm.dual_frame(p)
-    coords = povm._effect_coordinates(p)
-    w = hermitian_eig(coords.T @ coords).eigenvalues
+    w = povm._frame(p)[2].eigenvalues
     for b in povm.hermitian_basis(dim):
         np.testing.assert_allclose(povm.reconstruct(p, duals, povm.probabilities(p, b)), b,
                                    rtol=0, atol=1e-12 * w[0] / w[-1])
@@ -569,7 +569,8 @@ def state_documents(draw):
         da, db = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         rho = DensityOperator(random_density_matrix(da * db, rng),
                               bipartition=(da, db) if draw(st.booleans()) else None)
-        return statefile.dv_density_doc(rho, draw(st.none() | st.integers(0, 20)))
+        # a Fock tag, when present, names the matrix's own cutoff
+        return statefile.dv_density_doc(rho, draw(st.none() | st.just(da * db - 1)))
     if kind == "gaussian":
         g = gaussian.random_physical_state(rng, product=draw(st.booleans()))
         return statefile.gaussian_doc(gaussian.GaussianState(rng.normal(size=4), g.cov))

@@ -82,6 +82,20 @@ class TestDvDensityRoundTrip:
                                              f"must be nonnegative, got {cutoff}$"):
             statefile.load(str(path))
 
+    @pytest.mark.parametrize("cutoff", [0, 3, 5, 20])
+    def test_fock_cutoff_not_matching_the_matrix_refused(self, tmp_path, bell, cutoff):
+        # a 4x4 matrix is cutoff 3 and nothing else; load refuses for every command
+        path = tmp_path / "tag.state"
+        doc = json.loads(statefile.render(statefile.dv_density_doc(bell)))
+        doc["fock_cutoff"] = cutoff
+        path.write_text(json.dumps(doc))
+        if cutoff == 3:
+            assert statefile.load(str(path)).fock_cutoff == 3
+            return
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: matrix shape "
+                                             rf"\(4, 4\) does not match fock_cutoff {cutoff}$"):
+            statefile.load(str(path))
+
     @pytest.mark.parametrize("cutoff", [-1, -5])
     def test_writer_refuses_negative_fock_cutoff(self, bell, cutoff):
         # the writer once wrote, without complaint, a file that load refuses
