@@ -46,6 +46,9 @@ ANCHOR_TIE_RTOL = 1e-9
 
 DEFAULT_COMMUTATOR_THRESHOLD = 1e-9
 
+# Unit roundoff of binary64, the precision of the stored state.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 @dataclass
 class ConditionalEnsemble:
@@ -53,23 +56,33 @@ class ConditionalEnsemble:
 
     states is one (K, d, d) array of the rho_{B|k}; present[k] is False, and
     states[k] zero, when outcome k has probability at or below the floor.
-    gaps[k] is the degeneracy_gap of states[k] from the validated spectrum, 0 if absent.
+    rounding[k] bounds how far the rounding of the input and of the
+    conditioning can move the commutator norm of states[k] with another
+    conditional; a pair's bound is the sum of its two. It is 0 unless given,
+    as condition_on_povm gives it. gaps[k] is the degeneracy_gap of
+    states[k] from the validated spectrum, 0 if absent.
     """
 
     probabilities: np.ndarray
     states: np.ndarray
     present: np.ndarray
+    rounding: Optional[np.ndarray] = None
     gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
         self.states = np.asarray(self.states, dtype=complex)
         self.present = np.asarray(self.present, dtype=bool)
+        self.rounding = (np.zeros(self.probabilities.shape) if self.rounding is None
+                         else np.asarray(self.rounding, dtype=float))
         if (self.states.ndim != 3 or len(self.states) != self.probabilities.size
-                or self.present.shape != self.probabilities.shape):
+                or self.present.shape != self.probabilities.shape
+                or self.rounding.shape != self.probabilities.shape):
             raise DimMismatch("one state slot per outcome probability")
         if np.any(self.probabilities < -1e-12):
             raise DomainError("negative outcome probability")
+        if not np.all(self.rounding >= 0.0):      # NaN fails too
+            raise DomainError("rounding bounds must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > 1e-10:
             raise DomainError("outcome probabilities do not sum to 1")
         self.gaps = np.zeros(self.probabilities.shape)
@@ -100,6 +113,14 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     """Conditional states of B for each outcome of a POVM measured on A.
 
     p_k = Tr[(M_k x I) rho] and rho_{B|k} = Tr_A[(M_k x I) rho] / p_k.
+
+    A Frobenius perturbation eta of rho moves the block Tr_A[(M_k x I) rho]
+    by at most ||M_k||_F eta, and p_k by sqrt(d_B) times that, so it moves
+    rho_{B|k} by at most (1 + sqrt(d_B)) ||M_k||_F eta / p_k, to first order,
+    and a commutator of unit-Frobenius states with it by sqrt(2) times that.
+    The ensemble's rounding is this bound at eta = (d_A^2 + 3) u, with u the
+    unit roundoff: the stored rho's rounding, u, plus the rounding of the d_A^2
+    terms summed into each block entry.
     """
     if rho.bipartition is None:
         raise MissingBipartition("conditioning requires a bipartite state")
@@ -114,7 +135,10 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     states = np.zeros_like(blocks)
     cond = blocks[present] / probs[present, None, None]
     states[present] = (cond + dag(cond)) / 2.0
-    return ConditionalEnsemble(probs, states, present)
+    rounding = np.zeros_like(probs)
+    rounding[present] = (np.sqrt(2.0) * (1.0 + np.sqrt(db)) * (da * da + 3) * UNIT_ROUNDOFF
+                         * frobenius_norm(p.effects[present]) / probs[present])
+    return ConditionalEnsemble(probs, states, present, rounding)
 
 
 def select_anchor(e: ConditionalEnsemble) -> Optional[int]:
@@ -153,27 +177,38 @@ def verify_commutativity(e: ConditionalEnsemble,
                          ) -> Verdict:
     """Check pairwise commutativity of the conditional states.
 
+    A pair (j, k) exceeds the threshold tau when its commutator's Frobenius
+    norm exceeds tau plus the pair's rounding bound, e.rounding[j] +
+    e.rounding[k]; an ensemble built directly carries a zero bound. So
+    tau = 0 asks for a commutator beyond rounding. On the scale of rho (see
+    condition_on_povm), a pair that exceeds tau puts rho at a Frobenius
+    distance above tau / (sqrt(2) (1 + sqrt(d_B)) (||M_j||_F / p_j +
+    ||M_k||_F / p_k)), to first order, from every state whose conditionals
+    commute; a rare outcome thus needs a larger perturbation of rho to count.
+
     With a nondegenerate anchor present, only the anchor-versus-rest
     commutators are needed; commuting with a nondegenerate state forces
     every conditional into its eigenbasis, so the remaining pairs commute
     as well. At a finite threshold that holds only as far as anchor_bound
     says: when no anchor pair exceeds the threshold but the bound on the
-    unchecked pairs does, all pairs are checked and reported as for an
-    ensemble without an anchor. Without an anchor all pairs are checked.
-    The first pair, in sweep order, whose Frobenius norm exceeds the
-    threshold is the witness; checked_pairs and max_commutator_norm count
-    the pairs up to it. threshold must be finite and nonnegative
-    (DomainError).
+    unchecked pairs exceeds tau plus the least rounding bound among them,
+    all pairs are checked and reported as for an ensemble without an anchor.
+    Without an anchor all pairs are checked. The first pair, in sweep
+    order, that exceeds the threshold is the witness; checked_pairs and
+    max_commutator_norm count the pairs up to it. threshold must be finite
+    and nonnegative (DomainError).
     """
     check_threshold("threshold", threshold)
     anchor = select_anchor(e)
     pairs = e.pairs(anchor)
-    norms = _pair_norms(e, pairs)
-    if anchor is not None and not np.any(norms > threshold):
-        if anchor_bound(np.max(norms, initial=0.0), e.gaps[anchor]) > threshold:
+    norms, floors = _pair_norms(e, pairs, threshold)
+    if anchor is not None and not np.any(norms > floors):
+        # an unchecked pair's bound is at least the two least of the others'
+        least = np.sort(e.rounding[pairs[:, 1]])[:2].sum()
+        if anchor_bound(np.max(norms, initial=0.0), e.gaps[anchor]) > threshold + least:
             anchor, pairs = None, e.pairs()
-            norms = _pair_norms(e, pairs)
-    above = np.flatnonzero(norms > threshold)
+            norms, floors = _pair_norms(e, pairs, threshold)
+    above = np.flatnonzero(norms > floors)
     checked = int(above[0]) + 1 if above.size else len(pairs)
     witness = tuple(pairs[above[0]].tolist()) if above.size else None
     return Verdict(NONZERO_DISCORD if above.size else CONSISTENT_WITH_ZERO,
@@ -182,9 +217,12 @@ def verify_commutativity(e: ConditionalEnsemble,
                    {"commutator_norm": threshold})
 
 
-def _pair_norms(e: ConditionalEnsemble, pairs: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the commutator of each pair of conditionals."""
-    return frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]]))
+def _pair_norms(e: ConditionalEnsemble, pairs: np.ndarray, threshold: float) -> tuple:
+    """Frobenius norm of the commutator of each pair of conditionals, and
+    the norm above which each pair exceeds threshold: it plus the pair's
+    two rounding bounds."""
+    return (frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]])),
+            threshold + e.rounding[pairs].sum(axis=1))
 
 
 def generate_zero_discord(dim_a: int, dim_b: int, seed: int) -> DensityOperator:

@@ -123,9 +123,18 @@ def _check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown fields {sorted(unknown)} in {where}")
 
 
+def _check_fock_cutoff(cutoff: int, dim: int) -> None:
+    """Refuse, as writer and reader, a fock_cutoff that is negative or does
+    not tag a dim x dim matrix."""
+    if cutoff < 0:
+        raise ParseError(f"fock_cutoff must be nonnegative, got {cutoff}")
+    if cutoff + 1 != dim:
+        raise ParseError(f"matrix shape {(dim, dim)} does not match fock_cutoff {cutoff}")
+
+
 def dv_density_doc(rho: DensityOperator, fock_cutoff: Optional[int] = None) -> dict:
-    if fock_cutoff is not None and fock_cutoff < 0:
-        raise ParseError(f"fock_cutoff must be nonnegative, got {fock_cutoff}")
+    if fock_cutoff is not None:
+        _check_fock_cutoff(fock_cutoff, rho.dim)
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "dv_density",
@@ -308,10 +317,8 @@ def _load_dv_density(doc: dict) -> StateFile:
     bipartition = tuple(parse_int(v, "bipartition") for v in bip) if bip is not None else None
     rho = DensityOperator(matrix, bipartition=bipartition)
     cutoff = doc.get("fock_cutoff")
-    if cutoff is not None and parse_int(cutoff, "fock_cutoff") < 0:
-        raise ParseError(f"fock_cutoff must be nonnegative, got {cutoff}")
-    if cutoff is not None and cutoff + 1 != dim:
-        raise ParseError(f"matrix shape {matrix.shape} does not match fock_cutoff {cutoff}")
+    if cutoff is not None:
+        _check_fock_cutoff(parse_int(cutoff, "fock_cutoff"), dim)
     return StateFile("dv_density", rho, fock_cutoff=cutoff)
 
 

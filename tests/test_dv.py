@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_bipartite_state, random_product_state, reconstruct_joint
 from qdverify import dv
-from qdverify.errors import BadDimension, DimMismatch
+from qdverify.errors import BadDimension, DimMismatch, DomainError
 from qdverify.linalg import (
     DensityOperator,
     commutator,
@@ -82,6 +82,15 @@ class TestConditionOnPovm:
         rho = random_bipartite_state(0, 3, 2)
         with pytest.raises(DimMismatch):
             dv.condition_on_povm(rho, sic)
+
+    @pytest.mark.parametrize("rounding, error", [
+        ([0.0, -1e-20], DomainError), ([0.0, np.nan], DomainError),
+        ([0.0, 0.0, 0.0], DimMismatch)])
+    def test_rounding_bounds_are_nonnegative_one_per_outcome(self, rounding, error):
+        # a negative or NaN bound would lower the bar a pair must clear
+        states = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])], dtype=complex)
+        with pytest.raises(error):
+            dv.ConditionalEnsemble([0.5, 0.5], states, [True, True], rounding)
 
 
 class TestSelectAnchor:
@@ -187,6 +196,49 @@ class TestVerifyCommutativity:
                 norms = frobenius_norm(commutator(ens.states[pairs[:, 0]],
                                                   ens.states[pairs[:, 1]]))
                 assert norms.max() <= v.thresholds["commutator_norm"]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_maximally_entangled_detected_under_the_default_povms(self, d):
+        povm = sic_qubit() if d == 2 else mub_povm(d)
+        ens = dv.condition_on_povm(dv.generate_maximally_entangled(d), povm)
+        assert dv.verify_commutativity(ens).verdict == dv.NONZERO_DISCORD
+
+    def test_threshold_zero_asks_for_a_commutator_beyond_rounding(self, bell, sic):
+        # a zero-discord state's conditionals commute up to rounding, which
+        # the ensemble's own bound covers; built directly, it carries none
+        ens = dv.condition_on_povm(dv.generate_zero_discord(3, 3, 43), mub_povm(3))
+        assert ens.rounding[ens.present].min() > 0.0
+        assert dv.verify_commutativity(ens, 0.0).verdict == dv.CONSISTENT_WITH_ZERO
+        bare = dv.ConditionalEnsemble(ens.probabilities, ens.states, ens.present)
+        assert not bare.rounding.any()
+        v = dv.verify_commutativity(bare, 0.0)
+        assert v.verdict == dv.NONZERO_DISCORD
+        assert 0.0 < v.witnesses["max_commutator_norm"] < 1e-15
+        v = dv.verify_commutativity(dv.condition_on_povm(bell, sic), 0.0)
+        assert v.verdict == dv.NONZERO_DISCORD
+
+    @pytest.mark.parametrize("rounding, anchor", [(1e-4, 0), (1e-6, None)])
+    def test_anchor_certification_reads_the_rounding_bound(self, rounding, anchor):
+        # an anchor of gap 0.1 and three near-degenerate states off its
+        # eigenbasis by 1e-6: the anchor pairs' norms (about 1e-7) pass under
+        # either bound, and their anchor_bound (about 5e-6) certifies the
+        # unchecked pairs only against the larger one
+        rng = np.random.default_rng(4)
+        states = [np.diag([0.5, 0.3, 0.2]).astype(complex)]
+        for _ in range(3):
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            h = (g + dag(g)) / 2 - np.diag(np.diag(g).real)
+            states.append(np.eye(3) / 3 + 1e-6 * h / np.abs(h).max())
+        ens = dv.ConditionalEnsemble(np.full(4, 0.25), states, np.ones(4, dtype=bool),
+                                     np.full(4, rounding))
+        pairs = ens.pairs(0)
+        norms = frobenius_norm(commutator(ens.states[pairs[:, 0]], ens.states[pairs[:, 1]]))
+        bound = dv.anchor_bound(norms.max(), ens.gaps[0])
+        assert norms.max() < 2e-6 and 2e-6 < bound < 2e-4
+        v = dv.verify_commutativity(ens, 0.0)
+        assert v.verdict == dv.CONSISTENT_WITH_ZERO
+        assert v.witnesses["anchor_index"] == anchor
+        assert v.witnesses["checked_pairs"] == (3 if anchor == 0 else 6)
 
     def test_threshold_recorded(self, bell, sic):
         v = dv.verify_commutativity(dv.condition_on_povm(bell, sic), threshold=1e-3)

@@ -1,7 +1,8 @@
 """Property-based tests: the eigensolver, the batched POVM layers against
 per-effect formulas, the one completeness rule behind the dual frame, the
 conditional ensemble's stored gaps, the batched conditional-ensemble layers against
-per-row formulas, the soundness of the DV test,
+per-row formulas, the soundness of the DV test (also with an outcome of
+probability near 0),
 Fock-space displacement elements, the Fock-space commutator route, no
 false NONZERO_DISCORD from `moyal` on commuting grids, state-file round
 trips, standard-form invariants, heterodyne conditioning, rejection of
@@ -19,12 +20,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phasespace_oracles as oracles
 import test_golden
 from conftest import random_diagonal_fock
+from dv_recipes import near_orthogonal_zero_discord
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
 from qdverify.errors import NotInformationallyComplete, ParseError, QdvError
@@ -74,6 +76,28 @@ def test_classical_quantum_states_never_flagged(dim_a, dim_b, state_seed, povm_s
     # on B leaves B's conditionals diagonal in one basis, so they commute
     rho = dv.generate_zero_discord(dim_a, dim_b, state_seed)
     ens = dv.condition_on_povm(rho, povm.random_ic_povm(dim_a, povm_seed))
+    assert dv.verify_commutativity(ens).verdict == dv.CONSISTENT_WITH_ZERO
+
+
+@PROPERTY_SETTINGS
+@given(dim_a=st.integers(2, 5), dim_b=st.integers(2, 4),
+       kind=st.sampled_from(["sic", "mub", "random"]), log_delta=st.floats(-12.0, -4.0),
+       k=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim_a=3, dim_b=3, kind="mub", log_delta=-10.0, k=5, seed=0)
+@example(dim_a=2, dim_b=3, kind="sic", log_delta=-8.0, k=1, seed=1)
+def test_zero_discord_with_a_rare_outcome_never_flagged(dim_a, dim_b, kind, log_delta, k,
+                                                        seed):
+    # outcome k's conditional carries the input's rounding magnified by
+    # 1/p_k, with p_k of order delta: each pair's own rounding bound covers it
+    assume(kind != "sic" or dim_a == 2)
+    p = {"sic": lambda d: povm.sic_qubit(), "mub": povm.mub_povm,
+         "random": lambda d: povm.random_ic_povm(d, seed)}[kind](dim_a)
+    w = hermitian_eig(p.effects).eigenvalues
+    with_kernel = np.flatnonzero(w[:, -1] <= 1e-12 * w[:, 0])
+    assume(with_kernel.size)
+    rho = near_orthogonal_zero_discord(p, int(with_kernel[k % with_kernel.size]), dim_b,
+                                       10.0 ** log_delta, seed)
+    ens = dv.condition_on_povm(rho, p)
     assert dv.verify_commutativity(ens).verdict == dv.CONSISTENT_WITH_ZERO
 
 
@@ -400,16 +424,16 @@ def _project_reference(m):
     return (out + dag(out)) / 2.0
 
 
-def _sweep_reference(states, pairs, threshold):
+def _sweep_reference(states, pairs, threshold, rounding):
     """(max norm, witness, checked pairs) of a sweep that stops at the first
-    commutator norm above threshold."""
+    commutator norm above threshold plus the pair's rounding bound."""
     max_norm, checked = 0.0, 0
     for j, k in pairs:
         c = states[j] @ states[k] - states[k] @ states[j]
         norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
         checked += 1
         max_norm = max(max_norm, norm)
-        if norm > threshold:
+        if norm > threshold + (rounding[j] + rounding[k]):
             return max_norm, (j, k), checked
     return max_norm, None, checked
 
@@ -450,6 +474,10 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
         if ens.present[k]:
             cond = block / pk
             equal(ens.states[k], (cond + dag(cond)) / 2.0)
+        # sqrt(2) (1 + sqrt(d_B)) (d_A^2 + 3) u ||M_k||_F / p_k, 0 when absent
+        bound = (np.sqrt(2.0) * (1.0 + np.sqrt(dim_b)) * (dim_a ** 2 + 3) * np.finfo(float).eps
+                 / 2 * np.linalg.norm(pa.effects[k]) / pk) if ens.present[k] else 0.0
+        np.testing.assert_allclose(ens.rounding[k], bound, rtol=1e-14, atol=0)
 
     # anchor gaps, the anchor-versus-rest and the all-pairs sweeps
     present = [int(k) for k in np.flatnonzero(ens.present)]
@@ -460,16 +488,20 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     all_pairs = [(j, k) for i, j in enumerate(present) for k in present[i + 1:]]
     for pairs, chosen in (([(anchor, k) for k in present if k != anchor], anchor),
                           (all_pairs, None)):
-        norms = sorted(_sweep_reference(ens.states, [p], np.inf)[0] for p in pairs)
+        norms = sorted(_sweep_reference(ens.states, [p], np.inf, ens.rounding)[0]
+                       for p in pairs)
+        # the least rounding bound of a pair without the anchor
+        least = sum(sorted(ens.rounding[k] for k in present if k != chosen)[:2])
         for threshold in (0.0, norms[len(norms) // 2], norms[-1]):
             with mock.patch.object(dv, "select_anchor", return_value=chosen):
                 v = dv.verify_commutativity(ens, threshold)
             w = v.witnesses
-            expected, ref = chosen, _sweep_reference(ens.states, pairs, threshold)
+            expected, ref = chosen, _sweep_reference(ens.states, pairs, threshold, ens.rounding)
             if (chosen is not None and ref[1] is None and dv.anchor_bound(
-                    ref[0], gaps[present.index(chosen)]) > threshold):
+                    ref[0], gaps[present.index(chosen)]) > threshold + least):
                 # the anchor pairs do not certify the rest: every pair is swept
-                expected, ref = None, _sweep_reference(ens.states, all_pairs, threshold)
+                expected, ref = None, _sweep_reference(ens.states, all_pairs, threshold,
+                                                       ens.rounding)
             assert w["anchor_index"] == expected
             assert (w["max_commutator_norm"], w["witness_pair"], w["checked_pairs"]) == ref
 

@@ -103,6 +103,14 @@ class TestDvDensityRoundTrip:
                                              f"got {cutoff}$"):
             statefile.dv_density_doc(bell, fock_cutoff=cutoff)
 
+    @pytest.mark.parametrize("cutoff", [0, 5, 20])
+    def test_writer_refuses_fock_cutoff_not_matching_the_matrix(self, bell, cutoff):
+        # writer and reader refuse the same tags with the same message
+        with pytest.raises(ParseError, match=rf"^matrix shape \(4, 4\) does not match "
+                                             f"fock_cutoff {cutoff}$"):
+            statefile.dv_density_doc(bell, fock_cutoff=cutoff)
+        assert statefile.dv_density_doc(bell, fock_cutoff=3)["fock_cutoff"] == 3
+
 
 class TestGaussianRoundTrip:
     def test_value_identical(self, tmp_path):
