@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
-from .povm import DEFAULT_POVM_SEED, default_ic_povm, dual_frame
+from .povm import DEFAULT_POVM_SEED, default_ic_povm
 from .statefile import StateFile, load, render, shot_record_doc, wigner_grid_doc, write
 
 
@@ -115,7 +115,7 @@ def cmd_tomo(args) -> int:
         record = tomo.sample_joint(rho, default_ic_povm(dim_a, seed=povm_seed),
                                    default_ic_povm(dim_b, seed=povm_seed + 1),
                                    args.shots, args.seed)
-    est = tomo.estimate_conditionals(record, dual_frame(record.povm_b))
+    est = tomo.estimate_conditionals(record)
     verdict = tomo.significant_commutativity(est, z_threshold=args.z)
     extra = {}
     if sf.kind == "dv_density":     # written only once the run has succeeded

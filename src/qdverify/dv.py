@@ -17,11 +17,11 @@ from .errors import (BadDimension, DimMismatch, DomainError, MissingBipartition,
                      check_threshold)
 from .linalg import (
     DensityOperator,
+    _eigh,
     commutator,
     dag,
     degeneracy_gap,
     frobenius_norm,
-    hermitian_eig,
     random_density_matrix,
     random_unitary,
     tensor,
@@ -58,23 +58,22 @@ class ConditionalEnsemble:
     states[k] zero, when outcome k has probability at or below the floor.
     rounding[k] bounds how far the rounding of the input and of the
     conditioning can move the commutator norm of states[k] with another
-    conditional; a pair's bound is the sum of its two. It is 0 unless given,
-    as condition_on_povm gives it. gaps[k] is the degeneracy_gap of
-    states[k] from the validated spectrum, 0 if absent.
+    conditional, as condition_on_povm computes it; a pair's bound is the sum
+    of its two. gaps[k] is the degeneracy_gap of states[k] from the
+    validated spectrum, 0 if absent.
     """
 
     probabilities: np.ndarray
     states: np.ndarray
     present: np.ndarray
-    rounding: Optional[np.ndarray] = None
+    rounding: np.ndarray
     gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=float)
         self.states = np.asarray(self.states, dtype=complex)
         self.present = np.asarray(self.present, dtype=bool)
-        self.rounding = (np.zeros(self.probabilities.shape) if self.rounding is None
-                         else np.asarray(self.rounding, dtype=float))
+        self.rounding = np.asarray(self.rounding, dtype=float)
         if (self.states.ndim != 3 or len(self.states) != self.probabilities.size
                 or self.present.shape != self.probabilities.shape
                 or self.rounding.shape != self.probabilities.shape):
@@ -88,15 +87,16 @@ class ConditionalEnsemble:
         self.gaps = np.zeros(self.probabilities.shape)
         self.gaps[self.present] = degeneracy_gap(validate_states(self.states[self.present]))
 
-    def pairs(self, anchor: Optional[int] = None) -> np.ndarray:
-        """(P, 2) array of every pair (j, k) of present outcomes with j < k,
-        in row-major order; given a present anchor, the pairs (anchor, k)
-        for every other present k instead, in order of k."""
-        present = np.flatnonzero(self.present)
-        if anchor is not None:
-            rest = present[present != anchor]
-            return np.column_stack([np.full_like(rest, anchor), rest])
-        return present[np.column_stack(np.triu_indices(present.size, k=1))]
+
+def present_pairs(present: np.ndarray, anchor: Optional[int] = None) -> np.ndarray:
+    """(P, 2) array of every pair (j, k) of outcomes with j < k that the mask
+    present marks, in row-major order; given a present anchor, the pairs
+    (anchor, k) for every other present k instead, in order of k."""
+    present = np.flatnonzero(present)
+    if anchor is not None:
+        rest = present[present != anchor]
+        return np.column_stack([np.full_like(rest, anchor), rest])
+    return present[np.column_stack(np.triu_indices(present.size, k=1))]
 
 
 @dataclass
@@ -179,11 +179,10 @@ def verify_commutativity(e: ConditionalEnsemble,
 
     A pair (j, k) exceeds the threshold tau when its commutator's Frobenius
     norm exceeds tau plus the pair's rounding bound, e.rounding[j] +
-    e.rounding[k]; an ensemble built directly carries a zero bound. So
-    tau = 0 asks for a commutator beyond rounding. On the scale of rho (see
-    condition_on_povm), a pair that exceeds tau puts rho at a Frobenius
-    distance above tau / (sqrt(2) (1 + sqrt(d_B)) (||M_j||_F / p_j +
-    ||M_k||_F / p_k)), to first order, from every state whose conditionals
+    e.rounding[k], so tau = 0 asks for a commutator beyond rounding. On the
+    scale of rho (see condition_on_povm), a pair that exceeds tau puts rho at
+    a Frobenius distance above tau / (sqrt(2) (1 + sqrt(d_B)) (||M_j||_F / p_j
+    + ||M_k||_F / p_k)), to first order, from every state whose conditionals
     commute; a rare outcome thus needs a larger perturbation of rho to count.
 
     With a nondegenerate anchor present, only the anchor-versus-rest
@@ -200,13 +199,13 @@ def verify_commutativity(e: ConditionalEnsemble,
     """
     check_threshold("threshold", threshold)
     anchor = select_anchor(e)
-    pairs = e.pairs(anchor)
+    pairs = present_pairs(e.present, anchor)
     norms, floors = _pair_norms(e, pairs, threshold)
     if anchor is not None and not np.any(norms > floors):
         # an unchecked pair's bound is at least the two least of the others'
         least = np.sort(e.rounding[pairs[:, 1]])[:2].sum()
         if anchor_bound(np.max(norms, initial=0.0), e.gaps[anchor]) > threshold + least:
-            anchor, pairs = None, e.pairs()
+            anchor, pairs = None, present_pairs(e.present)
             norms, floors = _pair_norms(e, pairs, threshold)
     above = np.flatnonzero(norms > floors)
     checked = int(above[0]) + 1 if above.size else len(pairs)
@@ -256,9 +255,9 @@ def generate_maximally_entangled(d: int) -> DensityOperator:
 
 
 def _entropy_bits(m: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy in bits, with 0 log 0 = 0, of a matrix or of each
-    matrix in a (..., n, n) stack."""
-    w = hermitian_eig(m).eigenvalues
+    """Von Neumann entropy in bits, with 0 log 0 = 0, of a state, or of each in a
+    (..., n, n) stack, Hermitian up to rounding; the kernel symmetrises it."""
+    w = _eigh(m).eigenvalues
     kept = w > 1e-15
     return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)
 
@@ -283,7 +282,7 @@ def _measured_conditional_entropy(t: np.ndarray, theta, phi) -> np.ndarray:
         pj = np.trace(block, axis1=-2, axis2=-1).real
         kept = pj > 1e-14
         cond = block / np.where(kept, pj, 1.0)[..., None, None]
-        total = total + np.where(kept, pj * _entropy_bits((cond + dag(cond)) / 2.0), 0.0)
+        total = total + np.where(kept, pj * _entropy_bits(cond), 0.0)
     return total
 
 

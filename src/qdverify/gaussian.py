@@ -200,7 +200,7 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
     separation reports the raw peak distance. Outcomes, their differences
     and the peaks must be finite (DomainError): an infinite outcome shift
     would read as a zero peak shift per unit. The witnesses carry the cross
-    block's own decision, zero_discord_decision, beside the peaks.
+    block's own decision, zero_discord_decision's rule, beside the peaks.
     """
     sf = standard_form(state)
     check_threshold("tol", tol)
@@ -218,13 +218,13 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
         raise DomainError("conditional peaks overflow for these outcomes")
     gain_x = abs(p1.real - p2.real) / abs(out1.real - out2.real)
     gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
+    cross = abs(state.block_c).max()
     return Verdict(NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO, {
         "standard_form": {k: getattr(sf, k) for k in "abcd"},
         "peak_1": p1 + shift, "peak_2": p2 + shift, "separation": abs(p1 - p2),
         "outcome_1": out1, "outcome_2": out2,
-        "cov_block_decision": {"pipeline": "gaussian_cov",
-                               "zero_discord": zero_discord_decision(state, tol),
-                               "max_abs_cross_block": abs(state.block_c).max()},
+        "cov_block_decision": {"pipeline": "gaussian_cov", "zero_discord": bool(cross <= tol),
+                               "max_abs_cross_block": cross},
     }, {"peak_shift_per_outcome_shift": tol})
 
 

@@ -1,8 +1,8 @@
 """Finite-shot simulation, linear-inversion estimation, and significance.
 
 A joint IC-POVM measurement on both subsystems is sampled multinomially.
-Conditional states of B are rebuilt by linear inversion through the dual
-frame of the B-side POVM, projected back to the density-operator cone.
+B's conditional states are rebuilt from the record alone, by inversion
+through the dual frame of B's POVM, then projected to the state cone once.
 Commutator norms between estimated conditionals get a first-order
 (delta-method) standard error from the multinomial covariance of the
 counts, and the verdict is a z-score test on the largest norm.
@@ -15,10 +15,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
-from .linalg import (DensityOperator, admit_memory, commutator, dag, frobenius_norm,
-                     hermitian_eig)
-from .povm import Povm, reconstruct
-from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, ConditionalEnsemble, Verdict
+from .linalg import DensityOperator, _eigh, admit_memory, commutator, dag, frobenius_norm
+from .povm import Povm, dual_frame, reconstruct
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict, present_pairs
 
 DEFAULT_Z_THRESHOLD = 5.0
 
@@ -54,12 +53,14 @@ class ShotRecord:
 class EstimatedConditionals:
     """Linear-inversion estimates of B's conditionals with sampling metadata.
 
-    freqs[k] holds the conditional outcome frequencies n(k, m) / n(k, .)
-    and counts[k] the per-outcome totals; duals_b is the dual frame of B's
-    POVM.
+    states[k] estimates B's conditional for outcome k on A; it is zero, and
+    present[k] False, when row k holds no counts. freqs[k] holds the
+    conditional frequencies n(k, m) / n(k, .), counts[k] the row totals and
+    duals_b the dual frame of B's POVM.
     """
 
-    ensemble: ConditionalEnsemble
+    states: np.ndarray
+    present: np.ndarray
     freqs: np.ndarray
     counts: np.ndarray
     duals_b: np.ndarray
@@ -95,8 +96,9 @@ def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
 
 def project_to_state(m: np.ndarray) -> np.ndarray:
     """Nearest-in-spirit density operator to a Hermitian matrix, or to each
-    matrix of a (..., n, n) stack: clip eigenvalues, renormalize."""
-    e = hermitian_eig(m)
+    matrix of a (..., n, n) stack: clip eigenvalues, renormalize. The input
+    is a real combination of Hermitian duals, which the kernel solves unchecked."""
+    e = _eigh(m)
     w = np.maximum(e.eigenvalues, 0.0)
     tr = w.sum(axis=-1, keepdims=True)
     w = np.where(tr > 0.0, w / np.where(tr > 0.0, tr, 1.0), 1.0 / w.shape[-1])
@@ -104,14 +106,15 @@ def project_to_state(m: np.ndarray) -> np.ndarray:
     return (out + dag(out)) / 2.0
 
 
-def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedConditionals:
+def estimate_conditionals(rec: ShotRecord) -> EstimatedConditionals:
     """Conditional-state estimates from a shot record.
 
-    p_k is the marginal frequency of outcome k on A; the conditional of B
-    is the dual-frame inversion of the conditional frequencies, projected
-    to the PSD unit-trace cone. Outcomes with no counts are marked absent
-    and hold zeros.
+    B's conditional for outcome k on A inverts row k's frequencies through
+    the dual frame of B's POVM (NotInformationallyComplete if it has none)
+    and projects the result to the PSD unit-trace cone. Outcomes with no
+    counts are marked absent and hold zeros.
     """
+    duals_b = dual_frame(rec.povm_b)
     marg = rec.counts.sum(axis=1)
     if marg.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")
@@ -120,8 +123,7 @@ def estimate_conditionals(rec: ShotRecord, duals_b: np.ndarray) -> EstimatedCond
     freqs[present] = rec.counts[present] / marg[present, None]
     states = np.zeros((len(marg), rec.povm_b.dim, rec.povm_b.dim), dtype=complex)
     states[present] = project_to_state(reconstruct(rec.povm_b, duals_b, freqs[present]))
-    ensemble = ConditionalEnsemble(marg / marg.sum(), states, present)
-    return EstimatedConditionals(ensemble, freqs, marg.astype(float), duals_b)
+    return EstimatedConditionals(states, present, freqs, marg.astype(float), duals_b)
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
@@ -163,7 +165,7 @@ def significant_commutativity(est: EstimatedConditionals,
     allocates (TooLarge).
     """
     check_threshold("z", z_threshold)
-    pairs = est.ensemble.pairs()
+    pairs = present_pairs(est.present)
     if not len(pairs):
         raise InsufficientOutcomes("need at least two conditional states")
     # the sweep's largest stacks: (P, K, d, d) complex gradient products, then
@@ -173,8 +175,7 @@ def significant_commutativity(est: EstimatedConditionals,
                  f"{len(pairs)} conditional pairs over {n_effects} B effects need",
                  "the significance test")
     j, k = pairs.T
-    states = est.ensemble.states
-    norm, gj, gk = _norm_gradients(states[j], states[k], est.duals_b)
+    norm, gj, gk = _norm_gradients(est.states[j], est.states[k], est.duals_b)
     var = (_delta_variance(est.freqs[j], est.counts[j], gj)
            + _delta_variance(est.freqs[k], est.counts[k], gk))
     stderr = np.sqrt(np.maximum(var, 0.0))

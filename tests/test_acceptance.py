@@ -227,19 +227,18 @@ def test_10_tomography_calibration():
                        "detection over 100 seeds; < 2 min"):
         start = time.monotonic()
         sic = sic_qubit()
-        duals = dual_frame(sic)
         bell = dv.generate_maximally_entangled(2)
         false_positives = 0
         detections = 0
         for seed in range(100):
             null_state = dv.generate_zero_discord(2, 2, 5000 + seed)
             rec = tomo.sample_joint(null_state, sic, sic, 10 ** 5, seed=seed)
-            est = tomo.estimate_conditionals(rec, duals)
+            est = tomo.estimate_conditionals(rec)
             v = tomo.significant_commutativity(est, z_threshold=5.0)
             false_positives += (v.verdict == dv.NONZERO_DISCORD)
 
             rec = tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=seed)
-            est = tomo.estimate_conditionals(rec, duals)
+            est = tomo.estimate_conditionals(rec)
             v = tomo.significant_commutativity(est, z_threshold=5.0)
             detections += (v.verdict == dv.NONZERO_DISCORD)
         assert false_positives <= 5, false_positives

@@ -781,9 +781,21 @@ def test_verify_dv_eigensolves_state_povm_and_conditionals_once(capsys, workdir,
 
 
 def test_tomo_eigensolves_each_stack_once(capsys, workdir, monkeypatch):
-    # the state (sampling only), both POVMs, B's frame operator, the
-    # projection to states and the conditionals' validation
+    # the state (sampling only), both POVMs, B's frame operator and the
+    # projection to states; the projected estimates are not validated again
     path = write_fixture(workdir / "rho.state",
                          statefile.dv_density_doc(random_bipartite_state(3)))
-    assert _eigensolves(monkeypatch, capsys, "tomo", path, "--shots", "1000") == 6
-    assert _eigensolves(monkeypatch, capsys, "tomo", path + ".shots.json") == 5
+    assert _eigensolves(monkeypatch, capsys, "tomo", path, "--shots", "1000") == 5
+    assert _eigensolves(monkeypatch, capsys, "tomo", path + ".shots.json") == 4
+
+
+@pytest.mark.parametrize("state", [
+    pytest.param(lambda: gaussian.two_mode_squeezed_vacuum(0.5), id="tmsv"),
+    pytest.param(lambda: gaussian.thermal_product(0.5, 1.5), id="product"),
+])
+def test_verify_gaussian_eigensolves_the_physicality_spectrum_once(capsys, workdir,
+                                                                   monkeypatch, state):
+    # standard_form checks physicality; the cross block's decision reuses it
+    path = write_fixture(workdir / "g.state", statefile.gaussian_doc(state()))
+    assert _eigensolves(monkeypatch, capsys, "verify-gaussian", path,
+                        "--outcomes", "0,0;1,1") == 1

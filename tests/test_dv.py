@@ -96,7 +96,8 @@ class TestConditionOnPovm:
 class TestSelectAnchor:
     def _ensemble(self, states):
         probs = np.full(len(states), 1.0 / len(states))
-        return dv.ConditionalEnsemble(probs, states, np.ones(len(states), bool))
+        return dv.ConditionalEnsemble(probs, states, np.ones(len(states), bool),
+                                      np.zeros(len(states)))
 
     def test_only_nondegenerate_candidate(self):
         states = [np.eye(2) / 2, np.eye(2) / 2, np.diag([0.9, 0.1]).astype(complex),
@@ -131,20 +132,15 @@ class TestPairs:
     # six outcomes, of which 1 and 4 are absent
     present = np.array([True, False, True, True, False, True])
 
-    def _ensemble(self):
-        probs = np.where(self.present, 0.25, 0.0)
-        states = np.where(self.present[:, None, None], np.eye(2) / 2, 0.0)
-        return dv.ConditionalEnsemble(probs, states, self.present)
-
     @pytest.mark.parametrize("anchor, rest", [(0, [2, 3, 5]), (3, [0, 2, 5]),
                                               (5, [0, 2, 3])],
                              ids=["first", "middle", "last"])
     def test_anchor_pairs_skip_absent_outcomes(self, anchor, rest):
-        np.testing.assert_array_equal(self._ensemble().pairs(anchor),
+        np.testing.assert_array_equal(dv.present_pairs(self.present, anchor),
                                       [[anchor, k] for k in rest])
 
     def test_all_pairs_in_row_major_order(self):
-        np.testing.assert_array_equal(self._ensemble().pairs(),
+        np.testing.assert_array_equal(dv.present_pairs(self.present),
                                       [[0, 2], [0, 3], [0, 5], [2, 3], [2, 5], [3, 5]])
 
 
@@ -192,7 +188,7 @@ class TestVerifyCommutativity:
             ens = dv.condition_on_povm(rho, povm)
             v = dv.verify_commutativity(ens)
             if v.verdict == dv.CONSISTENT_WITH_ZERO:
-                pairs = ens.pairs()
+                pairs = dv.present_pairs(ens.present)
                 norms = frobenius_norm(commutator(ens.states[pairs[:, 0]],
                                                   ens.states[pairs[:, 1]]))
                 assert norms.max() <= v.thresholds["commutator_norm"]
@@ -205,11 +201,12 @@ class TestVerifyCommutativity:
 
     def test_threshold_zero_asks_for_a_commutator_beyond_rounding(self, bell, sic):
         # a zero-discord state's conditionals commute up to rounding, which
-        # the ensemble's own bound covers; built directly, it carries none
+        # the ensemble's own bound covers; built with zero bounds, it flags them
         ens = dv.condition_on_povm(dv.generate_zero_discord(3, 3, 43), mub_povm(3))
         assert ens.rounding[ens.present].min() > 0.0
         assert dv.verify_commutativity(ens, 0.0).verdict == dv.CONSISTENT_WITH_ZERO
-        bare = dv.ConditionalEnsemble(ens.probabilities, ens.states, ens.present)
+        bare = dv.ConditionalEnsemble(ens.probabilities, ens.states, ens.present,
+                                      np.zeros(len(ens.present)))
         assert not bare.rounding.any()
         v = dv.verify_commutativity(bare, 0.0)
         assert v.verdict == dv.NONZERO_DISCORD
@@ -231,7 +228,7 @@ class TestVerifyCommutativity:
             states.append(np.eye(3) / 3 + 1e-6 * h / np.abs(h).max())
         ens = dv.ConditionalEnsemble(np.full(4, 0.25), states, np.ones(4, dtype=bool),
                                      np.full(4, rounding))
-        pairs = ens.pairs(0)
+        pairs = dv.present_pairs(ens.present, 0)
         norms = frobenius_norm(commutator(ens.states[pairs[:, 0]], ens.states[pairs[:, 1]]))
         bound = dv.anchor_bound(norms.max(), ens.gaps[0])
         assert norms.max() < 2e-6 and 2e-6 < bound < 2e-4

@@ -122,13 +122,13 @@ def test_anchored_verdict_equals_the_all_pairs_verdict(dim, count, seed, scale, 
     u = random_unitary(dim, rng)
     states = u @ states @ dag(u)
     ens = dv.ConditionalEnsemble(np.full(count, 1.0 / count), (states + dag(states)) / 2,
-                                 np.ones(count, dtype=bool))
+                                 np.ones(count, dtype=bool), np.zeros(count))
 
     def max_norm(pairs):
         return frobenius_norm(commutator(ens.states[pairs[:, 0]], ens.states[pairs[:, 1]])).max()
 
-    threshold = factor * max_norm(ens.pairs(dv.select_anchor(ens)))
-    expected = (dv.NONZERO_DISCORD if max_norm(ens.pairs()) > threshold
+    threshold = factor * max_norm(dv.present_pairs(ens.present, dv.select_anchor(ens)))
+    expected = (dv.NONZERO_DISCORD if max_norm(dv.present_pairs(ens.present)) > threshold
                 else dv.CONSISTENT_WITH_ZERO)
     assert dv.verify_commutativity(ens, threshold).verdict == expected
 
@@ -408,7 +408,7 @@ def test_ensemble_gaps_are_each_states_degeneracy_gap(dim, count, seed):
             w = rng.choice(rng.random(2), size=dim)
             states[k] = (u * (w / w.sum())) @ dag(u)
             states[k] = (states[k] + dag(states[k])) / 2.0
-    ens = dv.ConditionalEnsemble(present / present.sum(), states, present)
+    ens = dv.ConditionalEnsemble(present / present.sum(), states, present, np.zeros(count))
     for k in range(count):
         expected = degeneracy_gap(hermitian_eig(states[k])) if present[k] else 0.0
         np.testing.assert_array_equal(ens.gaps[k], expected)
@@ -508,21 +508,22 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     # estimation from a sampled record: frequencies, inversion and projection
     duals_b = povm.dual_frame(pb)
     rec = tomo.sample_joint(rho, pa, pb, int(rng.integers(50, 5000)), seed)
-    est = tomo.estimate_conditionals(rec, duals_b)
+    est = tomo.estimate_conditionals(rec)
+    equal(est.duals_b, duals_b)
     marg = rec.counts.sum(axis=1)
     for k in range(len(pa)):
-        assert est.ensemble.present[k] == (marg[k] > 0)
+        assert est.present[k] == (marg[k] > 0)
         if marg[k] > 0:
             f = rec.counts[k] / marg[k]
             equal(est.freqs[k], f)
-            equal(est.ensemble.states[k],
+            equal(est.states[k],
                   _project_reference(np.einsum("m,mij->ij", f, duals_b)))
-    stack = np.stack([-np.eye(dim_b), *est.ensemble.states[est.ensemble.present]])
+    stack = np.stack([-np.eye(dim_b), *est.states[est.present]])
     equal(tomo.project_to_state(stack), [_project_reference(m) for m in stack])
 
     # norms, gradients and delta-method stderrs of every present pair
-    s = est.ensemble.states
-    pairs = est.ensemble.pairs()
+    s = est.states
+    pairs = dv.present_pairs(est.present)
     norm, gj, gk = tomo._norm_gradients(s[pairs[:, 0]], s[pairs[:, 1]], duals_b)
     var = (tomo._delta_variance(est.freqs[pairs[:, 0]], est.counts[pairs[:, 0]], gj)
            + tomo._delta_variance(est.freqs[pairs[:, 1]], est.counts[pairs[:, 1]], gk))
@@ -540,12 +541,11 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     row[0] += 1
     counts = np.tile(row, (len(pa), 1))
     counts[rng.integers(len(pa))] = 0
-    flat = tomo.estimate_conditionals(
-        ShotRecord(pa, pb, counts, int(counts.sum()), seed), duals_b)
+    flat = tomo.estimate_conditionals(ShotRecord(pa, pb, counts, int(counts.sum()), seed))
     v = tomo.significant_commutativity(flat)
     w = v.witnesses
     assert (v.verdict, w["z_score"], w["norm_stderr"]) == (dv.CONSISTENT_WITH_ZERO, 0.0, 0.0)
-    assert w["witness_pair"] == tuple(flat.ensemble.pairs()[0])
+    assert w["witness_pair"] == tuple(dv.present_pairs(flat.present)[0])
 
 
 render_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

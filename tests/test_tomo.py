@@ -7,8 +7,7 @@ from conftest import random_bipartite_state, random_product_state, reconstruct_j
 from qdverify import dv, tomo
 from qdverify.errors import DimMismatch, InsufficientOutcomes
 from qdverify.linalg import frobenius_norm, hermitian_eig
-from qdverify.povm import (DEFAULT_POVM_SEED, default_ic_povm, dual_frame, random_ic_povm,
-                           reconstruct)
+from qdverify.povm import DEFAULT_POVM_SEED, default_ic_povm, random_ic_povm, reconstruct
 
 
 class TestSampleJoint:
@@ -55,34 +54,36 @@ class TestSampleJoint:
 
 
 class TestEstimateConditionals:
-    def test_exact_frequencies_give_exact_states(self, bell, sic, sic_duals):
+    def test_exact_frequencies_give_exact_states(self, bell, sic):
         probs = np.clip(tomo.joint_probabilities(bell, sic, sic), 0.0, None)
         rec = tomo.ShotRecord(sic, sic, probs, 1, 0)
-        est = tomo.estimate_conditionals(rec, sic_duals)
+        est = tomo.estimate_conditionals(rec)
         exact = dv.condition_on_povm(bell, sic)
         for k in range(4):
-            err = frobenius_norm(est.ensemble.states[k]
+            err = frobenius_norm(est.states[k]
                                  - exact.states[k])
             assert err <= 1e-10
 
     def test_exact_ensemble_rebuilds_the_joint_state(self, sic, sic_duals):
-        # the ensemble holds one state per outcome on A, as dv's does, so
-        # the dual frame of A's POVM rebuilds an asymmetric 2x3 state
+        # the estimates hold one state per outcome on A, as dv's ensemble
+        # does, so with the record's row totals as probabilities the dual
+        # frame of A's POVM rebuilds an asymmetric 2x3 state
         rho = random_bipartite_state(4, 2, 3)
         povm_b = random_ic_povm(3, seed=1)
         probs = tomo.joint_probabilities(rho, sic, povm_b)
-        est = tomo.estimate_conditionals(tomo.ShotRecord(sic, povm_b, probs, 1, 0),
-                                         dual_frame(povm_b))
-        joint = reconstruct_joint(est.ensemble, sic_duals)
+        est = tomo.estimate_conditionals(tomo.ShotRecord(sic, povm_b, probs, 1, 0))
+        ens = dv.ConditionalEnsemble(est.counts / est.counts.sum(), est.states, est.present,
+                                     np.zeros(len(est.counts)))
+        joint = reconstruct_joint(ens, sic_duals)
         assert np.max(np.abs(joint.matrix - rho.matrix)) <= 1e-10
 
-    def test_bell_error_calibration(self, bell, sic, sic_duals):
+    def test_bell_error_calibration(self, bell, sic):
         exact = dv.condition_on_povm(bell, sic)
         ok = 0
         for seed in range(50):
             rec = tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=seed)
-            est = tomo.estimate_conditionals(rec, sic_duals)
-            errs = [frobenius_norm(est.ensemble.states[k]
+            est = tomo.estimate_conditionals(rec)
+            errs = [frobenius_norm(est.states[k]
                                    - exact.states[k]) for k in range(4)]
             ok += all(e <= 0.05 for e in errs)
         assert ok >= 0.95 * 50
@@ -99,24 +100,24 @@ class TestEstimateConditionals:
                 assert (frobenius_norm(proj - truth)
                         <= frobenius_norm(raw - truth) + 1e-12)
 
-    def test_empty_outcome_marked_absent(self, sic, sic_duals):
+    def test_empty_outcome_marked_absent(self, sic):
         counts = np.zeros((4, 4), dtype=int)
         counts[1] = [10, 20, 30, 40]
         counts[2] = [25, 25, 25, 25]
         rec = tomo.ShotRecord(sic, sic, counts, 200, 0)
-        est = tomo.estimate_conditionals(rec, sic_duals)
-        np.testing.assert_array_equal(est.ensemble.present, [False, True, True, False])
-        np.testing.assert_array_equal(est.ensemble.states[0], np.zeros((2, 2)))
+        est = tomo.estimate_conditionals(rec)
+        np.testing.assert_array_equal(est.present, [False, True, True, False])
+        np.testing.assert_array_equal(est.states[0], np.zeros((2, 2)))
 
-    def test_estimator_error_scales_with_shots(self, bell, sic, sic_duals):
+    def test_estimator_error_scales_with_shots(self, bell, sic):
         exact = dv.condition_on_povm(bell, sic)
         medians = []
         for shots in (10 ** 4, 10 ** 6):
             errs = []
             for seed in range(15):
                 rec = tomo.sample_joint(bell, sic, sic, shots, seed=seed)
-                est = tomo.estimate_conditionals(rec, sic_duals)
-                errs.append(max(frobenius_norm(est.ensemble.states[k]
+                est = tomo.estimate_conditionals(rec)
+                errs.append(max(frobenius_norm(est.states[k]
                                                - exact.states[k])
                                 for k in range(4)))
             medians.append(np.median(errs))
@@ -126,29 +127,29 @@ class TestEstimateConditionals:
 
 
 class TestSignificance:
-    def test_bell_detected(self, bell, sic, sic_duals):
+    def test_bell_detected(self, bell, sic):
         rec = tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=11)
-        est = tomo.estimate_conditionals(rec, sic_duals)
+        est = tomo.estimate_conditionals(rec)
         v = tomo.significant_commutativity(est)
         assert v.verdict == dv.NONZERO_DISCORD
         assert v.witnesses["z_score"] > 5
         assert v.witnesses["max_norm"] == pytest.approx(2 / 3, abs=0.1)
 
-    def test_product_consistent(self, sic, sic_duals):
+    def test_product_consistent(self, sic):
         rho = random_product_state(77)
         rec = tomo.sample_joint(rho, sic, sic, 10 ** 5, seed=5)
-        est = tomo.estimate_conditionals(rec, sic_duals)
+        est = tomo.estimate_conditionals(rec)
         v = tomo.significant_commutativity(est)
         assert v.verdict == dv.CONSISTENT_WITH_ZERO
 
     @pytest.mark.parametrize("counts", [3 * np.eye(4, dtype=int),
                                         np.tile([10, 20, 30, 40], (4, 1))],
                              ids=["one_hot_rows", "identical_rows"])
-    def test_pairs_without_a_stderr_read_z_zero(self, sic, sic_duals, counts):
+    def test_pairs_without_a_stderr_read_z_zero(self, sic, counts):
         # one-hot rows have a zero plug-in covariance behind nonzero norms;
         # identical rows commute, so their norms have no gradient
         rec = tomo.ShotRecord(sic, sic, counts, int(counts.sum()), 0)
-        v = tomo.significant_commutativity(tomo.estimate_conditionals(rec, sic_duals))
+        v = tomo.significant_commutativity(tomo.estimate_conditionals(rec))
         assert v.verdict == dv.CONSISTENT_WITH_ZERO
         w = v.witnesses
         assert (w["z_score"], w["norm_stderr"], w["witness_pair"]) == (0.0, 0.0, (0, 1))
@@ -159,7 +160,6 @@ class TestSignificance:
         # covariance, which once read as z = +inf or about 1e15
         pa = default_ic_povm(dims[0])
         pb = default_ic_povm(dims[1], seed=DEFAULT_POVM_SEED + 1)
-        duals_b = dual_frame(pb)
         for shots in (4, 16):
             for s in range(4):
                 rho = dv.generate_zero_discord(*dims, 9100 + s)
@@ -167,20 +167,19 @@ class TestSignificance:
                     rec = tomo.sample_joint(rho, pa, pb, shots, seed)
                     try:
                         v = tomo.significant_commutativity(
-                            tomo.estimate_conditionals(rec, duals_b))
+                            tomo.estimate_conditionals(rec))
                     except InsufficientOutcomes:
                         continue
                     assert v.verdict == dv.CONSISTENT_WITH_ZERO, (shots, s, seed)
 
-    def test_delta_stderr_matches_the_spread_of_sampled_norms(self, bell, sic,
-                                                              sic_duals):
+    def test_delta_stderr_matches_the_spread_of_sampled_norms(self, bell, sic):
         # the sample standard deviation over 100 independent records is the
         # reference the first-order stderr of one record must agree with
         def norms_and_stderrs(seed):
             est = tomo.estimate_conditionals(
-                tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=seed), sic_duals)
-            j, k = est.ensemble.pairs().T
-            states = est.ensemble.states
+                tomo.sample_joint(bell, sic, sic, 10 ** 5, seed=seed))
+            j, k = dv.present_pairs(est.present).T
+            states = est.states
             norm, gj, gk = tomo._norm_gradients(states[j], states[k], est.duals_b)
             var = (tomo._delta_variance(est.freqs[j], est.counts[j], gj)
                    + tomo._delta_variance(est.freqs[k], est.counts[k], gk))
@@ -192,18 +191,18 @@ class TestSignificance:
         assert delta.shape == (6,)
         assert np.all(np.abs(delta - spread) / spread <= 0.3)
 
-    def test_insufficient_outcomes(self, sic, sic_duals):
+    def test_insufficient_outcomes(self, sic):
         counts = np.zeros((4, 4), dtype=int)
         counts[1] = [25, 25, 25, 25]
         rec = tomo.ShotRecord(sic, sic, counts, 100, 0)
-        est = tomo.estimate_conditionals(rec, sic_duals)
+        est = tomo.estimate_conditionals(rec)
         with pytest.raises(InsufficientOutcomes):
             tomo.significant_commutativity(est)
 
-    def test_empty_record_rejected(self, sic, sic_duals):
+    def test_empty_record_rejected(self, sic):
         rec = tomo.ShotRecord(sic, sic, np.zeros((4, 4), dtype=int), 0, 0)
         with pytest.raises(InsufficientOutcomes):
-            tomo.estimate_conditionals(rec, sic_duals)
+            tomo.estimate_conditionals(rec)
 
 
 def test_project_to_state_output_valid():
