@@ -17,11 +17,11 @@ from .errors import (BadDimension, DimMismatch, DomainError, MissingBipartition,
                      check_threshold)
 from .linalg import (
     DensityOperator,
-    _eigh,
     commutator,
     dag,
     degeneracy_gap,
     frobenius_norm,
+    hermitian_eig,
     random_density_matrix,
     random_unitary,
     tensor,
@@ -256,8 +256,8 @@ def generate_maximally_entangled(d: int) -> DensityOperator:
 
 def _entropy_bits(m: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in bits, with 0 log 0 = 0, of a state, or of each in a
-    (..., n, n) stack, Hermitian up to rounding; the kernel symmetrises it."""
-    w = _eigh(m).eigenvalues
+    (..., n, n) stack, Hermitian up to rounding; hermitian_eig symmetrises it."""
+    w = hermitian_eig(m).eigenvalues
     kept = w > 1e-15
     return -np.sum(np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0), axis=-1)
 

@@ -4,8 +4,8 @@ Matrices are plain complex numpy arrays. The only structured value is
 DensityOperator, which validates the physical invariants (Hermitian, unit
 trace, positive semidefinite) on construction through validate_states, a
 check that also takes a stack and returns the spectrum it read. Every
-spectral question goes through one eigh kernel, reached through the checks
-of hermitian_eig or, by a value checked already, directly; and every rebuild
+spectral question goes through the one eigensolver hermitian_eig, which
+checks nothing a boundary type has checked already, and every rebuild
 V diag(w) V^dagger through EigenDecomposition.reconstruct. All are pure.
 """
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian, 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-SPECTRAL_TOL = 1e-10
 
 
 def physical_memory_bytes() -> int:
@@ -98,27 +97,15 @@ class EigenDecomposition:
 
 
 def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix or (..., n, n) stack by eigh.
+    """Eigendecomposition of the Hermitian part (m + m^dagger)/2 of a matrix
+    or (..., n, n) stack, by LAPACK's eigh, with descending eigenvalues.
 
-    The input is symmetrised before the call, and the result is reordered
-    to descending eigenvalues. Raises NotHermitian if m is not square, has
-    non-finite entries, or max |m - m^dagger| exceeds SPECTRAL_TOL, and
-    also if its entries are so large (about 9e307 or more) that the
-    symmetrisation or eigh overflows to non-finite eigenvalues.
+    The one eigensolver. Callers pass values that a boundary type
+    (validate_states, Povm, GaussianState) has checked, or values built
+    Hermitian from such. It refuses, with NotHermitian, only a spectrum that
+    comes out non-finite: entries so large (about 9e307 or more) that the
+    symmetrisation or eigh overflows, or entries that are not finite.
     """
-    a = np.array(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise NotHermitian(f"not a square matrix: {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NotHermitian("matrix has non-finite entries")
-    if np.max(hermitian_defect(a), initial=0.0) > SPECTRAL_TOL:
-        raise NotHermitian("matrix is not Hermitian within tolerance "
-                           f"{SPECTRAL_TOL:g}")
-    return _eigh(a)
-
-
-def _eigh(m: np.ndarray) -> EigenDecomposition:
-    """hermitian_eig past its checks, for m that passed them or is built from such values."""
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -155,7 +142,7 @@ def validate_states(m: np.ndarray) -> EigenDecomposition:
     off = np.abs(tr - 1.0)
     if np.any(off > TRACE_TOL):
         raise DomainError(f"trace is {tr[np.argmax(off)]}, not 1 within {TRACE_TOL:g}")
-    e = _eigh(m)
+    e = hermitian_eig(m)
     lowest = np.min(e.eigenvalues[..., -1], initial=np.inf)
     if lowest < -PSD_TOL:
         raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")

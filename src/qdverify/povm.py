@@ -16,7 +16,6 @@ from .errors import (CompletenessFailure, DimMismatch, DomainError,
 from .linalg import (
     PSD_TOL,
     HERMITIAN_TOL,
-    _eigh,
     dag,
     frobenius_norm,
     hermitian_defect,
@@ -71,7 +70,7 @@ class Povm:
         hermitian = hermitian_defect(e) <= HERMITIAN_TOL
         if not hermitian.all():
             raise DomainError(f"effect {np.argmin(hermitian)} is not Hermitian")
-        lowest = _eigh(e).eigenvalues[:, -1]
+        lowest = hermitian_eig(e).eigenvalues[:, -1]
         if np.any(lowest < -PSD_TOL):
             i = np.argmax(lowest < -PSD_TOL)
             raise DomainError(f"effect {i} has eigenvalue {lowest[i]:g}")
@@ -114,7 +113,7 @@ def _frame(p: Povm) -> tuple:
     # contiguous: on a strided view, coords.T @ coords sums in another
     # order and the duals move in their last bits
     coords = np.ascontiguousarray(np.einsum("aij,kji->ka", basis, p.effects).real)
-    e = _eigh(coords.T @ coords)             # (d^2, d^2), symmetric PSD
+    e = hermitian_eig(coords.T @ coords)     # (d^2, d^2), symmetric PSD
     w = e.eigenvalues
     return basis, coords, e, bool(w[-1] > RANK_CUTOFF * w[0])
 

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
-from .linalg import DensityOperator, _eigh, admit_memory, commutator, dag, frobenius_norm
+from .linalg import DensityOperator, admit_memory, commutator, dag, frobenius_norm, hermitian_eig
 from .povm import Povm, dual_frame, reconstruct
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict, present_pairs
 
@@ -60,10 +60,14 @@ class EstimatedConditionals:
     """
 
     states: np.ndarray
-    present: np.ndarray
     freqs: np.ndarray
     counts: np.ndarray
     duals_b: np.ndarray
+
+    @property
+    def present(self) -> np.ndarray:
+        """Which outcomes on A have counts."""
+        return self.counts > 0
 
 
 def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.ndarray:
@@ -97,8 +101,8 @@ def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,
 def project_to_state(m: np.ndarray) -> np.ndarray:
     """Nearest-in-spirit density operator to a Hermitian matrix, or to each
     matrix of a (..., n, n) stack: clip eigenvalues, renormalize. The input
-    is a real combination of Hermitian duals, which the kernel solves unchecked."""
-    e = _eigh(m)
+    is a real combination of Hermitian duals, Hermitian up to rounding."""
+    e = hermitian_eig(m)
     w = np.maximum(e.eigenvalues, 0.0)
     tr = w.sum(axis=-1, keepdims=True)
     w = np.where(tr > 0.0, w / np.where(tr > 0.0, tr, 1.0), 1.0 / w.shape[-1])
@@ -123,7 +127,7 @@ def estimate_conditionals(rec: ShotRecord) -> EstimatedConditionals:
     freqs[present] = rec.counts[present] / marg[present, None]
     states = np.zeros((len(marg), rec.povm_b.dim, rec.povm_b.dim), dtype=complex)
     states[present] = project_to_state(reconstruct(rec.povm_b, duals_b, freqs[present]))
-    return EstimatedConditionals(states, present, freqs, marg.astype(float), duals_b)
+    return EstimatedConditionals(states, freqs, marg.astype(float), duals_b)
 
 
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,

@@ -751,22 +751,55 @@ def test_an_overflowing_hermitian_defect_exits_2_with_one_stderr_line(workdir, a
     assert proc.stderr.rstrip().endswith(message)
 
 
-def _eigensolves(monkeypatch, capsys, *argv):
-    """Calls of the one eigh kernel made by one successful CLI run, counted in
-    every qdverify module that holds it; hermitian_eig reaches it too."""
-    solve, calls = linalg._eigh, []
+def _solver_calls(monkeypatch, capsys, *argv):
+    """(hermitian_eig calls, numpy.linalg.eigh calls) made by one successful
+    CLI run, hermitian_eig counted in every qdverify module that holds it."""
+    solve, eigh, calls = linalg.hermitian_eig, np.linalg.eigh, []
 
-    def counting(m):
-        calls.append(1)
-        return solve(m)
+    def counting(f, name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return counted
 
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "qdverify" and getattr(module, "_eigh", None) is solve:
-                patch.setattr(module, "_eigh", counting)
+            if name.split(".")[0] == "qdverify" and getattr(module, "hermitian_eig", None) is solve:
+                patch.setattr(module, "hermitian_eig", counting(solve, "hermitian_eig"))
+        patch.setattr(np.linalg, "eigh", counting(eigh, "eigh"))
         code, _, err = run(capsys, *argv)
     assert code == 0, err
-    return len(calls)
+    return calls.count("hermitian_eig"), calls.count("eigh")
+
+
+def _eigensolves(monkeypatch, capsys, *argv):
+    """Calls of the one eigensolver made by one successful CLI run."""
+    return _solver_calls(monkeypatch, capsys, *argv)[0]
+
+
+@pytest.mark.parametrize("runs", [
+    pytest.param([["verify-dv", "bell2.state"]], id="verify_dv_sic"),
+    pytest.param([["verify-dv", "rho3.state"]], id="verify_dv_mub"),
+    pytest.param([["verify-dv", "rho3.state", "--povm", "random"]], id="verify_dv_random"),
+    pytest.param([["tomo", "bell2.state", "--shots", "1000"], ["tomo", "bell2.state.shots.json"]],
+                 id="tomo_2x2"),
+    pytest.param([["tomo", "rho3.state", "--shots", "1000"], ["tomo", "rho3.state.shots.json"]],
+                 id="tomo_3x3"),
+    pytest.param([["verify-gaussian", "g.state", "--outcomes", "0,0;1,1"]], id="verify_gaussian"),
+    pytest.param([["moyal", "fock0.state", "plus01.state", "--points", "16"]], id="moyal_fock"),
+])
+def test_every_eigh_call_goes_through_hermitian_eig(capsys, workdir, monkeypatch, bell, runs):
+    write_fixture(workdir / "bell2.state", statefile.dv_density_doc(bell))
+    write_fixture(workdir / "rho3.state",
+                  statefile.dv_density_doc(random_bipartite_state(3, 3, 3)))
+    write_fixture(workdir / "g.state",
+                  statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
+    for name, op in (("fock0.state", fock_state(0, 8)), ("plus01.state", pure_state([1, 1], 8))):
+        write_fixture(workdir / name,
+                      statefile.dv_density_doc(DensityOperator(op.matrix), fock_cutoff=8))
+    for argv in runs:
+        solves, eighs = _solver_calls(monkeypatch, capsys, *argv)
+        assert solves == eighs > 0
 
 
 @pytest.mark.parametrize("rho", [

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import phasespace_oracles as oracles
 import test_golden
@@ -66,6 +67,18 @@ def test_hermitian_eig_residual_orthonormal_descending(h):
     assert frobenius_norm(h @ v - v * w) <= 1e-10 * frobenius_norm(h)
     assert frobenius_norm(dag(v) @ v - np.eye(len(w))) <= 1e-10
     assert np.all(np.diff(w) <= 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 6), st.data())
+def test_hermitian_eig_decomposes_the_hermitian_part(batch, n, data):
+    # the contract: callers need not symmetrise, and nothing else is refused
+    finite = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+    m = data.draw(hnp.arrays(complex, (*batch, n, n), elements=finite))
+    e, h = hermitian_eig(m), hermitian_eig((m + dag(m)) / 2.0)
+    np.testing.assert_array_equal(e.eigenvalues, h.eigenvalues)
+    np.testing.assert_array_equal(e.eigenvectors, h.eigenvectors)
+    assert np.all(np.diff(e.eigenvalues, axis=-1) <= 0.0)
 
 
 @PROPERTY_SETTINGS
@@ -353,7 +366,7 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
     close(coords, [[np.trace(b @ m).real for b in basis] for m in pa.effects])
     # the frame operator sum_k |M_k)(M_k|, effect by effect, in that basis
     frames = []
-    with mock.patch.object(povm, "_eigh",
+    with mock.patch.object(povm, "hermitian_eig",
                            side_effect=lambda f: frames.append(f) or hermitian_eig(f)):
         assert povm.is_informationally_complete(pa)
     close(frames[0], sum(np.outer(c, c) for c in
