@@ -13,8 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (BadDimension, DimMismatch, DomainError, MissingBipartition,
-                     check_threshold)
+from .errors import BadDimension, DimMismatch, MissingBipartition, check_threshold
 from .linalg import (
     DensityOperator,
     commutator,
@@ -25,7 +24,6 @@ from .linalg import (
     random_density_matrix,
     random_unitary,
     tensor,
-    validate_states,
 )
 from .povm import Povm
 
@@ -52,40 +50,30 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 @dataclass
 class ConditionalEnsemble:
-    """Outcome probabilities with the conditional states of subsystem B.
+    """Outcome probabilities with the conditional states of subsystem B, as
+    condition_on_povm computed them; it checks nothing again.
 
     states is one (K, d, d) array of the rho_{B|k}; present[k] is False, and
-    states[k] zero, when outcome k has probability at or below the floor.
+    states[k] zero, when outcome k has probability at or below PROB_FLOOR.
     rounding[k] bounds how far the rounding of the input and of the
     conditioning can move the commutator norm of states[k] with another
     conditional, as condition_on_povm computes it; a pair's bound is the sum
-    of its two. gaps[k] is the degeneracy_gap of states[k] from the
-    validated spectrum, 0 if absent.
+    of its two. gaps[k] is the degeneracy_gap of states[k], 0 if absent.
     """
 
     probabilities: np.ndarray
     states: np.ndarray
-    present: np.ndarray
     rounding: np.ndarray
     gaps: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
-        self.present = np.asarray(self.present, dtype=bool)
-        self.rounding = np.asarray(self.rounding, dtype=float)
-        if (self.states.ndim != 3 or len(self.states) != self.probabilities.size
-                or self.present.shape != self.probabilities.shape
-                or self.rounding.shape != self.probabilities.shape):
-            raise DimMismatch("one state slot per outcome probability")
-        if np.any(self.probabilities < -1e-12):
-            raise DomainError("negative outcome probability")
-        if not np.all(self.rounding >= 0.0):      # NaN fails too
-            raise DomainError("rounding bounds must be nonnegative")
-        if abs(self.probabilities.sum() - 1.0) > 1e-10:
-            raise DomainError("outcome probabilities do not sum to 1")
         self.gaps = np.zeros(self.probabilities.shape)
-        self.gaps[self.present] = degeneracy_gap(validate_states(self.states[self.present]))
+        self.gaps[self.present] = degeneracy_gap(hermitian_eig(self.states[self.present]))
+
+    @property
+    def present(self) -> np.ndarray:
+        """Which outcomes on A have a conditional state."""
+        return self.probabilities > PROB_FLOOR
 
 
 def present_pairs(present: np.ndarray, anchor: Optional[int] = None) -> np.ndarray:
@@ -112,7 +100,9 @@ class Verdict:
 def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     """Conditional states of B for each outcome of a POVM measured on A.
 
-    p_k = Tr[(M_k x I) rho] and rho_{B|k} = Tr_A[(M_k x I) rho] / p_k.
+    p_k = Tr[(M_k x I) rho] and rho_{B|k} = Tr_A[(M_k x I) rho] / p_k, for
+    each p_k above PROB_FLOOR. rho and the POVM are checked on construction,
+    so the ensemble records these values without checking them again.
 
     A Frobenius perturbation eta of rho moves the block Tr_A[(M_k x I) rho]
     by at most ||M_k||_F eta, and p_k by sqrt(d_B) times that, so it moves
@@ -138,7 +128,7 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     rounding = np.zeros_like(probs)
     rounding[present] = (np.sqrt(2.0) * (1.0 + np.sqrt(db)) * (da * da + 3) * UNIT_ROUNDOFF
                          * frobenius_norm(p.effects[present]) / probs[present])
-    return ConditionalEnsemble(probs, states, present, rounding)
+    return ConditionalEnsemble(probs, states, rounding)
 
 
 def select_anchor(e: ConditionalEnsemble) -> Optional[int]:

@@ -1,9 +1,8 @@
 """Dense complex linear algebra for finite-dimensional bipartite systems.
 
 Matrices are plain complex numpy arrays. The only structured value is
-DensityOperator, which validates the physical invariants (Hermitian, unit
-trace, positive semidefinite) on construction through validate_states, a
-check that also takes a stack and returns the spectrum it read. Every
+DensityOperator, which checks the physical invariants of one matrix
+(Hermitian, unit trace, positive semidefinite) on construction. Every
 spectral question goes through the one eigensolver hermitian_eig, which
 checks nothing a boundary type has checked already, and every rebuild
 V diag(w) V^dagger through EigenDecomposition.reconstruct. All are pure.
@@ -101,10 +100,11 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     or (..., n, n) stack, by LAPACK's eigh, with descending eigenvalues.
 
     The one eigensolver. Callers pass values that a boundary type
-    (validate_states, Povm, GaussianState) has checked, or values built
+    (DensityOperator, Povm, GaussianState) has checked, or values built
     Hermitian from such. It refuses, with NotHermitian, only a spectrum that
-    comes out non-finite: entries so large (about 9e307 or more) that the
-    symmetrisation or eigh overflows, or entries that are not finite.
+    comes out non-finite, and names the cause: entries that are not finite,
+    or entries so large (about 9e307 or more) that the symmetrisation or
+    eigh overflows.
     """
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,7 +114,8 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
             w = None
     # n eigenvalues to check, not n^2 entries: a NaN passes every < test
     if w is None or not np.isfinite(w).all():
-        raise NotHermitian("matrix entries overflow the eigensolver")
+        raise NotHermitian("matrix entries overflow the eigensolver" if np.isfinite(a).all()
+                           else "matrix has non-finite entries")
     return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 
@@ -125,33 +126,13 @@ def degeneracy_gap(e: EigenDecomposition) -> np.ndarray:
     return np.min(np.diff(w, axis=-1), axis=-1, initial=np.inf)
 
 
-def validate_states(m: np.ndarray) -> EigenDecomposition:
-    """Check that m is a density operator or a (..., n, n) stack of them:
-    square and nonempty (DimMismatch), finite, Hermitian (NotHermitian), unit
-    trace and PSD, each within its tolerance (DomainError otherwise). A stack
-    reports its worst member. Returns the hermitian_eig of m the check read."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
-        raise DimMismatch(f"density operator must be square and nonempty: {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("density operator has non-finite entries")
-    herm = np.max(hermitian_defect(m), initial=0.0)
-    if herm > HERMITIAN_TOL:
-        raise NotHermitian(f"density operator not Hermitian: {herm:g}")
-    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
-    off = np.abs(tr - 1.0)
-    if np.any(off > TRACE_TOL):
-        raise DomainError(f"trace is {tr[np.argmax(off)]}, not 1 within {TRACE_TOL:g}")
-    e = hermitian_eig(m)
-    lowest = np.min(e.eigenvalues[..., -1], initial=np.inf)
-    if lowest < -PSD_TOL:
-        raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")
-    return e
-
-
 @dataclass
 class DensityOperator:
     """Hermitian, unit-trace, PSD matrix, optionally tagged bipartite.
+
+    Construction checks the matrix: square and nonempty (DimMismatch),
+    finite, Hermitian (NotHermitian), unit trace and PSD, each within its
+    tolerance (DomainError otherwise).
 
     bipartition, when set, is (dimA, dimB) with the first tensor factor A
     and the second factor B, so index (a, b) maps to row a * dimB + b.
@@ -161,11 +142,21 @@ class DensityOperator:
     bipartition: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        if np.ndim(self.matrix) != 2:
-            raise DimMismatch("density operator must be square and nonempty: "
-                              f"{np.shape(self.matrix)}")
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise DimMismatch(f"density operator must be square and nonempty: {shape}")
         m = self.matrix = np.asarray(self.matrix, dtype=complex)
-        validate_states(m)
+        if not np.all(np.isfinite(m)):
+            raise DomainError("density operator has non-finite entries")
+        herm = hermitian_defect(m)
+        if herm > HERMITIAN_TOL:
+            raise NotHermitian(f"density operator not Hermitian: {herm:g}")
+        tr = np.trace(m)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise DomainError(f"trace is {tr}, not 1 within {TRACE_TOL:g}")
+        lowest = hermitian_eig(m).eigenvalues[-1]
+        if lowest < -PSD_TOL:
+            raise DomainError(f"negative eigenvalue {lowest:g} below -{PSD_TOL:g}")
         if self.bipartition is not None:
             da, db = self.bipartition
             if da < 1 or db < 1 or da * db != m.shape[0]:

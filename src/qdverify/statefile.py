@@ -14,11 +14,12 @@ empty containers as {} and [], non-ASCII as \\u escapes, and one final
 newline. Reports use the same writer.
 
 The writer, not the *_doc builders or the reports, formats and checks every
-number: floats, complex values, and float or complex arrays, an array in one
-call (a constant one, such as a commuting pair's zero grid, with its value
-formatted once). It refuses a non-finite value with ParseError, and what
-json.dumps refuses with TypeError. So a document is input for render and
-write, not a JSON tree: json.loads(render(doc)) is its tree.
+number: floats, complex values, and float, complex or integer arrays, an
+array in one call (a constant one, such as a commuting pair's zero grid,
+with its value formatted once). It refuses a non-finite value with
+ParseError, and what json.dumps refuses with TypeError. So a document is
+input for render and write, not a JSON tree: json.loads(render(doc)) is its
+tree.
 """
 from __future__ import annotations
 
@@ -163,7 +164,7 @@ def shot_record_doc(rec: ShotRecord) -> dict:
         "kind": "shot_record",
         "povm_a": _povm_doc(rec.povm_a),
         "povm_b": _povm_doc(rec.povm_b),
-        "counts": rec.counts.tolist(),
+        "counts": rec.counts,
         "total": int(rec.total),
         "seed": int(rec.seed),
     }
@@ -205,40 +206,44 @@ def _povm_in(doc: Any) -> Povm:
         raise ParseError(f"invalid povm: {exc}") from None
 
 
-def _float_layout(shape: tuple, indent: str, slot: str = '"%.17g"') -> str:
+def _layout(shape: tuple, indent: str, slot: str) -> str:
     # the layout of nested lists of that shape, the text slot for each value
     if not shape:
         return slot
     if not shape[0]:
         return "[]"
     inner = indent + " "
-    item = _float_layout(shape[1:], inner, slot)
+    item = _layout(shape[1:], inner, slot)
     return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
 def _emit(v: Any, indent: str) -> Iterator[str]:
     # json.dumps' indent layout, which its C encoder does not write, as parts
     # that render joins once; a float is its format(v, ".17g") string, a complex
-    # value the [re, im] pair of them, and an array the nested lists of those,
-    # formatted in one call, or once when all its values have the same bits
+    # value the [re, im] pair of them, an integer its digits, and an array the
+    # nested lists of those, formatted in one call, or once when all its
+    # values are the same
     if isinstance(v, (float, complex, np.floating, np.complexfloating)):
         v = np.array(v)
     if isinstance(v, str):
         yield _quote(v)
-    elif isinstance(v, np.ndarray) and v.dtype.kind in "fc":
+    elif isinstance(v, np.ndarray) and v.dtype.kind in "fciu":
         if v.dtype.kind == "c":
             # a complex array viewed as floats is its [re, im] pairs
             v = np.ascontiguousarray(v, dtype=complex).view(float).reshape(v.shape + (2,))
         if not np.all(np.isfinite(v)):
             raise ParseError(f"cannot serialize non-finite float {v[~np.isfinite(v)][0]}")
+        # integers are written as themselves, never through float; floats are
         # compared as bits, since 0.0 == -0.0 but they write "0" and "-0", and
         # as float64, since a float32 [a, b, a, b] viewed as int64 looks constant
-        flat = v.ravel().astype(float, copy=False)
-        bits = flat.view(np.int64)
+        exact = v.dtype.kind in "iu"
+        flat = v.ravel() if exact else v.ravel().astype(float, copy=False)
+        bits = flat if exact else flat.view(np.int64)
+        slot = "%d" if exact else '"%.17g"'
         if flat.size > 1 and (bits == bits[0]).all():
-            yield _float_layout(v.shape, indent, '"%.17g"' % flat[0])
+            yield _layout(v.shape, indent, slot % flat[0])
         else:
-            yield _float_layout(v.shape, indent) % tuple(flat.tolist())
+            yield _layout(v.shape, indent, slot) % tuple(flat.tolist())
     elif not isinstance(v, (dict, list, tuple)):
         yield json.dumps(v)
     elif not v:

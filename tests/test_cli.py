@@ -14,10 +14,12 @@ import numpy as np
 
 from conftest import (STRING_ROW_DOCUMENTS, random_bipartite_state, random_diagonal_fock,
                       random_product_state)
+from dv_recipes import near_orthogonal_zero_discord
 from qdverify import dv, gaussian, linalg, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
 from qdverify.phasespace import fock_state, pure_state
+from qdverify.povm import mub_povm
 
 
 @pytest.fixture()
@@ -118,6 +120,15 @@ class TestVerifyDv:
         _, out1, _ = run(capsys, "verify-dv", bell_file)
         _, out2, _ = run(capsys, "verify-dv", bell_file)
         assert out1 == out2
+
+    def test_rank_deficient_rare_conditional_exit_0(self, capsys, workdir):
+        # outcome 3 of the qutrit MUB misses B's pure branch 0, so its
+        # conditional's zero eigenvalue carries the input's rounding times 1/p_3
+        rho = near_orthogonal_zero_discord(mub_povm(3), 3, 2, 1e-10, 0, pure_first=True)
+        path = write_fixture(workdir / "rare.state", statefile.dv_density_doc(rho))
+        code, out, err = run(capsys, "verify-dv", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "CONSISTENT_WITH_ZERO"
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_mub_default_above_qubits(self, capsys, workdir, dim):

@@ -143,6 +143,19 @@ class TestShotRecordRoundTrip:
         for a, b in zip(back.povm_a.effects, rec.povm_a.effects):
             np.testing.assert_array_equal(a, b)
 
+    def test_counts_near_the_int64_limit_round_trip_exactly(self, tmp_path, sic):
+        # 2^63 - 4 is not a binary64 value: a count written through float would move
+        big = 2 ** 63 - 1
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 0], counts[1, 2], counts[3, 3] = big - 3, 2, 1
+        path = tmp_path / "big.state"
+        statefile.write(str(path), statefile.shot_record_doc(tomo.ShotRecord(sic, sic, counts,
+                                                                             big, 0)))
+        assert json.loads(path.read_text())["counts"] == counts.tolist()
+        back = statefile.load(str(path)).payload
+        np.testing.assert_array_equal(back.counts, counts)
+        assert back.total == big
+
     def test_count_total_mismatch_rejected(self, tmp_path, bell, sic):
         rec = tomo.sample_joint(bell, sic, sic, 2000, seed=3)
         doc = statefile.shot_record_doc(rec)
@@ -190,6 +203,13 @@ class TestBatchedMatrixWriters:
         tree = self.tree(statefile.wigner_grid_doc(grid))
         assert [tree[k] for k in ("x_min", "x_max", "p_min", "p_max", "value_stderr")] == \
             ["-1", "1", "-1", "2", "0"]
+
+    @pytest.mark.parametrize("a", [np.arange(6).reshape(2, 3), np.full((2, 2), 2 ** 63 - 1),
+                                   np.array([2 ** 64 - 1], dtype=np.uint64),
+                                   np.zeros(0, dtype=int)],
+                             ids=["varied", "constant", "uint64", "empty"])
+    def test_integer_arrays_are_written_as_json_writes_their_lists(self, a):
+        assert statefile.render({"c": a}) == json.dumps({"c": a.tolist()}, indent=1) + "\n"
 
     def test_complex_strings_match_per_element_format(self):
         m = np.array(self.EDGE_VALUES) + 1j * np.array(self.EDGE_VALUES)[::-1]

@@ -72,7 +72,7 @@ class TestEstimateConditionals:
         povm_b = random_ic_povm(3, seed=1)
         probs = tomo.joint_probabilities(rho, sic, povm_b)
         est = tomo.estimate_conditionals(tomo.ShotRecord(sic, povm_b, probs, 1, 0))
-        ens = dv.ConditionalEnsemble(est.counts / est.counts.sum(), est.states, est.present,
+        ens = dv.ConditionalEnsemble(est.counts / est.counts.sum(), est.states,
                                      np.zeros(len(est.counts)))
         joint = reconstruct_joint(ens, sic_duals)
         assert np.max(np.abs(joint.matrix - rho.matrix)) <= 1e-10
