@@ -1,18 +1,18 @@
-"""Two-mode Gaussian states: covariance validation, standard form, and the
-heterodyne peak test for discord.
+"""Two-mode Gaussian states: a covariance checked physical on construction,
+its standard form, and the heterodyne peak test for discord.
 
 Quadrature conventions: the mode operators are a = x1 + i p1 and
 b = x2 + i p2, the quadrature vector is (x1, p1, x2, p2), and the vacuum
 variance is 1/4. Physicality is the matrix constraint
-sigma + (i/4) Omega >= 0.
+sigma + (i/4) Omega >= 0, which GaussianState checks on construction.
 
-A heterodyne outcome (x1', p1') on the first mode has covariance A + I/4,
-so conditioning on it is a Schur complement: the second mode keeps mean
-m_B + G ((x1', p1') - m_A) and covariance B - G C, with gain
-G = C^T (A + I/4)^{-1} and m the state's mean. G
-exists for every physical A and vanishes exactly when C does, so two
-outcomes that differ in both quadratures decide the discord question for
-Gaussian states.
+A heterodyne outcome alpha = (x1', p1') on the first mode has covariance
+A + I/4, so conditioning on it is a Schur complement: the second mode keeps
+mean m_B + G (alpha - m_A) and covariance B - G C, with gain
+G = C^T (A + I/4)^{-1} and m the state's mean. The covariance does not
+depend on alpha, and G is solved once per state. G exists for every
+physical A and vanishes exactly when C does, so two outcomes that differ in
+both quadratures decide the discord question for Gaussian states.
 """
 from __future__ import annotations
 
@@ -41,7 +41,11 @@ OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 
 @dataclass
 class GaussianState:
-    """Quadrature means and 4x4 covariance matrix of a two-mode state."""
+    """Quadrature means and 4x4 covariance matrix of a two-mode state.
+
+    Construction checks the shape and finiteness (DomainError), symmetry
+    within SYMMETRY_TOL (DomainError) and the uncertainty constraint
+    sigma + (i/4) Omega >= 0 within PHYSICALITY_TOL (Unphysical)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -55,10 +59,8 @@ class GaussianState:
             raise DomainError("non-finite covariance or mean")
         if hermitian_defect(self.cov) > SYMMETRY_TOL:
             raise DomainError("covariance matrix is not symmetric")
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.cov[:2, 2:]
+        if hermitian_eig(self.cov + 0.25j * OMEGA).eigenvalues[-1] < -PHYSICALITY_TOL:
+            raise Unphysical("covariance violates the uncertainty constraint")
 
 
 @dataclass
@@ -95,13 +97,6 @@ def _local(mode_a: np.ndarray, mode_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_physical(g: GaussianState) -> bool:
-    """True iff cov + (i/4) Omega is PSD within PHYSICALITY_TOL."""
-    m = g.cov.astype(complex) + 0.25j * OMEGA
-    w = hermitian_eig(m).eigenvalues
-    return bool(w[-1] >= -PHYSICALITY_TOL)
-
-
 def _diagonalizing_angle(m: np.ndarray) -> float:
     """Rotation angle theta with rot(theta) m rot(theta)^T diagonal."""
     if abs(m[0, 1]) <= 1e-14 * max(1.0, abs(m[0, 0]), abs(m[1, 1])):
@@ -110,7 +105,7 @@ def _diagonalizing_angle(m: np.ndarray) -> float:
 
 
 def standard_form(g: GaussianState) -> StandardForm:
-    """Reduce a physical covariance to A = aI, B = bI, C = diag(c, d).
+    """Reduce the covariance to A = aI, B = bI, C = diag(c, d).
 
     Three stages of local (per-mode) symplectics: rotations diagonalize the
     A and B blocks, single-mode squeezers balance their diagonals, and a
@@ -119,8 +114,6 @@ def standard_form(g: GaussianState) -> StandardForm:
     is canonicalized to c >= 0 with the sign of d free. Local symplectic
     invariants (det of each block and of the full matrix) are preserved.
     """
-    if not validate_physical(g):
-        raise Unphysical("covariance violates the uncertainty constraint")
     cov = g.cov.copy()
 
     theta_a1 = _diagonalizing_angle(cov[:2, :2])
@@ -166,24 +159,17 @@ def _c_diagonalizing_rotations(c: np.ndarray) -> Tuple[float, float]:
     return 0.5 * (chi - psi), 0.5 * (chi + psi)
 
 
-def heterodyne_condition(sf: StandardForm,
-                         outcome: complex) -> Tuple[np.ndarray, np.ndarray]:
-    """Conditional Gaussian of mode 2 after heterodyne outcome on mode 1.
+def heterodyne_condition(sf: StandardForm) -> Tuple[np.ndarray, np.ndarray]:
+    """Gain G = C^T (A + I/4)^{-1} and conditional covariance B - G C of
+    mode 2 after a heterodyne on mode 1.
 
-    Returns (mean, cov) of the conditional state of the zero-mean state:
-    the Schur complement mean = G (x1', p1') and cov = B - G C, with
-    G = C^T (A + I/4)^{-1}.
+    An outcome alpha = (x1', p1') moves the conditional mean of the
+    zero-mean state to G alpha, the peak of its Wigner function; the
+    covariance does not depend on alpha.
     """
     cov = sf.as_cov()
     gain = np.linalg.solve(cov[:2, :2] + VACUUM_VARIANCE * np.eye(2), cov[:2, 2:]).T
-    mean = gain @ np.array([outcome.real, outcome.imag])
-    return mean, cov[2:, 2:] - gain @ cov[:2, 2:]
-
-
-def peak(sf: StandardForm, outcome: complex) -> complex:
-    """Location of the conditional Wigner maximum for a heterodyne outcome."""
-    mean, _ = heterodyne_condition(sf, outcome)
-    return complex(mean[0], mean[1])
+    return gain, cov[2:, 2:] - gain @ cov[:2, 2:]
 
 
 def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
@@ -200,7 +186,7 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
     separation reports the raw peak distance. Outcomes, their differences
     and the peaks must be finite (DomainError): an infinite outcome shift
     would read as a zero peak shift per unit. The witnesses carry the cross
-    block's own decision, zero_discord_decision's rule, beside the peaks.
+    block's own decision, max |C| of the input against tol, beside the peaks.
     """
     sf = standard_form(state)
     check_threshold("tol", tol)
@@ -210,15 +196,16 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
         raise DegenerateOutcomes(
             "outcomes must differ in both quadratures to probe both c and d")
     with np.errstate(over="ignore", invalid="ignore"):    # refused just below
-        p1 = peak(sf, out1)
-        p2 = peak(sf, out2)
+        gain, _ = heterodyne_condition(sf)
         m = sf.local @ state.mean       # the mean in the standard-form frame
-        shift = complex(m[2], m[3]) - peak(sf, complex(m[0], m[1]))
+        p1, p2, p_m = (complex(*(gain @ [z.real, z.imag]))
+                       for z in (out1, out2, complex(m[0], m[1])))
+        shift = complex(m[2], m[3]) - p_m
     if not np.isfinite([p1, p2, p1 - p2, p1 + shift, p2 + shift]).all():
         raise DomainError("conditional peaks overflow for these outcomes")
     gain_x = abs(p1.real - p2.real) / abs(out1.real - out2.real)
     gain_p = abs(p1.imag - p2.imag) / abs(out1.imag - out2.imag)
-    cross = abs(state.block_c).max()
+    cross = abs(state.cov[:2, 2:]).max()
     return Verdict(NONZERO_DISCORD if max(gain_x, gain_p) > tol else CONSISTENT_WITH_ZERO, {
         "standard_form": {k: getattr(sf, k) for k in "abcd"},
         "peak_1": p1 + shift, "peak_2": p2 + shift, "separation": abs(p1 - p2),
@@ -226,19 +213,6 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
         "cov_block_decision": {"pipeline": "gaussian_cov", "zero_discord": bool(cross <= tol),
                                "max_abs_cross_block": cross},
     }, {"peak_shift_per_outcome_shift": tol})
-
-
-def zero_discord_decision(g: GaussianState, tol: float = DEFAULT_DECISION_TOL) -> bool:
-    """True iff the cross block vanishes, i.e. the state is a product state.
-
-    Decided on the original-frame C block; the standard-form route
-    max(|c|, |d|) <= tol gives the same answer away from the tolerance
-    boundary and is exercised by the cross-route tests.
-    """
-    check_threshold("tol", tol)
-    if not validate_physical(g):
-        raise Unphysical("covariance violates the uncertainty constraint")
-    return bool(np.max(np.abs(g.block_c)) <= tol)
 
 
 # Constructors for common states and random physical covariances.

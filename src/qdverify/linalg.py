@@ -169,21 +169,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def partial_trace(rho: DensityOperator, subsystem: str) -> DensityOperator:
-    """Trace out subsystem "A" or "B" of a bipartite density operator."""
-    if rho.bipartition is None:
-        raise MissingBipartition("density operator carries no bipartition")
-    da, db = rho.bipartition
-    t = rho.matrix.reshape(da, db, da, db)
-    if subsystem == "A":
-        reduced = np.einsum("abac->bc", t)
-    elif subsystem == "B":
-        reduced = np.einsum("abcb->ac", t)
-    else:
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return DensityOperator(reduced)
-
-
 def swap_subsystems(rho: DensityOperator) -> DensityOperator:
     """Exchange the roles of A and B in a bipartite density operator."""
     if rho.bipartition is None:

@@ -81,11 +81,6 @@ class Povm:
         return len(self.effects)
 
 
-def probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
-    """Outcome probabilities Tr[M_k rho] for a state on the POVM's system."""
-    return np.einsum("kij,ji->k", p.effects, rho).real
-
-
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal (trace inner product) basis of Hermitian dim x dim matrices,
     as a (dim^2, dim, dim) array.

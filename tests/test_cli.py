@@ -7,6 +7,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,6 +206,15 @@ class TestVerifyGaussian:
         assert code == 2
         assert out == ""
         assert "error: outcomes and their differences must be finite" in err
+
+    def test_unphysical_file_is_refused_at_load(self, capsys, workdir):
+        # I/8 is below the vacuum; the file is refused as an invalid dv_density is
+        path = write_fixture(workdir / "subvacuum.state", statefile.gaussian_doc(
+            SimpleNamespace(mean=np.zeros(4), cov=np.eye(4) / 8)))
+        code, out, err = run(capsys, "verify-gaussian", path, "--outcomes", "0,0;1,1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: invalid gaussian payload: "
+                       "covariance violates the uncertainty constraint\n")
 
     def test_golden(self, capsys, workdir):
         path = write_fixture(workdir / "g.state",
@@ -839,7 +849,7 @@ def test_tomo_eigensolves_each_stack_once(capsys, workdir, monkeypatch):
 ])
 def test_verify_gaussian_eigensolves_the_physicality_spectrum_once(capsys, workdir,
                                                                    monkeypatch, state):
-    # standard_form checks physicality; the cross block's decision reuses it
+    # the load's GaussianState checks physicality; nothing solves it again
     path = write_fixture(workdir / "g.state", statefile.gaussian_doc(state()))
     assert _eigensolves(monkeypatch, capsys, "verify-gaussian", path,
                         "--outcomes", "0,0;1,1") == 1

@@ -34,13 +34,22 @@ def random_standard_form(rng) -> gs.StandardForm:
     return gs.standard_form(state)
 
 
+def peak(sf, outcome):
+    """B's conditional peak G alpha for the heterodyne outcome alpha."""
+    gain, _ = gs.heterodyne_condition(sf)
+    mean = gain @ np.array([outcome.real, outcome.imag])
+    return complex(mean[0], mean[1])
+
+
 class TestValidatePhysical:
+    # GaussianState holds physical states only: construction is the check
     def test_vacuum(self):
-        assert gs.validate_physical(gs.vacuum())
+        m = gs.vacuum().cov + 0.25j * gs.OMEGA
+        assert hermitian_eig(m).eigenvalues[-1] >= -gs.PHYSICALITY_TOL
 
     def test_subvacuum_rejected(self):
-        bad = gs.GaussianState(np.zeros(4), np.eye(4) / 8)
-        assert not gs.validate_physical(bad)
+        with pytest.raises(Unphysical, match="^covariance violates the uncertainty constraint$"):
+            gs.GaussianState(np.zeros(4), np.eye(4) / 8)
 
     def test_an_overflowing_asymmetry_is_refused_without_a_warning(self):
         cov = np.eye(4)
@@ -57,7 +66,6 @@ class TestValidatePhysical:
         assert g.cov[1, 3] == pytest.approx(-np.sinh(1.0) / 4)
         m = g.cov.astype(complex) + 0.25j * gs.OMEGA
         assert hermitian_eig(m).eigenvalues[-1] >= -1e-10
-        assert gs.validate_physical(g)
 
 
 class TestStandardForm:
@@ -154,33 +162,36 @@ class TestStandardForm:
 class TestHeterodyneCondition:
     def test_no_cross_block_means_outcome_independent(self):
         sf = gs.standard_form(gs.thermal_product(0.5, 0.5))
-        mean0, cov0 = gs.heterodyne_condition(sf, 0.0 + 0.0j)
-        mean1, cov1 = gs.heterodyne_condition(sf, 2.0 - 1.0j)
-        np.testing.assert_allclose(mean0, [0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(mean1, [0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(cov0, cov1)
+        gain, cov = gs.heterodyne_condition(sf)
+        np.testing.assert_allclose(gain @ [0.0, 0.0], [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(gain @ [2.0, -1.0], [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(cov, np.diag([sf.b, sf.b]))
 
     def test_worked_case(self):
         sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
-        mean, cov = gs.heterodyne_condition(sf, 1.0 + 1.0j)
+        gain, cov = gs.heterodyne_condition(sf)
+        mean = gain @ [1.0, 1.0]
         # b - c^2/(a + 1/4) = 1/2.4 and c/(a + 1/4) = 1/3 for the x sector
         assert cov[0, 0] == pytest.approx(1 / 2.4, rel=1e-12)
         assert mean[0] == pytest.approx(1 / 3, rel=1e-12)
         assert mean[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_covariance_outcome_independent_generic(self):
+        # no outcome enters: the covariance is the Schur complement B - G C
         rng = np.random.default_rng(3)
         sf = random_standard_form(rng)
-        _, cov1 = gs.heterodyne_condition(sf, 0.3 + 0.9j)
-        _, cov2 = gs.heterodyne_condition(sf, -2.0 + 0.1j)
-        np.testing.assert_array_equal(cov1, cov2)
+        _, cov = gs.heterodyne_condition(sf)
+        full = sf.as_cov()
+        np.testing.assert_allclose(
+            cov, full[2:, 2:] - full[2:, :2] @ np.linalg.inv(full[:2, :2] + np.eye(2) / 4)
+            @ full[:2, 2:], rtol=0, atol=1e-12)
 
     def test_conditional_is_physical(self):
         rng = np.random.default_rng(4)
         j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         for _ in range(200):
             sf = random_standard_form(rng)
-            _, cov = gs.heterodyne_condition(sf, 0.7 - 0.2j)
+            _, cov = gs.heterodyne_condition(sf)
             m = cov.astype(complex) + 0.25j * j
             assert hermitian_eig(m).eigenvalues[-1] >= -1e-10
 
@@ -188,11 +199,11 @@ class TestHeterodyneCondition:
 class TestPeak:
     def test_zero_cross_block(self):
         sf = gs.standard_form(gs.thermal_product(0.2, 0.8))
-        assert gs.peak(sf, 1.5 - 0.5j) == 0.0
+        assert peak(sf, 1.5 - 0.5j) == 0.0
 
     def test_worked_case_against_integration(self):
         sf = gs.StandardForm(0.5, 0.5, 0.25, 0.0, np.eye(4))
-        got = gs.peak(sf, 1.0 + 1.0j)
+        got = peak(sf, 1.0 + 1.0j)
         assert got == pytest.approx(complex(1 / 3, 0.0), abs=1e-9)
         oracle = integration_peak_oracle(0.5, 0.5, 0.25, 0.0, 1.0, 1.0)
         assert abs(got - oracle) <= 1e-6
@@ -201,13 +212,13 @@ class TestPeak:
         rng = np.random.default_rng(5)
         sf = random_standard_form(rng)
         out = 0.4 + 1.1j
-        assert gs.peak(sf, 2 * out) == 2 * gs.peak(sf, out)
+        assert peak(sf, 2 * out) == 2 * peak(sf, out)
 
     def test_zero_components_follow_c_and_d(self):
         sf_c_only = gs.StandardForm(0.5, 0.6, 0.2, 0.0, np.eye(4))
-        assert gs.peak(sf_c_only, 1.0 + 1.0j).imag == 0.0
+        assert peak(sf_c_only, 1.0 + 1.0j).imag == 0.0
         sf_d_only = gs.StandardForm(0.5, 0.6, 0.0, 0.2, np.eye(4))
-        assert gs.peak(sf_d_only, 1.0 + 1.0j).real == 0.0
+        assert peak(sf_d_only, 1.0 + 1.0j).real == 0.0
 
 
 class TestPeakCoincidence:
@@ -247,33 +258,37 @@ class TestPeakCoincidence:
         # a physical gain c/(a + 1/4) of 8 puts the peak of a finite
         # outcome of 1e308 past the largest double
         sf = gs.StandardForm(0.5, 100.0, 6.0, 0.0, np.eye(4))
-        state = gs.GaussianState(np.zeros(4), sf.as_cov())
-        assert gs.validate_physical(state)
+        state = gs.GaussianState(np.zeros(4), sf.as_cov())      # physical: it constructs
         with pytest.raises(DomainError, match="overflow"):
             gs.peak_coincidence_test(state, 1e308 + 0.0j, 0.0 + 1.0j, tol=1e-9)
 
 
+def cov_block_decision(state, tol):
+    """The report's own cross-block decision: max |C| <= tol."""
+    res = gs.peak_coincidence_test(state, 0.0 + 0.0j, 1.0 + 1.0j, tol=tol)
+    return res.witnesses["cov_block_decision"]["zero_discord"]
+
+
 class TestZeroDiscordDecision:
     def test_thermal_product_true(self):
-        assert gs.zero_discord_decision(gs.thermal_product(0.1, 2.0), tol=1e-9)
+        assert cov_block_decision(gs.thermal_product(0.1, 2.0), tol=1e-9)
 
     def test_tmsv_false(self):
         for r in (1e-5, 0.2, 1.0):
-            assert not gs.zero_discord_decision(gs.two_mode_squeezed_vacuum(r),
-                                                tol=1e-9)
+            assert not cov_block_decision(gs.two_mode_squeezed_vacuum(r), tol=1e-9)
 
     def test_cross_route_agreement(self):
         rng = np.random.default_rng(11)
         for i in range(200):
             state = gs.random_physical_state(rng, product=(i % 2 == 0))
-            direct = gs.zero_discord_decision(state, tol=1e-8)
+            direct = cov_block_decision(state, tol=1e-8)
             sf = gs.standard_form(state)
             via_form = max(abs(sf.c), abs(sf.d)) <= 1e-8
             assert direct == via_form
 
     def test_unphysical_rejected(self):
         with pytest.raises(Unphysical):
-            gs.zero_discord_decision(gs.GaussianState(np.zeros(4), np.eye(4) / 100))
+            gs.GaussianState(np.zeros(4), np.eye(4) / 100)
 
 
 def test_integration_oracle_random_forms():
@@ -281,6 +296,6 @@ def test_integration_oracle_random_forms():
     for _ in range(5):
         sf = random_standard_form(rng)
         out = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        got = gs.peak(sf, out)
+        got = peak(sf, out)
         oracle = integration_peak_oracle(sf.a, sf.b, sf.c, sf.d, out.real, out.imag)
         assert abs(got - oracle) <= 1e-6

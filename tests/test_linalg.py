@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdverify.errors import DimMismatch, MissingBipartition, NotHermitian
+from qdverify.errors import DimMismatch, NotHermitian
 from qdverify.linalg import (
     DensityOperator,
     EigenDecomposition,
@@ -12,7 +12,6 @@ from qdverify.linalg import (
     degeneracy_gap,
     frobenius_norm,
     hermitian_eig,
-    partial_trace,
     random_density_matrix,
     random_unitary,
     swap_subsystems,
@@ -45,48 +44,6 @@ class TestTensor:
         amp00 = np.zeros(4)
         amp00[0] = 1.0
         np.testing.assert_allclose(xx @ amp00, np.eye(4)[3])
-
-
-class TestPartialTrace:
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(0)
-        rho_a = random_density_matrix(2, rng)
-        rho_b = random_density_matrix(3, rng)
-        joint = DensityOperator(tensor(rho_a, rho_b), bipartition=(2, 3))
-        np.testing.assert_allclose(partial_trace(joint, "A").matrix, rho_b, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, "B").matrix, rho_a, atol=1e-12)
-
-    def test_bell_marginal_is_maximally_mixed(self):
-        psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = DensityOperator(np.outer(psi, psi.conj()), bipartition=(2, 2))
-        np.testing.assert_allclose(partial_trace(rho, "A").matrix, np.eye(2) / 2,
-                                   atol=1e-12)
-
-    def test_against_index_contraction_oracle(self):
-        rng = np.random.default_rng(7)
-        rho = DensityOperator(random_density_matrix(6, rng), bipartition=(2, 3))
-        got = partial_trace(rho, "B").matrix
-        expected = np.zeros((2, 2), dtype=complex)
-        m = rho.matrix
-        for a in range(2):
-            for c in range(2):
-                for b in range(3):
-                    expected[a, c] += m[a * 3 + b, c * 3 + b]
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_preserves_trace_and_psd(self):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            rho = DensityOperator(random_density_matrix(6, rng), bipartition=(3, 2))
-            for sub in ("A", "B"):
-                red = partial_trace(rho, sub)
-                assert abs(np.trace(red.matrix) - 1) <= 1e-12
-                assert hermitian_eig(red.matrix).eigenvalues[-1] >= -1e-10
-
-    def test_requires_bipartition(self):
-        rho = DensityOperator(np.eye(2) / 2)
-        with pytest.raises(MissingBipartition):
-            partial_trace(rho, "A")
 
 
 class TestHermitianEig:
