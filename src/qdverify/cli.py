@@ -75,14 +75,14 @@ def cmd_verify_gaussian(args) -> int:
 
 
 def _load_moyal_input(path_arg: str):
-    """(state file, Fock operator or Wigner grid) of a moyal input."""
+    """(state file, Fock matrix or Wigner grid) of a moyal input."""
     sf = _load(path_arg, "moyal", "wigner_grid", "dv_density")
     if sf.kind == "wigner_grid":
         return sf, sf.payload
     if sf.fock_cutoff is None:
         raise ParseError(f"{sf.path}: dv_density input to moyal needs a "
                          "fock_cutoff tag")
-    return sf, phasespace.FockOperator(sf.fock_cutoff, sf.payload.matrix)
+    return sf, sf.payload.matrix
 
 
 def cmd_moyal(args) -> int:

@@ -7,8 +7,8 @@ integrates with the measure dx dp, and the vacuum Wigner maximum is 2/pi.
 The commutator witness W_{kk'} is the Wigner-like function of
 -i[rho_k, rho_k']. It is computed here two ways:
 
-* fock_commutator: the Wigner transform of the commutator of two Fock
-  operators, taken in Fock space; exact on every grid. The Fock route.
+* fock_commutator: the Wigner transform of the commutator of two Fock-basis
+  matrices, taken in Fock space; exact on every grid. The Fock route.
 * moyal_commutator: twice the imaginary part of the phase-space star
   product of the two Wigner grids, with the star product evaluated by FFTs
   in a mixed (x-frequency, p) representation where the twist kernel
@@ -23,9 +23,10 @@ The literal lattice sums that check both routes, and the route through
 the characteristic function, are test oracles, outside the package.
 
 Wigner functions and commutator witnesses are one grid type, WignerGrid.
-Grids are uniform, sampled at x_min + k dx with dx = (x_max - x_min)/nx
-(the right edge is excluded, matching the periodic treatment of the
-spectral route).
+A Fock-basis operator is its complex (n, n) matrix, cutoff n - 1, as the
+state constructors here return it. Grids are uniform, sampled at
+x_min + k dx with dx = (x_max - x_min)/nx (the right edge is excluded,
+matching the periodic treatment of the spectral route).
 """
 from __future__ import annotations
 
@@ -126,36 +127,13 @@ class WignerGrid:
             raise DomainError(f"value_stderr {self.value_stderr} is not finite and >= 0")
 
 
-@dataclass
-class FockOperator:
-    """Operator on a truncated Fock space, indexed 0..cutoff."""
-
-    cutoff: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.cutoff + 1
-        if self.matrix.shape != (n, n):
-            raise DimMismatch(f"matrix shape {self.matrix.shape} does not "
-                              f"match cutoff {self.cutoff}")
-        if not np.all(np.isfinite(self.matrix.view(float))):
-            raise DomainError("non-finite Fock matrix")
-
-    def tail_mass(self) -> float:
-        """Absolute diagonal weight in the top two Fock levels."""
-        diag = np.abs(np.diag(self.matrix).real)
-        total = max(float(diag.sum()), 1.0)
-        return float(diag[max(self.cutoff - 1, 0):].sum()) / total
-
-
-def fock_state(n: int, cutoff: int) -> FockOperator:
+def fock_state(n: int, cutoff: int) -> np.ndarray:
     m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     m[n, n] = 1.0
-    return FockOperator(cutoff, m)
+    return m
 
 
-def pure_state(coeffs, cutoff: int) -> FockOperator:
+def pure_state(coeffs, cutoff: int) -> np.ndarray:
     """Density operator of a pure state with the given Fock amplitudes."""
     c = np.zeros(cutoff + 1, dtype=complex)
     c[:len(coeffs)] = np.asarray(coeffs, dtype=complex)
@@ -163,19 +141,19 @@ def pure_state(coeffs, cutoff: int) -> FockOperator:
     if norm == 0:
         raise DomainError("zero state vector")
     c /= norm
-    return FockOperator(cutoff, np.outer(c, c.conj()))
+    return np.outer(c, c.conj())
 
 
-def coherent_state(beta: complex, cutoff: int) -> FockOperator:
+def coherent_state(beta: complex, cutoff: int) -> np.ndarray:
     if beta == 0:
         return fock_state(0, cutoff)
     n = np.arange(cutoff + 1)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
     amps = np.exp(-0.5 * abs(beta) ** 2 + n * np.log(complex(beta)) - 0.5 * log_fact)
-    return FockOperator(cutoff, np.outer(amps, amps.conj()))
+    return np.outer(amps, amps.conj())
 
 
-def random_fock_density(cutoff: int, support: int, seed: int) -> FockOperator:
+def random_fock_density(cutoff: int, support: int, seed: int) -> np.ndarray:
     """Random density matrix supported on Fock levels 0..support.
 
     Keeping support at most cutoff - 2 leaves the top two levels empty, so
@@ -186,7 +164,7 @@ def random_fock_density(cutoff: int, support: int, seed: int) -> FockOperator:
     d = support + 1
     m = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     m[:d, :d] = random_density_matrix(d, np.random.default_rng(seed))
-    return FockOperator(cutoff, m)
+    return m
 
 
 def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
@@ -245,23 +223,25 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
         return out
 
 
-def _check_tail(op: FockOperator) -> None:
-    tail = op.tail_mass()
+def _check_tail(m: np.ndarray) -> None:
+    # the absolute diagonal weight in the top two Fock levels
+    diag = np.abs(np.diag(m).real)
+    tail = float(diag[max(len(m) - 2, 0):].sum()) / max(float(diag.sum()), 1.0)
     if tail > TAIL_TOL:
         raise TruncationTail(
             f"tail mass {tail:.2e} above {TAIL_TOL:g}; raise the cutoff")
 
 
-def wigner_from_fock(op: FockOperator, geom: GridGeometry) -> WignerGrid:
-    """Wigner function of a Fock-space operator on a grid.
+def wigner_from_fock(m: np.ndarray, geom: GridGeometry) -> WignerGrid:
+    """Wigner function of a Fock-basis matrix on a grid.
 
     Displaced-parity series W(alpha) = (2/pi) sum_{mn} rho_mn (-1)^m
-    <n|D(2 alpha)|m>, truncated at the operator's cutoff. Raises
+    <n|D(2 alpha)|m>, truncated at the matrix's cutoff. Raises
     TruncationTail when the top Fock levels carry too much weight for the
     truncation to be trustworthy.
     """
-    _check_tail(op)
-    return WignerGrid(geom, _wigner_values(op.matrix, geom))
+    _check_tail(m)
+    return WignerGrid(geom, _wigner_values(m, geom))
 
 
 def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
@@ -276,9 +256,8 @@ def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
     return w.real
 
 
-def fock_commutator(a: FockOperator, b: FockOperator,
-                    geom: GridGeometry) -> WignerGrid:
-    """Wigner-like function of -i[a, b] from two Fock-space operators.
+def fock_commutator(a: np.ndarray, b: np.ndarray, geom: GridGeometry) -> WignerGrid:
+    """Wigner-like function of -i[a, b] from two Fock-basis matrices.
 
     The commutator lies exactly inside the larger truncation (the smaller
     operator is padded with zeros), so one transform gives it with no star
@@ -287,8 +266,8 @@ def fock_commutator(a: FockOperator, b: FockOperator,
     """
     _check_tail(a)
     _check_tail(b)
-    size = max(a.cutoff, b.cutoff) + 1
-    ma, mb = (np.pad(op.matrix, (0, size - op.cutoff - 1)) for op in (a, b))
+    size = max(len(a), len(b))
+    ma, mb = (np.pad(m, (0, size - len(m))) for m in (a, b))
     return WignerGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
 
 
@@ -381,11 +360,13 @@ def _outer_bands(w: WignerGrid) -> WignerGrid:
 
 
 def moyal_witness(a, b, geom: GridGeometry, names=("a", "b")) -> Tuple[WignerGrid, Verdict]:
-    """The commutator grid of two inputs, each a FockOperator or a WignerGrid,
-    and its Verdict: NONZERO_DISCORD when the grid's largest |value| (the
-    first occurrence, at location) exceeds the threshold.
+    """The commutator grid of two inputs, and its Verdict: NONZERO_DISCORD
+    when the grid's largest |value| (the first occurrence, at location)
+    exceeds the threshold. An input that is not a WignerGrid is a Fock-basis
+    matrix, complex (n, n) with cutoff n - 1, taken as it is: its checks are
+    the caller's.
 
-    Two Fock operators are commuted in Fock space on geom, exactly. Any
+    Two Fock matrices are commuted in Fock space on geom, exactly. Any
     other pair goes through the star product on the grid input's geometry,
     a Fock partner transformed onto it as an exact grid. When either grid has
     a value_stderr, the threshold is the larger of uncertainty_band(a, b) and
@@ -406,7 +387,7 @@ def moyal_witness(a, b, geom: GridGeometry, names=("a", "b")) -> Tuple[WignerGri
     physical memory (TooLarge).
     """
     threshold, band = MOYAL_NUMERICAL_FLOOR, None
-    fock_pair = isinstance(a, FockOperator) and isinstance(b, FockOperator)
+    fock_pair = not isinstance(a, WignerGrid) and not isinstance(b, WignerGrid)
     if not fock_pair:
         geom = (a if isinstance(a, WignerGrid) else b).geometry
         if isinstance(b, WignerGrid) and b.geometry != geom:
@@ -418,7 +399,7 @@ def moyal_witness(a, b, geom: GridGeometry, names=("a", "b")) -> Tuple[WignerGri
     if fock_pair:
         comm = fock_commutator(a, b, geom)
     else:
-        a, b = (wigner_from_fock(x, geom) if isinstance(x, FockOperator) else x
+        a, b = (x if isinstance(x, WignerGrid) else wigner_from_fock(x, geom)
                 for x in (a, b))
         if a.value_stderr is not None or b.value_stderr is not None:
             band = uncertainty_band(a, b)

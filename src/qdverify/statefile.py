@@ -87,6 +87,20 @@ def _floats_in(rows: Any, what: str) -> np.ndarray:
     return a
 
 
+def _counts_in(rows: Any) -> np.ndarray:
+    """A count table, a non-empty list of equal-length lists of JSON integers
+    (not true or false) within int64, as one int64 array."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows)):
+        raise ParseError("counts must be a non-empty list of equal-length lists")
+    for v in (v for r in rows for v in r):
+        if type(v) is not int:
+            raise ParseError(f"counts must be integers, got {v!r}")
+        if not -2 ** 63 <= v < 2 ** 63:     # checked before numpy converts it
+            raise ParseError(f"counts must be within [-2^63, 2^63 - 1], got {v}")
+    return np.array(rows, dtype=np.int64)
+
+
 def _cmatrix_in(rows: Any) -> np.ndarray:
     """A complex matrix, or a stack of them, from its [re, im] pairs; the
     caller checks its shape."""
@@ -355,8 +369,7 @@ def _load_shot_record(doc: dict) -> StateFile:
                       "total", "seed"}, "shot_record")
     povm_a = _povm_in(doc["povm_a"])
     povm_b = _povm_in(doc["povm_b"])
-    counts = np.array([[parse_int(v, "count") for v in row] for row in doc["counts"]],
-                      dtype=np.int64)
+    counts = _counts_in(doc["counts"])
     rec = ShotRecord(povm_a, povm_b, counts, parse_int(doc["total"], "total"),
                      parse_int(doc["seed"], "seed"))
     _check_counts(counts, rec.total)

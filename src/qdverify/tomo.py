@@ -14,9 +14,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, InsufficientOutcomes, check_threshold
+from .errors import (DimMismatch, DomainError, InsufficientOutcomes,
+                     NotInformationallyComplete, check_threshold)
 from .linalg import DensityOperator, admit_memory, commutator, dag, frobenius_norm, hermitian_eig
-from .povm import Povm, dual_frame, reconstruct
+from .povm import Povm, dual_frame, is_informationally_complete, reconstruct
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict, present_pairs
 
 DEFAULT_Z_THRESHOLD = 5.0
@@ -116,9 +117,13 @@ def estimate_conditionals(rec: ShotRecord) -> EstimatedConditionals:
     B's conditional for outcome k on A inverts row k's frequencies through
     the dual frame of B's POVM (NotInformationallyComplete if it has none)
     and projects the result to the PSD unit-trace cone. Outcomes with no
-    counts are marked absent and hold zeros.
+    counts are marked absent and hold zeros. The POVM on A must be
+    informationally complete too (NotInformationallyComplete): conditionals
+    on a smaller set of outcomes can commute while the state's do not.
     """
     duals_b = dual_frame(rec.povm_b)
+    if not is_informationally_complete(rec.povm_a):
+        raise NotInformationallyComplete("the POVM on A is not informationally complete")
     marg = rec.counts.sum(axis=1)
     if marg.sum() <= 0:
         raise InsufficientOutcomes("record holds no counts")

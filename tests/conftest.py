@@ -6,7 +6,7 @@ import pytest
 from qdverify import dv, gaussian, povm, statefile
 from qdverify.errors import DimMismatch
 from qdverify.linalg import DensityOperator, dag, random_density_matrix, tensor
-from qdverify.phasespace import FockOperator, WignerGrid, square_geometry
+from qdverify.phasespace import WignerGrid, square_geometry
 
 
 @pytest.fixture(scope="session")
@@ -49,12 +49,12 @@ def reconstruct_joint(e: dv.ConditionalEnsemble, duals: np.ndarray) -> DensityOp
     return DensityOperator(out, bipartition=(da, db))
 
 
-def random_diagonal_fock(cutoff: int, seed: int) -> FockOperator:
+def random_diagonal_fock(cutoff: int, seed: int) -> np.ndarray:
     """Diagonal Fock density on levels 0..cutoff-2; any two commute."""
     rng = np.random.default_rng(seed)
     w = np.zeros(cutoff + 1)
     w[:cutoff - 1] = rng.random(cutoff - 1)
-    return FockOperator(cutoff, np.diag(w / w.sum()))
+    return np.diag(w / w.sum()).astype(complex)
 
 
 def _with(doc: dict, key: str, value) -> dict:

@@ -2,7 +2,7 @@
 
 The characteristic route: the characteristic function is chi(xi) =
 Tr[rho D(xi)], integrating with the measure dx dp as the Wigner function
-does. char_from_fock samples it from a Fock operator, and the symplectic
+does. char_from_fock samples it from a Fock-basis matrix, and the symplectic
 transforms char_to_wigner and wigner_to_char move between it and Wigner
 grids. char_commutator and moyal_commutator_quadrature evaluate the two
 commutator integrals by direct lattice sums, O(n^4) in the grid side; they
@@ -39,13 +39,15 @@ class CharGrid:
             raise DomainError("non-finite characteristic-function values")
 
 
-def char_from_fock(op: ph.FockOperator, geom: ph.GridGeometry) -> CharGrid:
-    """Characteristic function chi(xi) = Tr[rho D(xi)] on a grid, refused
-    with TruncationTail as phasespace.wigner_from_fock refuses."""
-    tail = op.tail_mass()
+def char_from_fock(m: np.ndarray, geom: ph.GridGeometry) -> CharGrid:
+    """Characteristic function chi(xi) = Tr[rho D(xi)] of a Fock-basis matrix
+    on a grid, refused with TruncationTail as phasespace.wigner_from_fock
+    refuses."""
+    diag = np.abs(np.diag(m).real)
+    tail = float(diag[max(len(m) - 2, 0):].sum()) / max(float(diag.sum()), 1.0)
     if tail > ph.TAIL_TOL:
         raise TruncationTail(f"tail mass {tail:.2e} above {ph.TAIL_TOL:g}; raise the cutoff")
-    return CharGrid(geom, fock_series_all_orders(op.matrix, geom, 1.0, np.ones(op.cutoff + 1)))
+    return CharGrid(geom, fock_series_all_orders(m, geom, 1.0, np.ones(len(m))))
 
 
 def _symplectic_transform(values: np.ndarray, geom: ph.GridGeometry) -> np.ndarray:

@@ -124,8 +124,7 @@ def test_05_moyal_vs_fock_commutator():
             wa = ph.wigner_from_fock(a, geom)
             wb = ph.wigner_from_fock(b, geom)
             got = ph.moyal_commutator(wa, wb)
-            comm = -1j * (a.matrix @ b.matrix - b.matrix @ a.matrix)
-            ref = ph.wigner_from_fock(ph.FockOperator(cutoff, comm), geom)
+            ref = ph.wigner_from_fock(-1j * (a @ b - b @ a), geom)
             err = np.max(np.abs(got.values - ref.values))
             assert err <= 1e-3, (seed, err)
 
@@ -258,9 +257,9 @@ def test_11_cli_golden(tmp_path, monkeypatch, capsys):
                         statefile.gaussian_doc(gs.two_mode_squeezed_vacuum(0.5)))
         from qdverify.linalg import DensityOperator
         statefile.write("fock0.state", statefile.dv_density_doc(
-            DensityOperator(ph.fock_state(0, 8).matrix), fock_cutoff=8))
+            DensityOperator(ph.fock_state(0, 8)), fock_cutoff=8))
         statefile.write("plus01.state", statefile.dv_density_doc(
-            DensityOperator(ph.pure_state([1, 1], 8).matrix), fock_cutoff=8))
+            DensityOperator(ph.pure_state([1, 1], 8)), fock_cutoff=8))
 
         invocations = [
             ["verify-dv", "bell2.state"],

@@ -20,7 +20,7 @@ from qdverify import dv, gaussian, linalg, phasespace, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
 from qdverify.phasespace import fock_state, pure_state
-from qdverify.povm import mub_povm
+from qdverify.povm import Povm, mub_povm
 
 
 @pytest.fixture()
@@ -229,10 +229,10 @@ class TestMoyal:
     def fock_files(self, workdir):
         a = write_fixture(workdir / "fock0.state",
                           statefile.dv_density_doc(
-                              DensityOperator(fock_state(0, 8).matrix), fock_cutoff=8))
+                              DensityOperator(fock_state(0, 8)), fock_cutoff=8))
         b = write_fixture(workdir / "plus01.state",
                           statefile.dv_density_doc(
-                              DensityOperator(pure_state([1, 1], 8).matrix), fock_cutoff=8))
+                              DensityOperator(pure_state([1, 1], 8)), fock_cutoff=8))
         return a, b
 
     def test_identical_grids_zero(self, capsys, fock_files):
@@ -249,12 +249,10 @@ class TestMoyal:
         doc = json.loads(out)
         assert doc["verdict"] == "NONZERO_DISCORD"
         # reference route: commute in Fock space, transform, take the max
-        from qdverify.phasespace import (FockOperator, grid_max_abs,
-                                         square_geometry, wigner_from_fock)
-        vac = fock_state(0, 8).matrix
-        plus = pure_state([1, 1], 8).matrix
-        comm = -1j * (vac @ plus - plus @ vac)
-        ref = wigner_from_fock(FockOperator(8, comm), square_geometry(6.0, 64))
+        from qdverify.phasespace import grid_max_abs, square_geometry, wigner_from_fock
+        vac = fock_state(0, 8)
+        plus = pure_state([1, 1], 8)
+        ref = wigner_from_fock(-1j * (vac @ plus - plus @ vac), square_geometry(6.0, 64))
         ref_max, _ = grid_max_abs(ref)
         assert float(doc["witnesses"]["grid_max_abs"]) == pytest.approx(ref_max,
                                                                         abs=1e-3)
@@ -278,9 +276,9 @@ class TestMoyal:
     def test_mixed_cutoffs_match_the_padded_pair(self, capsys, workdir, fock_files):
         _, plus8 = fock_files
         vac12 = write_fixture(workdir / "fock0_12.state", statefile.dv_density_doc(
-            DensityOperator(fock_state(0, 12).matrix), fock_cutoff=12))
+            DensityOperator(fock_state(0, 12)), fock_cutoff=12))
         plus12 = write_fixture(workdir / "plus01_12.state", statefile.dv_density_doc(
-            DensityOperator(pure_state([1, 1], 12).matrix), fock_cutoff=12))
+            DensityOperator(pure_state([1, 1], 12)), fock_cutoff=12))
         grids = []
         for first in (plus8, plus12):
             code, out, _ = run(capsys, "moyal", first, vac12, "--points", "32",
@@ -295,7 +293,7 @@ class TestMoyal:
         # vacuum is zero
         a, _ = fock_files
         top = write_fixture(workdir / "fock7.state", statefile.dv_density_doc(
-            DensityOperator(fock_state(7, 8).matrix), fock_cutoff=8))
+            DensityOperator(fock_state(7, 8)), fock_cutoff=8))
         for pair in ((a, top), (top, a)):
             code, out, err = run(capsys, "moyal", *pair, "--points", "16")
             assert code == 2
@@ -305,7 +303,7 @@ class TestMoyal:
     def test_cutoff_not_matching_the_matrix_exit_2(self, capsys, workdir, fock_files):
         # a 9x9 matrix tagged with cutoff 5; the refusal names the file
         a, _ = fock_files
-        doc = statefile.dv_density_doc(DensityOperator(fock_state(0, 8).matrix))
+        doc = statefile.dv_density_doc(DensityOperator(fock_state(0, 8)))
         doc["fock_cutoff"] = 5
         bad = write_fixture(workdir / "bad.state", doc)
         # the loader refuses the tag, so verify-dv and tomo do as moyal does
@@ -503,7 +501,7 @@ class TestMoyal:
         # series sums nothing, so no overflow can reach the grid; the
         # non-commuting pair above still overflows and exits 2
         paths = [write_fixture(workdir / f"diag{seed}.state", statefile.dv_density_doc(
-                     DensityOperator(random_diagonal_fock(8, seed).matrix), fock_cutoff=8))
+                     DensityOperator(random_diagonal_fock(8, seed)), fock_cutoff=8))
                  for seed in (1, 2)]
         code, out, err = run(capsys, "moyal", *paths, "--extent", "1e200", "--points", "16")
         assert (code, err) == (0, "")
@@ -590,6 +588,18 @@ class TestTomo:
         assert "error:" in err
         assert not any(f.endswith(".shots.json") for f in os.listdir("."))
 
+    def test_record_not_complete_on_a_exit_2(self, capsys, workdir, bell, sic):
+        # the maximally entangled state measured in the computational basis
+        # on A: its two conditionals commute, and the replay once read
+        # CONSISTENT_WITH_ZERO (z = 0.64 at seed 0)
+        z_basis = Povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        path = write_fixture(workdir / "z_basis.shots.json", statefile.shot_record_doc(
+            tomo.sample_joint(bell, z_basis, sic, 100000, seed=0)))
+        code, out, err = run(capsys, "tomo", path)
+        assert (code, out) == (2, "")
+        assert err == "error: the POVM on A is not informationally complete\n"
+        assert os.listdir(".") == ["z_basis.shots.json"]
+
     def test_record_with_negative_seed_exit_2(self, capsys, workdir, sic):
         # the seed is provenance only, but no sampling run writes a negative one
         doc = statefile.shot_record_doc(tomo.ShotRecord(sic, sic, np.ones((4, 4), int), 16, 0))
@@ -646,7 +656,7 @@ def test_unwritable_output_path_exit_2(capsys, workdir, bell, argv):
     # an OSError from the writer was once a traceback with exit 1
     write_fixture(workdir / "bell2.state", statefile.dv_density_doc(bell))
     write_fixture(workdir / "fock0.state", statefile.dv_density_doc(
-        DensityOperator(fock_state(0, 8).matrix), fock_cutoff=8))
+        DensityOperator(fock_state(0, 8)), fock_cutoff=8))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {argv[-1]}: ") and err.count("\n") == 1
@@ -694,9 +704,9 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     # the package needs numpy only: neither importing the CLI nor running
     # the phase-space route on Fock inputs loads scipy
     a = write_fixture(tmp_path / "fock0.state", statefile.dv_density_doc(
-        DensityOperator(fock_state(0, 8).matrix), fock_cutoff=8))
+        DensityOperator(fock_state(0, 8)), fock_cutoff=8))
     b = write_fixture(tmp_path / "plus01.state", statefile.dv_density_doc(
-        DensityOperator(pure_state([1, 1], 8).matrix), fock_cutoff=8))
+        DensityOperator(pure_state([1, 1], 8)), fock_cutoff=8))
     code = ("import sys, qdverify.cli; "
             f"code = qdverify.cli.main(['moyal', {a!r}, {b!r}, '--points', '16']); "
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -817,7 +827,7 @@ def test_every_eigh_call_goes_through_hermitian_eig(capsys, workdir, monkeypatch
                   statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.5)))
     for name, op in (("fock0.state", fock_state(0, 8)), ("plus01.state", pure_state([1, 1], 8))):
         write_fixture(workdir / name,
-                      statefile.dv_density_doc(DensityOperator(op.matrix), fock_cutoff=8))
+                      statefile.dv_density_doc(DensityOperator(op), fock_cutoff=8))
     for argv in runs:
         solves, eighs = _solver_calls(monkeypatch, capsys, *argv)
         assert solves == eighs > 0
@@ -835,12 +845,13 @@ def test_verify_dv_eigensolves_state_povm_and_conditionals_once(capsys, workdir,
 
 
 def test_tomo_eigensolves_each_stack_once(capsys, workdir, monkeypatch):
-    # the state (sampling only), both POVMs, B's frame operator and the
-    # projection to states; the projected estimates are not validated again
+    # the state (sampling only), both POVMs, both frame operators (B's for
+    # its duals, A's for its completeness) and the projection to states; the
+    # projected estimates are not validated again
     path = write_fixture(workdir / "rho.state",
                          statefile.dv_density_doc(random_bipartite_state(3)))
-    assert _eigensolves(monkeypatch, capsys, "tomo", path, "--shots", "1000") == 5
-    assert _eigensolves(monkeypatch, capsys, "tomo", path + ".shots.json") == 4
+    assert _eigensolves(monkeypatch, capsys, "tomo", path, "--shots", "1000") == 6
+    assert _eigensolves(monkeypatch, capsys, "tomo", path + ".shots.json") == 5
 
 
 @pytest.mark.parametrize("state", [

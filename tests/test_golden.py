@@ -65,7 +65,7 @@ def documents() -> dict:
         "wigner_grid.state": statefile.wigner_grid_doc(
             WignerGrid(GridGeometry(-1 / 3, 5e-324, -0.0, 1e308, 2, 3), edge,
                        value_stderr=1 / 3)),
-        "f0.state": statefile.dv_density_doc(DensityOperator(fock_state(0, 4).matrix),
+        "f0.state": statefile.dv_density_doc(DensityOperator(fock_state(0, 4)),
                                              fock_cutoff=4),
         "thermal.state": statefile.gaussian_doc(gaussian.thermal_product(0.3, 1.2)),
         "classical.state": statefile.dv_density_doc(

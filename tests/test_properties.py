@@ -34,7 +34,7 @@ from qdverify.errors import NotInformationallyComplete, ParseError, QdvError
 from qdverify.linalg import (DensityOperator, commutator, dag, degeneracy_gap,
                              frobenius_norm, hermitian_eig, random_density_matrix,
                              random_unitary)
-from qdverify.phasespace import (FockOperator, GridGeometry, WignerGrid,
+from qdverify.phasespace import (GridGeometry, WignerGrid,
                                  _fock_series, fock_commutator, fock_state,
                                  random_fock_density, square_geometry, wigner_from_fock)
 from qdverify.tomo import ShotRecord
@@ -174,9 +174,9 @@ def test_char_from_fock_of_a_matrix_unit_is_a_displacement_element(n, m, geom):
     # chi(beta) = Tr[|m><n| D(beta)] = <n|D(beta)|m>; two spare levels keep
     # the truncation-tail check clear of the unit
     cutoff = max(n, m) + 2
-    unit = np.zeros((cutoff + 1, cutoff + 1))
+    unit = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     unit[m, n] = 1.0
-    chi = oracles.char_from_fock(FockOperator(cutoff, unit), geom).values
+    chi = oracles.char_from_fock(unit, geom).values
     for i, x in enumerate(geom.xs()):
         for j, p in enumerate(geom.ps()):
             ref = _displacement_reference(complex(x, p))[n, m]
@@ -1023,7 +1023,7 @@ def cli_inputs(draw):
     return draw(st.sampled_from([
         statefile.dv_density_doc(dv.generate_maximally_entangled(2)),
         statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)),
-        statefile.dv_density_doc(DensityOperator(vacuum.matrix), fock_cutoff=3),
+        statefile.dv_density_doc(DensityOperator(vacuum), fock_cutoff=3),
         statefile.wigner_grid_doc(replace(wigner_from_fock(vacuum, square_geometry(6.0, 40)),
                                           value_stderr=1e-9)),
     ]))
@@ -1072,7 +1072,7 @@ def cli_cases(draw):
 @example((["tomo", "--shots=100"], json.loads(statefile.render(statefile.dv_density_doc(
     dv.generate_maximally_entangled(2)))), os.path.join("missing", "out.json")))
 @example((["moyal", "--points=16"], json.loads(statefile.render(statefile.dv_density_doc(
-    DensityOperator(fock_state(0, 3).matrix), fock_cutoff=3))), ""))
+    DensityOperator(fock_state(0, 3)), fock_cutoff=3))), ""))
 @example((["verify-gaussian", "--outcomes=0,0;1,1"],
           json.loads(statefile.render(test_golden.documents()["gaussian.state"])), ""))
 def test_cli_exits_0_or_2_on_any_arguments_and_file(case):

@@ -65,7 +65,7 @@ class TestDvDensityRoundTrip:
 
     def test_fock_tag(self, tmp_path):
         from qdverify.linalg import DensityOperator
-        rho = DensityOperator(fock_state(0, 8).matrix)
+        rho = DensityOperator(fock_state(0, 8))
         path = tmp_path / "f.state"
         statefile.write(str(path), statefile.dv_density_doc(rho, fock_cutoff=8))
         sf = statefile.load(str(path))
@@ -179,6 +179,23 @@ class TestShotRecordRoundTrip:
         statefile.write(str(tmp_path / "bad.state"), {**doc, "counts": counts, "total": total})
         with pytest.raises(ParseError):
             statefile.load(str(tmp_path / "bad.state"))
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[2 ** 63 + 5, 0, 0, 0]] + [[0] * 4] * 3,
+         "counts must be within [-2^63, 2^63 - 1], got 9223372036854775813"),
+        ([[1, 2, 3, 4], [5, 6, 7]] + [[0] * 4] * 2,
+         "counts must be a non-empty list of equal-length lists"),
+        ("0000", "counts must be a non-empty list of equal-length lists"),
+    ], ids=["past_int64", "ragged", "string"])
+    def test_load_refuses_a_count_table_in_its_own_words(self, tmp_path, sic, counts, message):
+        # numpy's conversion once worded the first two, and the string was
+        # read digit by digit
+        doc = json.loads(statefile.render(statefile.shot_record_doc(
+            tomo.ShotRecord(sic, sic, np.zeros((4, 4), int), 0, 0))))
+        path = tmp_path / "bad.state"
+        path.write_text(json.dumps({**doc, "counts": counts}))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            statefile.load(str(path))
 
     def test_count_total_mismatch_rejected(self, tmp_path, bell, sic):
         rec = tomo.sample_joint(bell, sic, sic, 2000, seed=3)
@@ -406,7 +423,7 @@ class TestStrictMode:
                 wigner_from_fock(fock_state(0, 8), square_geometry(6.0, 16)))
         else:
             doc = statefile.dv_density_doc(
-                DensityOperator(fock_state(0, 3).matrix, bipartition=(2, 2)), fock_cutoff=3)
+                DensityOperator(fock_state(0, 3), bipartition=(2, 2)), fock_cutoff=3)
         holder, key = (doc["bipartition"], 0) if field == "bipartition" else (doc, field)
         holder[key] = bad(holder[key])
         path = tmp_path / "i.state"

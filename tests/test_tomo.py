@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_bipartite_state, random_product_state, reconstruct_joint
 from qdverify import dv, tomo
-from qdverify.errors import DimMismatch, InsufficientOutcomes
-from qdverify.linalg import frobenius_norm, hermitian_eig
-from qdverify.povm import DEFAULT_POVM_SEED, default_ic_povm, random_ic_povm, reconstruct
+from qdverify.errors import DimMismatch, InsufficientOutcomes, NotInformationallyComplete
+from qdverify.linalg import dag, frobenius_norm, hermitian_eig
+from qdverify.povm import (DEFAULT_POVM_SEED, Povm, default_ic_povm, random_ic_povm,
+                           reconstruct)
 
 
 class TestSampleJoint:
@@ -108,6 +109,32 @@ class TestEstimateConditionals:
         est = tomo.estimate_conditionals(rec)
         np.testing.assert_array_equal(est.present, [False, True, True, False])
         np.testing.assert_array_equal(est.states[0], np.zeros((2, 2)))
+
+    def test_computational_basis_on_a_refused(self, bell, sic):
+        # its conditionals of the maximally entangled state, |0><0| and
+        # |1><1|, commute: a replay once read CONSISTENT_WITH_ZERO
+        z_basis = Povm(2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        rec = tomo.sample_joint(bell, z_basis, sic, 100000, seed=0)
+        with pytest.raises(NotInformationallyComplete,
+                           match="^the POVM on A is not informationally complete$"):
+            tomo.estimate_conditionals(rec)
+
+    def test_random_rank_deficient_povm_on_a_refused(self, sic):
+        # d^2 - 1 random full-rank effects span at most d^2 - 1 of the d^2
+        # operator dimensions, so their frame operator is singular
+        for dim_a in (2, 3, 4):
+            rng = np.random.default_rng(dim_a)
+            shape = (dim_a ** 2 - 1, dim_a, dim_a)
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            effects = g @ dag(g)
+            total = hermitian_eig(effects.sum(axis=0))
+            inv_sqrt = total.reconstruct(1.0 / np.sqrt(total.eigenvalues))
+            effects = inv_sqrt @ effects @ inv_sqrt
+            pa = Povm(dim_a, (effects + dag(effects)) / 2.0)
+            rec = tomo.sample_joint(random_bipartite_state(dim_a, dim_a, 2), pa, sic,
+                                    10000, seed=dim_a)
+            with pytest.raises(NotInformationallyComplete, match="POVM on A"):
+                tomo.estimate_conditionals(rec)
 
     def test_estimator_error_scales_with_shots(self, bell, sic):
         exact = dv.condition_on_povm(bell, sic)
