@@ -86,10 +86,10 @@ def _load_moyal_input(path_arg: str):
 
 
 def cmd_moyal(args) -> int:
-    geom = phasespace.square_geometry(args.extent, args.points)
     sf_a, a = _load_moyal_input(args.state_a)
     sf_b, b = _load_moyal_input(args.state_b)
-    grid, verdict = phasespace.moyal_witness(a, b, geom, (sf_a.path, sf_b.path))
+    grid, verdict = phasespace.moyal_witness(a, b, (sf_a.path, sf_b.path),
+                                             args.extent, args.points)
     out_path = args.out or _default_grid_out(args.state_a, args.state_b)
     write(out_path, wigner_grid_doc(grid))
     verdict.witnesses["emitted_grid"] = out_path

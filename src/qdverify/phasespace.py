@@ -14,8 +14,8 @@ The commutator witness W_{kk'} is the Wigner-like function of
   in a mixed (x-frequency, p) representation where the twist kernel
   factorizes. This is the route for grid inputs.
 
-moyal_witness decides between the two for a pair of inputs, refuses a
-grid too coarse or too small for them, and returns the commutator grid with
+moyal_witness chooses the grid and the route for a pair of inputs, refuses
+a grid too coarse or too small for them, and returns the commutator grid with
 the route's dv.Verdict, whose witnesses and thresholds the report writes as
 they are.
 
@@ -223,24 +223,24 @@ def _fock_series(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
         return out
 
 
-def _check_tail(m: np.ndarray) -> None:
+def _check_tail(m: np.ndarray, name: str) -> None:
     # the absolute diagonal weight in the top two Fock levels
     diag = np.abs(np.diag(m).real)
     tail = float(diag[max(len(m) - 2, 0):].sum()) / max(float(diag.sum()), 1.0)
     if tail > TAIL_TOL:
         raise TruncationTail(
-            f"tail mass {tail:.2e} above {TAIL_TOL:g}; raise the cutoff")
+            f"{name}: tail mass {tail:.2e} above {TAIL_TOL:g}; raise the cutoff")
 
 
-def wigner_from_fock(m: np.ndarray, geom: GridGeometry) -> WignerGrid:
+def wigner_from_fock(m: np.ndarray, geom: GridGeometry, name: str = "input") -> WignerGrid:
     """Wigner function of a Fock-basis matrix on a grid.
 
     Displaced-parity series W(alpha) = (2/pi) sum_{mn} rho_mn (-1)^m
     <n|D(2 alpha)|m>, truncated at the matrix's cutoff. Raises
-    TruncationTail when the top Fock levels carry too much weight for the
-    truncation to be trustworthy.
+    TruncationTail, naming the matrix by name, when the top Fock levels
+    carry too much weight for the truncation to be trustworthy.
     """
-    _check_tail(m)
+    _check_tail(m, name)
     return WignerGrid(geom, _wigner_values(m, geom))
 
 
@@ -256,16 +256,17 @@ def _wigner_values(matrix: np.ndarray, geom: GridGeometry) -> np.ndarray:
     return w.real
 
 
-def fock_commutator(a: np.ndarray, b: np.ndarray, geom: GridGeometry) -> WignerGrid:
+def fock_commutator(a: np.ndarray, b: np.ndarray, geom: GridGeometry,
+                    names=("a", "b")) -> WignerGrid:
     """Wigner-like function of -i[a, b] from two Fock-basis matrices.
 
     The commutator lies exactly inside the larger truncation (the smaller
     operator is padded with zeros), so one transform gives it with no star
-    product and no aliasing. The tails checked are the inputs': the
-    commutator's diagonal is not a population.
+    product and no aliasing. The tails checked are the inputs', each named
+    by names: the commutator's diagonal is not a population.
     """
-    _check_tail(a)
-    _check_tail(b)
+    _check_tail(a, names[0])
+    _check_tail(b, names[1])
     size = max(len(a), len(b))
     ma, mb = (np.pad(m, (0, size - len(m))) for m in (a, b))
     return WignerGrid(geom, _wigner_values(-1j * (ma @ mb - mb @ ma), geom))
@@ -359,48 +360,52 @@ def _outer_bands(w: WignerGrid) -> WignerGrid:
     return WignerGrid(w.geometry, np.fft.ifft2(spectrum).real)
 
 
-def moyal_witness(a, b, geom: GridGeometry, names=("a", "b")) -> Tuple[WignerGrid, Verdict]:
+def moyal_witness(a, b, names=("a", "b"), extent: float = DEFAULT_EXTENT,
+                  points: int = DEFAULT_POINTS) -> Tuple[WignerGrid, Verdict]:
     """The commutator grid of two inputs, and its Verdict: NONZERO_DISCORD
     when the grid's largest |value| (the first occurrence, at location)
     exceeds the threshold. An input that is not a WignerGrid is a Fock-basis
     matrix, complex (n, n) with cutoff n - 1, taken as it is: its checks are
     the caller's.
 
-    Two Fock matrices are commuted in Fock space on geom, exactly. Any
-    other pair goes through the star product on the grid input's geometry,
-    a Fock partner transformed onto it as an exact grid. When either grid has
-    a value_stderr, the threshold is the larger of uncertainty_band(a, b) and
-    MOYAL_NUMERICAL_FLOOR, which is the threshold otherwise, and the
+    Two Fock matrices are commuted in Fock space on square_geometry(extent,
+    points), exactly. Any other pair goes through the star product on the grid
+    input's geometry, extent and points unread, a Fock partner transformed
+    onto it. The threshold is MOYAL_NUMERICAL_FLOOR, or when either grid has a
+    value_stderr the larger of that and uncertainty_band(a, b), and the
     witnesses add the band and whether the largest |value| exceeds it.
 
-    Two grid inputs of different geometry are refused with GeometryMismatch,
-    and a band that overflows with DomainError, naming both by names. On the
-    grid route an input is refused with UnresolvedGrid, named by names, when
-    its largest |W| on the outermost rows and columns exceeds the threshold
-    (a box too small), or when its outer frequency bands move the commutator
-    by more than that (a grid too coarse). The self-commutator Im(W*W) is
-    no such check: it vanishes for any real interpolant, so it reads 0 on
-    odd-sized axes at any resolution.
+    Two grids of different geometry are refused with GeometryMismatch, and a
+    band or Fock transform that overflows with DomainError, naming both by
+    names. An input is refused, named by names, with TruncationTail for a
+    heavy Fock tail, and on the grid route with UnresolvedGrid when its
+    largest |W| on the outermost rows and columns exceeds the threshold (a box
+    too small) or its outer frequency bands move the commutator by more (too
+    coarse). The self-commutator Im(W*W) is no such check: it vanishes for
+    any real interpolant, so it reads 0 on odd-sized axes at any resolution.
 
     The route's memory is admitted once, on the geometry it runs on, before
     anything grid-sized is allocated: MOYAL_GRID_ARRAYS grids must fit in
     physical memory (TooLarge).
     """
     threshold, band = MOYAL_NUMERICAL_FLOOR, None
-    fock_pair = not isinstance(a, WignerGrid) and not isinstance(b, WignerGrid)
-    if not fock_pair:
-        geom = (a if isinstance(a, WignerGrid) else b).geometry
-        if isinstance(b, WignerGrid) and b.geometry != geom:
-            raise GeometryMismatch(f"{names[0]} and {names[1]} are grids of different "
-                                   f"geometry: {geom} vs {b.geometry}")
+    grids = [x.geometry for x in (a, b) if isinstance(x, WignerGrid)]
+    geom = grids[0] if grids else square_geometry(extent, points)
+    if len(grids) == 2 and grids[1] != geom:
+        raise GeometryMismatch(f"{names[0]} and {names[1]} are grids of different "
+                               f"geometry: {geom} vs {grids[1]}")
     # no array of the route has more than max(nx, np)^2 complex entries
     admit_memory(16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2,
                  f"a {geom.nx}x{geom.np} grid needs", "the Moyal route")
-    if fock_pair:
-        comm = fock_commutator(a, b, geom)
-    else:
-        a, b = (x if isinstance(x, WignerGrid) else wigner_from_fock(x, geom)
-                for x in (a, b))
+    try:        # on a huge extent the Fock series overflows
+        if not grids:
+            comm = fock_commutator(a, b, geom, names)
+        else:
+            a, b = (x if isinstance(x, WignerGrid) else wigner_from_fock(x, geom, name)
+                    for x, name in zip((a, b), names))
+    except DomainError as exc:
+        raise DomainError(f"{names[0]} and {names[1]}: {exc} on {geom}") from None
+    if grids:
         if a.value_stderr is not None or b.value_stderr is not None:
             band = uncertainty_band(a, b)
             if not band < np.inf:       # inf, or NaN from 0 * inf

@@ -290,15 +290,18 @@ class TestMoyal:
 
     def test_fock_tail_exit_2(self, capsys, workdir, fock_files):
         # either input's tail is refused, though its commutator with the
-        # vacuum is zero
+        # vacuum is zero, and named, beside a Fock partner or a grid
         a, _ = fock_files
         top = write_fixture(workdir / "fock7.state", statefile.dv_density_doc(
             DensityOperator(fock_state(7, 8)), fock_cutoff=8))
-        for pair in ((a, top), (top, a)):
+        grid = self.grid_file(workdir, "vac48.state", fock_state(0, 8),
+                              phasespace.square_geometry(6.0, 48))
+        for pair in ((a, top), (top, a), (grid, top), (top, grid)):
             code, out, err = run(capsys, "moyal", *pair, "--points", "16")
             assert code == 2
             assert out == ""
-            assert "tail mass" in err
+            assert err.startswith(f"error: {top}: tail mass ")
+            assert err.count("\n") == 1
 
     def test_cutoff_not_matching_the_matrix_exit_2(self, capsys, workdir, fock_files):
         # a 9x9 matrix tagged with cutoff 5; the refusal names the file
@@ -403,6 +406,24 @@ class TestMoyal:
         assert runs[0] == runs[1]
         assert json.loads(runs[0][0])["verdict"] == "NONZERO_DISCORD"
 
+    @pytest.mark.parametrize("partner", ["plus48.state", "plus01.state"],
+                             ids=["grid_pair", "mixed_pair"])
+    def test_grid_flags_are_not_read_beside_a_grid(self, capsys, workdir, fock_files,
+                                                  partner):
+        # a grid input sets the geometry, so flags that a Fock pair refuses
+        # (test_one_point_grid_exit_2, test_non_finite_fock_grid_exit_2) change
+        # neither the report nor the grid
+        geom = phasespace.square_geometry(6.0, 48)
+        vac = self.grid_file(workdir, "vac48.state", fock_state(0, 8), geom)
+        self.grid_file(workdir, "plus48.state", pure_state([1, 1], 8), geom)
+        runs = []
+        for flags in ((), ("--points", "1"), ("--extent", "inf")):
+            code, out, err = run(capsys, "moyal", vac, partner, "--out", "c.json", *flags)
+            assert (code, err) == (0, "")
+            runs.append((out, (workdir / "c.json").read_text()))
+        assert runs[1:] == runs[:1] * 2
+        assert json.loads(runs[0][0])["verdict"] == "NONZERO_DISCORD"
+
     def test_unresolved_vacuum_grid_exit_2(self, capsys, workdir, fock_files):
         # the star product of the 16-point vacuum grid with itself aliases
         # to 0.02; alone or with a Fock partner, the grid is refused
@@ -440,9 +461,9 @@ class TestMoyal:
 
     def test_one_point_grid_exit_2(self, capsys, fock_files):
         a, b = fock_files
-        code, _, err = run(capsys, "moyal", a, b, "--points", "1")
-        assert code == 2
-        assert "error:" in err
+        code, out, err = run(capsys, "moyal", a, b, "--points", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: grid needs at least 2 points per axis\n"
 
     def test_oversized_fock_grid_exit_2(self, capsys, fock_files):
         # far beyond any machine: the admission check refuses before numpy
@@ -487,13 +508,18 @@ class TestMoyal:
     ])
     def test_non_finite_fock_grid_exit_2(self, capsys, fock_files, finite_grid_max_abs,
                                          extent, message):
-        # at 1e200 the grid is finite but |beta|^2 overflows in the series;
-        # the error is the only line on stderr, with no numpy warning
+        # at 1e200 the grid is finite but |beta|^2 overflows in the series,
+        # and the refusal names both files and the grid; the error is the
+        # only line on stderr, with no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "moyal", *fock_files, "--extent", extent)
         assert code == 2
         assert out == ""
+        if extent == "1e200":
+            message = (f"{fock_files[0]} and {fock_files[1]}: {message} on GridGeometry("
+                       "x_min=-1e+200, x_max=1e+200, p_min=-1e+200, p_max=1e+200, "
+                       "nx=128, np=128)")
         assert err == f"error: {message}\n"
 
     def test_commuting_fock_pair_on_a_huge_extent_is_exactly_zero(self, capsys, workdir):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 from math import pi
@@ -137,7 +138,7 @@ class TestMoyalWitness:
         plus_grid = ph.wigner_from_fock(plus, grid.geometry)
         for pair, as_grids in (((grid, plus), (grid, plus_grid)),
                                ((plus, grid), (plus_grid, grid))):
-            comm, w = ph.moyal_witness(*pair, ph.square_geometry(6.0, 64))
+            comm, w = ph.moyal_witness(*pair, points=64)
             assert comm.geometry == grid.geometry
             np.testing.assert_array_equal(comm.values,
                                           ph.moyal_commutator(*as_grids).values)
@@ -149,7 +150,7 @@ class TestMoyalWitness:
         a = ph.WignerGrid(geom, ph.wigner_from_fock(ph.fock_state(0, 8), geom).values,
                           value_stderr=1e-5)
         b = ph.wigner_from_fock(ph.pure_state([1, 1], 8), geom)
-        _, w = ph.moyal_witness(a, b, geom)
+        _, w = ph.moyal_witness(a, b, extent=geom.x_max, points=geom.nx)
         band = w.witnesses["uncertainty_band"]
         assert band == ph.uncertainty_band(a, b)
         assert w.thresholds["grid_max_abs"] == max(band, ph.MOYAL_NUMERICAL_FLOOR)
@@ -179,8 +180,22 @@ class TestMoyalWitness:
             warnings.simplefilter("error")
             with pytest.raises(DomainError,
                                match=f"^x.state and y.state: their uncertainty band is {band}$"):
-                ph.moyal_witness(a, vac, geom, ("x.state", "y.state"))
+                ph.moyal_witness(a, vac, ("x.state", "y.state"), geom.x_max, geom.nx)
         commute.assert_not_called()
+
+    @pytest.mark.parametrize("route", ["fock_pair", "grid_partner"])
+    def test_an_overflowing_fock_transform_is_refused_naming_both_inputs(self, route):
+        # at extent 1e200 |beta|^2 overflows in the Fock series, on the Fock
+        # route and for a grid input's Fock partner alike
+        geom = ph.square_geometry(1e200, 16)
+        a = {"fock_pair": ph.fock_state(0, 8),
+             "grid_partner": ph.WignerGrid(geom, np.zeros((16, 16)))}[route]
+        message = f"x.state and y.state: non-finite grid values on {geom}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                ph.moyal_witness(a, ph.pure_state([1, 1], 8), ("x.state", "y.state"),
+                                 1e200, 16)
 
 
 class TestZeroCoherenceOrders:
