@@ -97,10 +97,21 @@ class Verdict:
     thresholds: dict
 
 
+def povm_blocks(rho: DensityOperator, p: Povm) -> np.ndarray:
+    """B's unnormalised conditionals X_k = Tr_A[(M_k x I) rho], one per effect
+    of a POVM measured on A, as one (K, d_B, d_B) stack; rho's indices are (a, b, a', b')."""
+    if rho.bipartition is None:
+        raise MissingBipartition("conditioning requires a bipartite state")
+    da, db = rho.bipartition
+    if p.dim != da:
+        raise DimMismatch(f"POVM dim {p.dim} does not match subsystem A dim {da}")
+    return np.einsum("kac,cbad->kbd", p.effects, rho.matrix.reshape(da, db, da, db))
+
+
 def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     """Conditional states of B for each outcome of a POVM measured on A.
 
-    p_k = Tr[(M_k x I) rho] and rho_{B|k} = Tr_A[(M_k x I) rho] / p_k, for
+    p_k = Tr[X_k] and rho_{B|k} = X_k / p_k, with X_k the povm_blocks, for
     each p_k above PROB_FLOOR. rho and the POVM are checked on construction,
     so the ensemble records these values without checking them again.
 
@@ -112,14 +123,8 @@ def condition_on_povm(rho: DensityOperator, p: Povm) -> ConditionalEnsemble:
     unit roundoff: the stored rho's rounding, u, plus the rounding of the d_A^2
     terms summed into each block entry.
     """
-    if rho.bipartition is None:
-        raise MissingBipartition("conditioning requires a bipartite state")
+    blocks = povm_blocks(rho, p)
     da, db = rho.bipartition
-    if p.dim != da:
-        raise DimMismatch(f"POVM dim {p.dim} does not match subsystem A dim {da}")
-    t = rho.matrix.reshape(da, db, da, db)
-    # Tr_A[(M_k x I) rho] for every k, with indices (a, b, a', b')
-    blocks = np.einsum("kac,cbad->kbd", p.effects, t)
     probs = np.trace(blocks, axis1=1, axis2=2).real
     present = probs > PROB_FLOOR
     states = np.zeros_like(blocks)

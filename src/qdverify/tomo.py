@@ -18,7 +18,7 @@ from .errors import (DimMismatch, DomainError, InsufficientOutcomes,
                      NotInformationallyComplete, check_threshold)
 from .linalg import DensityOperator, admit_memory, commutator, dag, frobenius_norm, hermitian_eig
 from .povm import Povm, dual_frame, is_informationally_complete, reconstruct
-from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict, present_pairs
+from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict, povm_blocks, present_pairs
 
 DEFAULT_Z_THRESHOLD = 5.0
 
@@ -72,16 +72,11 @@ class EstimatedConditionals:
 
 
 def joint_probabilities(rho: DensityOperator, povm_a: Povm, povm_b: Povm) -> np.ndarray:
-    """p(k, m) = Tr[(M_k x M_m) rho] for all joint outcomes."""
+    """p(k, m) = Tr[(M_k x M_m) rho] = Tr[M_m X_k], B's Born rule on the povm_blocks X_k."""
     if rho.bipartition is None or rho.bipartition != (povm_a.dim, povm_b.dim):
         raise DimMismatch("state bipartition does not match the POVM dims")
-    # M_k x M_m and a matmul per pair, as np.kron did (one einsum reorders the
-    # sum, which moves sampled counts of the 2x2 maximally mixed state at 1e5
-    # shots); one A effect at a time holds K_b (d_a d_b)^2 entries, not K_a times that
-    mb = povm_b.effects[:, None, :, None, :]
-    return np.array([np.trace((ma[:, None, :, None] * mb).reshape(-1, rho.dim, rho.dim)
-                              @ rho.matrix, axis1=1, axis2=2).real
-                     for ma in povm_a.effects])
+    blocks = povm_blocks(rho, povm_a).reshape(len(povm_a), -1)
+    return (blocks @ np.swapaxes(povm_b.effects, 1, 2).reshape(len(povm_b), -1).T).real
 
 
 def sample_joint(rho: DensityOperator, povm_a: Povm, povm_b: Povm,

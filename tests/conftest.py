@@ -5,7 +5,7 @@ import pytest
 
 from qdverify import dv, gaussian, povm, statefile
 from qdverify.errors import DimMismatch
-from qdverify.linalg import DensityOperator, dag, random_density_matrix, tensor
+from qdverify.linalg import DensityOperator, dag, frobenius_norm, random_density_matrix, tensor
 from qdverify.phasespace import WignerGrid, square_geometry
 
 
@@ -34,6 +34,31 @@ def random_bipartite_state(seed: int, dim_a: int = 2, dim_b: int = 2) -> Density
     rng = np.random.default_rng(seed)
     return DensityOperator(random_density_matrix(dim_a * dim_b, rng),
                            bipartition=(dim_a, dim_b))
+
+
+def kron_joint_probabilities(rho: DensityOperator, povm_a: povm.Povm,
+                             povm_b: povm.Povm) -> np.ndarray:
+    """p(k, m) = Tr[(M_k x M_m) rho], one Kronecker product per pair of effects."""
+    return np.array([[np.trace(np.kron(ma, mb) @ rho.matrix).real for mb in povm_b.effects]
+                     for ma in povm_a.effects])
+
+
+def assert_close_to_kron_oracle(probs: np.ndarray, rho: DensityOperator,
+                                povm_a: povm.Povm, povm_b: povm.Povm) -> None:
+    """probs equals kron_joint_probabilities up to the rounding of either route.
+
+    Both sum the D^2 = (d_A d_B)^2 products M_k[a, c] M_m[b, d] rho[cd, ab],
+    whose magnitudes add up to at most ||M_k||_F ||M_m||_F ||rho||_F <=
+    ||M_k||_F ||M_m||_F (Cauchy-Schwarz; ||rho||_F <= Tr rho = 1). A sum of
+    n complex products lies within sqrt(2) (n + 2) u of the exact value, in
+    units of that sum of magnitudes and to first order in the unit roundoff
+    u, so the two routes differ by at most 2 sqrt(2) (D^2 + 2) u ||M_k||_F ||M_m||_F.
+    """
+    u = np.finfo(float).eps / 2
+    norms = np.outer(frobenius_norm(povm_a.effects), frobenius_norm(povm_b.effects))
+    tol = 2.0 * np.sqrt(2.0) * (rho.dim ** 2 + 2) * u * norms
+    diff = np.abs(probs - kron_joint_probabilities(rho, povm_a, povm_b))
+    assert np.all(diff <= tol), (diff.max(), tol.min())
 
 
 def reconstruct_joint(e: dv.ConditionalEnsemble, duals: np.ndarray) -> DensityOperator:

