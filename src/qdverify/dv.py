@@ -16,6 +16,7 @@ import numpy as np
 from .errors import BadDimension, DimMismatch, MissingBipartition, check_threshold
 from .linalg import (
     DensityOperator,
+    admit_memory,
     commutator,
     dag,
     degeneracy_gap,
@@ -214,7 +215,13 @@ def verify_commutativity(e: ConditionalEnsemble,
 def _pair_norms(e: ConditionalEnsemble, pairs: np.ndarray, threshold: float) -> tuple:
     """Frobenius norm of the commutator of each pair of conditionals, and
     the norm above which each pair exceeds threshold: it plus the pair's
-    two rounding bounds."""
+    two rounding bounds. A sweep that would need more than physical memory
+    is refused before it allocates (TooLarge)."""
+    # five (P, d, d) complex stacks at a time: the two conditionals of each
+    # pair, their two products and the commutator
+    dim = e.states.shape[-1]
+    admit_memory(80 * len(pairs) * dim * dim,
+                 f"{len(pairs)} conditional pairs on a {dim}-level B need", "the commutativity sweep")
     return (frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]])),
             threshold + e.rounding[pairs].sum(axis=1))
 
