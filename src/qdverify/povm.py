@@ -7,6 +7,7 @@ N_k weighted by the outcome probabilities Tr[M_k rho].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import (CompletenessFailure, DimMismatch, DomainError,
 from .linalg import (
     PSD_TOL,
     HERMITIAN_TOL,
+    admit_memory,
     dag,
     frobenius_norm,
     hermitian_defect,
@@ -145,6 +147,11 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
         raise DimMismatch("dim must be at least 2")
     if seed < 0:
         raise DomainError(f"POVM seed must be nonnegative, got {seed}")
+    # the traced peak is about 11 (K, d, d) complex stacks: the draws, the
+    # perturbations and their eigensolves, then the frame's basis, coordinates
+    # and eigensolve
+    admit_memory(16 * 12 * dim ** 4, f"{dim * dim} effects on a {dim}-level system need",
+                 "the random POVM")
     rng = np.random.default_rng(seed)
     eye = np.eye(dim, dtype=complex)
     for _ in range(10):
@@ -189,13 +196,22 @@ def mub_povm(dim: int) -> Povm:
     product's is the product of those."""
     if dim < 2:
         raise DimMismatch("dim must be at least 2")
-    effects, n = np.ones((1, 1, 1)), dim
+    primes, n = [], dim
     for p in range(2, dim + 1):
         while n % p == 0:           # p is prime: its smaller factors are gone
-            f = sic_qubit().effects if p == 2 else _mub_effects(p)
-            m = effects.shape[1] * p
-            effects = np.einsum("aij,bkl->abikjl", effects, f).reshape(-1, m, m)
+            primes.append(p)
             n //= p
+    n_effects = math.prod(4 if p == 2 else p * (p + 1) for p in primes)
+    # four (K, d, d) complex stacks at a time: the effects, the last factor's
+    # (as large for a prime dim), and in Povm's eigensolve the Hermitian part
+    # with its temporary or with the eigenvectors
+    admit_memory(64 * n_effects * dim * dim,
+                 f"{n_effects} effects on a {dim}-level system need", "the mub POVM")
+    effects = np.ones((1, 1, 1))
+    for p in primes:
+        f = sic_qubit().effects if p == 2 else _mub_effects(p)
+        m = effects.shape[1] * p
+        effects = np.einsum("aij,bkl->abikjl", effects, f).reshape(-1, m, m)
     return Povm(dim, effects)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from conftest import (STRING_ROW_DOCUMENTS, random_bipartite_state, random_diagonal_fock,
                       random_product_state)
 from dv_recipes import near_orthogonal_zero_discord
-from qdverify import dv, gaussian, linalg, phasespace, statefile, tomo
+from qdverify import dv, gaussian, linalg, phasespace, povm, statefile, tomo
 from qdverify.cli import main
 from qdverify.linalg import DensityOperator
 from qdverify.phasespace import fock_state, pure_state
@@ -141,6 +141,50 @@ class TestVerifyDv:
             doc = json.loads(out)
             assert doc["verdict"] == verdict
             assert doc["seeds"] == {"povm_kind": "mub", "povm_seed": 20240}
+
+
+    def test_oversized_pair_sweep_exit_2(self, capsys, workdir, monkeypatch):
+        # the maximally mixed qutrit pair has no anchor, since its 12 MUB
+        # conditionals are all I/3, and its 66 pairs over a 3-level B need
+        # 80 * 66 * 9 = 47520 bytes; pretend there is less, and fail if the
+        # sweep is reached
+        mixed = write_fixture(workdir / "mixed.state", statefile.dv_density_doc(
+            DensityOperator(np.eye(9) / 9, bipartition=(3, 3))))
+        anchored = write_fixture(workdir / "anchored.state", statefile.dv_density_doc(
+            dv.generate_zero_discord(3, 3, 3)))
+        inner = dv.commutator
+        monkeypatch.setattr(dv, "commutator", lambda *a: pytest.fail("allocated"))
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 47519)
+        code, out, err = run(capsys, "verify-dv", mixed)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "66 conditional pairs" in err
+        assert "physical memory" in err
+        # the anchor's 11 pairs need 7920 bytes
+        monkeypatch.setattr(dv, "commutator", inner)
+        code, out, _ = run(capsys, "verify-dv", anchored)
+        assert code == 0
+        assert json.loads(out)["witnesses"]["checked_pairs"] == 11
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 47520)
+        code, out, _ = run(capsys, "verify-dv", mixed)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "CONSISTENT_WITH_ZERO"
+
+    def test_oversized_mub_povm_exit_2(self, capsys, qutrit_file, monkeypatch):
+        # the qutrit MUB is admitted at four stacks of its 12 effects, 4 * 16 *
+        # 12 * 9 = 6912 bytes; pretend there is less, and fail if it is built
+        inner = povm._mub_effects
+        monkeypatch.setattr(povm, "_mub_effects", lambda p: pytest.fail("allocated"))
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 6911)
+        code, out, err = run(capsys, "verify-dv", qutrit_file)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "12 effects on a 3-level system" in err
+        assert "physical memory" in err
+        # at 6912 bytes the POVM is built, and the anchor's 11 pairs are refused
+        monkeypatch.setattr(povm, "_mub_effects", inner)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 6912)
+        code, out, err = run(capsys, "verify-dv", qutrit_file)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "11 conditional pairs" in err
 
 
 class TestVerifyGaussian:
@@ -666,6 +710,25 @@ class TestTomo:
         code, out, _ = run(capsys, "tomo", bell_file)
         assert code == 0
         assert json.loads(out)["verdict"] == "NONZERO_DISCORD"
+
+    def test_oversized_random_povm_exit_2(self, capsys, qutrit_file, monkeypatch):
+        # a qutrit's random POVM is admitted at twelve stacks of its 9 effects,
+        # 12 * 16 * 9 * 9 = 15552 bytes; pretend there is less, and fail if
+        # anything is drawn
+        inner = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("allocated"))
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 15551)
+        code, out, err = run(capsys, "tomo", qutrit_file)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "9 effects on a 3-level system" in err
+        assert "physical memory" in err
+        assert not os.path.exists(qutrit_file + ".shots.json")
+        # at 15552 bytes both POVMs are built, and the significance test is refused
+        monkeypatch.setattr(np.random, "default_rng", inner)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 15552)
+        code, out, err = run(capsys, "tomo", qutrit_file)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "the significance test" in err
 
     def test_golden(self, capsys, bell_file):
         _, out1, _ = run(capsys, "tomo", bell_file, "--shots", "20000", "--seed", "3")
