@@ -1,6 +1,7 @@
 """Finite-shot simulation, linear-inversion estimation, and significance.
 
-A joint IC-POVM measurement on both subsystems is sampled multinomially.
+A joint IC-POVM measurement on both subsystems is sampled multinomially,
+from B's Born rule on the blocks Tr_A[(M_k x I) rho] of the exact route.
 B's conditional states are rebuilt from the record alone, by inversion
 through the dual frame of B's POVM, then projected to the state cone once.
 Commutator norms between estimated conditionals get a first-order
