@@ -220,8 +220,8 @@ def _pair_norms(e: ConditionalEnsemble, pairs: np.ndarray, threshold: float) -> 
     # five (P, d, d) complex stacks at a time: the two conditionals of each
     # pair, their two products and the commutator
     dim = e.states.shape[-1]
-    admit_memory(80 * len(pairs) * dim * dim,
-                 f"{len(pairs)} conditional pairs on a {dim}-level B need", "the commutativity sweep")
+    admit_memory(80 * len(pairs) * dim * dim, f"{len(pairs)} conditional pairs on a "
+                 f"{dim}-level B need", "the commutativity sweep")
     return (frobenius_norm(commutator(e.states[pairs[:, 0]], e.states[pairs[:, 1]])),
             threshold + e.rounding[pairs].sum(axis=1))
 

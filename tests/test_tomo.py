@@ -35,8 +35,8 @@ class TestSampleJoint:
 
     def test_joint_probabilities_hold_only_the_blocks(self):
         # B's Born rule on the (K_a, d_b, d_b) blocks holds K_a d_b^2 + K_b d_b^2
-        # complex entries, 61 KB traced at 6x6; a Kronecker product per A effect
-        # held K_b (d_a d_b)^2, 1.5 MB traced, and all pairs at once 54 MB
+        # complex entries, 61 KB traced at 6x6; a Kronecker product per A
+        # effect, K_b (d_a d_b)^2 entries, took 1.5 MB
         rho = random_bipartite_state(3, 6, 6)
         pa, pb = random_ic_povm(6, seed=1), random_ic_povm(6, seed=2)
         tracemalloc.start()
