@@ -5,8 +5,8 @@ from B's Born rule on the blocks Tr_A[(M_k x I) rho] of the exact route.
 B's conditional states are rebuilt from the record alone, by inversion
 through the dual frame of B's POVM, then projected to the state cone once.
 Commutator norms between estimated conditionals get a first-order
-(delta-method) standard error from the multinomial covariance of the
-counts, and the verdict is a z-score test on the largest norm.
+(delta-method) standard error, each row's multinomial variance in closed
+form, and the verdict is a z-score test on the largest norm.
 """
 from __future__ import annotations
 
@@ -134,26 +134,26 @@ def estimate_conditionals(rec: ShotRecord) -> EstimatedConditionals:
 def _norm_gradients(rho_j: np.ndarray, rho_k: np.ndarray,
                     duals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Commutator norms of the pairs of two (P, d, d) stacks, and their (P, K)
-    gradients wrt the two frequency vectors; a norm at or below NORM_FLOOR
-    has no gradient and gets zeros."""
+    gradients wrt the two frequency vectors, tr(L N_m) = vec(L) . vec(N_m^T)
+    over the duals N_m; a norm at or below NORM_FLOOR gets zero gradients."""
     comm = commutator(rho_j, rho_k)
     norm = frobenius_norm(comm)
     cd = dag(comm)
     left = rho_k @ cd - cd @ rho_k      # d norm / d rho_j direction
     right = cd @ rho_j - rho_j @ cd     # d norm / d rho_k direction
     scale = np.where(norm > NORM_FLOOR, norm, np.inf)[:, None]
-    gj = np.trace(left[:, None] @ duals, axis1=-2, axis2=-1).real / scale
-    gk = np.trace(right[:, None] @ duals, axis1=-2, axis2=-1).real / scale
+    flat = np.swapaxes(duals, 1, 2).reshape(len(duals), -1).T
+    gj = (left.reshape(len(left), -1) @ flat).real / scale
+    gk = (right.reshape(len(right), -1) @ flat).real / scale
     return norm, gj, gk
 
 
 def _delta_variance(freqs: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^T Cov g per row, with Cov the multinomial covariance of the (P, K)
-    frequencies behind n[p] samples."""
-    cov = (freqs[:, :, None] * np.eye(freqs.shape[1])
-           - freqs[:, :, None] * freqs[:, None, :]) / n[:, None, None]
-    # a stacked matmul: an einsum over (p, i, j) moves the stderrs in their last bits
-    return ((g[:, None] @ cov) @ g[..., None])[:, 0, 0]
+    """g^T (diag f - f f^T) g / n per row of the (P, K) frequencies f behind
+    n[p] samples, centered as sum_m f_m (g_m - sum_l f_l g_l)^2 / n: the
+    one-pass sum f g^2 - (sum f g)^2 and the matrix form both cancel, and
+    read rounding as a stderr where g is constant on the observed outcomes."""
+    return np.sum(freqs * (g - np.sum(freqs * g, axis=1, keepdims=True)) ** 2, axis=1) / n
 
 
 def significant_commutativity(est: EstimatedConditionals,
@@ -162,28 +162,28 @@ def significant_commutativity(est: EstimatedConditionals,
 
     Standard errors per pair come from the delta method on the linear
     inversion. A pair whose standard error is at or below NORM_FLOOR has
-    z = 0: its norm is at or below the floor too (no gradient), or its rows
-    hold so few counts that the plug-in covariance vanishes, and then the
-    sample says nothing about the norm. z_threshold must be finite and
-    nonnegative (DomainError, naming it z as the report and CLI do). A sweep
-    that would need more than physical memory is refused before it
-    allocates (TooLarge).
+    z = 0, and the sample says nothing about its norm. A row's variance is
+    exactly 0 when the norm is at or below the floor (no gradient) or the
+    row's counts sit on one outcome, and rounding far below the floor when
+    the gradient is constant on the outcomes it observed. z_threshold must
+    be finite and nonnegative (DomainError, naming it z as the report and
+    CLI do). A sweep that would need more than physical memory is refused
+    before it allocates (TooLarge).
     """
     check_threshold("z", z_threshold)
     pairs = present_pairs(est.present)
     if not len(pairs):
         raise InsufficientOutcomes("need at least two conditional states")
-    # the sweep's largest stacks: (P, K, d, d) complex gradient products, then
-    # two (P, K, K) float covariances at a time
+    # eight (P, d, d) complex stacks at most (conditionals, commutator, adjoint, a
+    # gradient direction, its two products), then six (P, K) floats: 16 P (8 d^2 + 3 K)
     n_effects, dim = est.duals_b.shape[:2]
-    admit_memory(16 * len(pairs) * n_effects * max(n_effects, dim * dim),
+    admit_memory(16 * len(pairs) * (8 * dim * dim + 3 * n_effects),
                  f"{len(pairs)} conditional pairs over {n_effects} B effects need",
                  "the significance test")
     j, k = pairs.T
     norm, gj, gk = _norm_gradients(est.states[j], est.states[k], est.duals_b)
-    var = (_delta_variance(est.freqs[j], est.counts[j], gj)
-           + _delta_variance(est.freqs[k], est.counts[k], gk))
-    stderr = np.sqrt(np.maximum(var, 0.0))
+    stderr = np.sqrt(_delta_variance(est.freqs[j], est.counts[j], gj)
+                     + _delta_variance(est.freqs[k], est.counts[k], gk))
     usable = stderr > NORM_FLOOR
     z = np.where(usable, norm / np.where(usable, stderr, 1.0), 0.0)
     best = int(np.argmax(z))      # the first of equal maxima

@@ -695,18 +695,19 @@ class TestTomo:
         assert json.loads(plain[1])["verdict"] == "NONZERO_DISCORD"
 
     def test_oversized_significance_sweep_exit_2(self, capsys, bell_file, monkeypatch):
-        # 6 SIC pairs over 4 B effects of a qubit need 16 * 6 * 4 * 4 = 1536
-        # bytes; pretend there is less, and fail if the sweep is reached
+        # 6 SIC pairs over 4 B effects of a qubit are admitted at eight 2x2
+        # complex stacks and three effect rows a pair, 16 * 6 * (8 * 4 + 3 * 4)
+        # = 4224 bytes; pretend there is less, and fail if the sweep is reached
         inner = tomo._norm_gradients
         monkeypatch.setattr(tomo, "_norm_gradients", lambda *a: pytest.fail("allocated"))
-        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 1535)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 4223)
         code, out, err = run(capsys, "tomo", bell_file)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "physical memory" in err
         assert not os.path.exists(bell_file + ".shots.json")
         monkeypatch.setattr(tomo, "_norm_gradients", inner)
-        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 1536)
+        monkeypatch.setattr(linalg, "physical_memory_bytes", lambda: 4224)
         code, out, _ = run(capsys, "tomo", bell_file)
         assert code == 0
         assert json.loads(out)["verdict"] == "NONZERO_DISCORD"

@@ -15,6 +15,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -450,26 +451,62 @@ def _sweep_reference(states, pairs, threshold, rounding):
     return max_norm, None, checked
 
 
-def _delta_reference(rj, rk, fj, nj, fk, nk, duals):
-    """(norm, gradients, delta-method stderr) of one pair of conditionals."""
+def _gradient_reference(rj, rk, duals):
+    """(norm, [(gradient, tolerance) for rho_j, rho_k]) of one pair of
+    conditionals, each gradient entry tr(L N_m) / norm taken as the trace of
+    a matrix product; no gradients when the norm is at or below the floor.
+
+    The batched route sums the same d^2 products L[a, b] N_m[b, a] in
+    another order. A sum of n complex products lies within sqrt(2) (n + 2) u
+    of the exact value, in units of the sum of their magnitudes and to first
+    order in the unit roundoff u, so the two sums differ by at most
+    2 sqrt(2) (d^2 + 2) u sum_ab |L[a, b]| |N_m[b, a]|; each quotient by
+    the norm is rounded once more, which adds 2 u |g_m|.
+    """
     comm = rj @ rk - rk @ rj
     norm = float(np.sqrt(np.sum(np.abs(comm) ** 2)))
     if norm <= tomo.NORM_FLOOR:
-        return norm, None, None, None
-    cd = dag(comm)
-    gj = np.trace((rk @ cd - cd @ rk) @ duals, axis1=1, axis2=2).real / norm
-    gk = np.trace((cd @ rj - rj @ cd) @ duals, axis1=1, axis2=2).real / norm
-    var = 0.0
-    for f, n, g in ((fj, nj, gj), (fk, nk, gk)):
-        var += g @ ((np.diag(f) - np.outer(f, f)) / n) @ g
-    return norm, gj, gk, float(np.sqrt(max(var, 0.0)))
+        return norm, None
+    cd, u, dim = dag(comm), np.finfo(float).eps / 2, len(rj)
+    out = []
+    for lead in (rk @ cd - cd @ rk, cd @ rj - rj @ cd):
+        g = np.trace(lead @ duals, axis1=1, axis2=2).real / norm
+        mags = np.einsum("ab,mba->m", np.abs(lead), np.abs(duals)) / norm
+        out.append((g, 2 * np.sqrt(2) * (dim ** 2 + 2) * u * mags + 2 * u * np.abs(g)))
+    return norm, out
+
+
+def _exact_variance(counts, g):
+    """(g^T (diag q - q q^T) g / n as a Fraction, its rounding tolerance) for
+    one row's exact frequencies q = counts / n and its float gradient g.
+
+    With f the float frequencies (|f_m - q_m| <= u q_m), the computed mean
+    fl(sum_m f_m g_m) is within e = (gamma_K (1 + u) + u) G of the exact
+    mean, G = max |g_m| over the observed outcomes; sum_m f_m (g_m - mean)^2
+    then moves by at most 2 u n V + (1 + 2 u) e^2, and its K rounded terms,
+    their sum and the division by n by gamma_(K + 4) of themselves. So the
+    computed variance lies within (gamma_(K + 4) (1 + 2 u) + 2 u) V
+    + (1 + gamma_(K + 4)) (1 + 2 u) e^2 / n of the exact one V.
+    """
+    n = int(counts.sum())
+    q = [Fraction(int(c), n) for c in counts]
+    gf = [Fraction(float(x)) for x in g]
+    mean = sum(qm * gm for qm, gm in zip(q, gf))
+    exact = sum(qm * (gm - mean) ** 2 for qm, gm in zip(q, gf)) / n
+    u, k = np.finfo(float).eps / 2, len(counts)
+    gamma = lambda m: m * u / (1 - m * u)
+    e = (gamma(k) * (1 + u) + u) * np.abs(g[counts > 0]).max()
+    tol = ((gamma(k + 4) * (1 + 2 * u) + 2 * u) * float(exact)
+           + (1 + gamma(k + 4)) * (1 + 2 * u) * e ** 2 / n)
+    return exact, tol
 
 
 @PROPERTY_SETTINGS
 @given(dim_a=st.integers(2, 4), dim_b=st.integers(2, 4), seed=seeds)
 def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
-    """Every stacked step of the conditional ensemble, bit for bit against
-    one state or one pair at a time."""
+    """Every stacked step of the conditional ensemble against one state or
+    one pair at a time: bit for bit, except the gradients and the delta
+    variances, which are held to their derived rounding tolerances."""
     rng = np.random.default_rng(seed)
     pa, pb = _ic_povm(dim_a, rng), _ic_povm(dim_b, rng)
     rho = DensityOperator(random_density_matrix(dim_a * dim_b, rng),
@@ -540,13 +577,21 @@ def test_batched_conditional_layers_match_per_row_formulas(dim_a, dim_b, seed):
     var = (tomo._delta_variance(est.freqs[pairs[:, 0]], est.counts[pairs[:, 0]], gj)
            + tomo._delta_variance(est.freqs[pairs[:, 1]], est.counts[pairs[:, 1]], gk))
     for p, (j, k) in enumerate(pairs):
-        ref = _delta_reference(s[j], s[k], est.freqs[j], est.counts[j], est.freqs[k],
-                               est.counts[k], duals_b)
-        assert norm[p] == ref[0]
-        if ref[1] is not None:
-            equal(gj[p], ref[1])
-            equal(gk[p], ref[2])
-            assert np.sqrt(max(var[p], 0.0)) == ref[3]
+        ref_norm, ref = _gradient_reference(s[j], s[k], duals_b)
+        assert norm[p] == ref_norm
+        if ref is None:
+            equal(gj[p], 0.0)
+            equal(gk[p], 0.0)
+            assert var[p] == 0.0
+            continue
+        for g, (g_ref, tol) in zip((gj[p], gk[p]), ref):
+            assert np.all(np.abs(g - g_ref) <= tol), np.max(np.abs(g - g_ref) - tol)
+        # against the exact variance of the same float gradients; the sum of
+        # the two rows' variances is rounded once more, by u of itself
+        (vj, tj), (vk, tk) = (_exact_variance(rec.counts[j], gj[p]),
+                              _exact_variance(rec.counts[k], gk[p]))
+        tol = tj + tk + np.finfo(float).eps / 2 * (float(vj + vk) + tj + tk)
+        assert abs(Fraction(float(var[p])) - (vj + vk)) <= Fraction(tol), (var[p], vj + vk)
 
     # a record whose identical rows leave no delta stderr reads z = 0
     row = rng.integers(0, 4, size=len(pb))

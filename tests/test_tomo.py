@@ -8,8 +8,8 @@ from conftest import (assert_close_to_kron_oracle, kron_joint_probabilities,
 from qdverify import dv, tomo
 from qdverify.errors import DimMismatch, InsufficientOutcomes, NotInformationallyComplete
 from qdverify.linalg import DensityOperator, dag, frobenius_norm, hermitian_eig
-from qdverify.povm import (DEFAULT_POVM_SEED, Povm, default_ic_povm, random_ic_povm,
-                           reconstruct)
+from qdverify.povm import (DEFAULT_POVM_SEED, Povm, default_ic_povm, mub_povm,
+                           random_ic_povm, reconstruct)
 
 
 class TestSampleJoint:
@@ -215,6 +215,50 @@ class TestSignificance:
                     except InsufficientOutcomes:
                         continue
                     assert v.verdict == dv.CONSISTENT_WITH_ZERO, (shots, s, seed)
+
+    def test_single_count_rows_under_mubs_read_consistent(self):
+        # a 4x4 zero-discord state under MUBs at 100 shots: witness row 6 holds
+        # four single counts, on which its gradient is constant; the matrix form
+        # g^T (diag f - f f^T) g / n read its variance as 5.8e-18 where the
+        # exact one is 1.2e-31, and the record as z = 8.8e7
+        p = mub_povm(4)
+        rec = tomo.sample_joint(dv.generate_zero_discord(4, 4, 9002), p, p, 100, 0)
+        assert rec.counts[6].tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
+        v = tomo.significant_commutativity(tomo.estimate_conditionals(rec))
+        assert v.verdict == dv.CONSISTENT_WITH_ZERO
+        assert v.witnesses["z_score"] < 3 and v.witnesses["norm_stderr"] > 0.1
+
+    @pytest.mark.parametrize("n_effects", [4, 16, 81])
+    def test_constant_gradient_on_the_observed_outcomes_leaves_rounding(self, n_effects):
+        # with g_m = c wherever f_m > 0, the centered form leaves only the
+        # rounding of the mean, within (gamma_K (1 + u) + u) |c| of c, so the
+        # variance is at most about ((K + 1) u c)^2 / n: below 1e-28 for |c| <= 1
+        rng = np.random.default_rng(n_effects)
+        counts = rng.integers(0, 4, size=(200, n_effects)) * (rng.random((200, n_effects)) < 0.3)
+        counts[:, 0] += 1
+        c = rng.uniform(-1.0, 1.0, size=(200, 1))
+        g = np.where(counts > 0, c, rng.normal(size=counts.shape))
+        n = counts.sum(axis=1).astype(float)
+        var = tomo._delta_variance(counts / n[:, None], n, g)
+        assert np.all(var <= 1e-28), var.max()
+        assert np.all(var[counts.astype(bool).sum(axis=1) == 1] == 0.0)
+
+    def test_significance_sweep_holds_no_per_effect_stacks(self):
+        # 1176 pairs over 49 effects of a 7x7 record: at most eight (P, 7, 7)
+        # complex stacks and a few (P, 49) float ones, 7.5 MB traced; the
+        # (P, K, K) covariances and (P, K, d, d) gradient products took 52 MB
+        rho = dv.generate_zero_discord(7, 7, 9000)
+        pa, pb = default_ic_povm(7), default_ic_povm(7, seed=DEFAULT_POVM_SEED + 1)
+        est = tomo.estimate_conditionals(tomo.sample_joint(rho, pa, pb, 10 ** 5, 0))
+        assert len(dv.present_pairs(est.present)) == 1176
+        tracemalloc.start()
+        try:
+            v = tomo.significant_commutativity(est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert v.verdict == dv.CONSISTENT_WITH_ZERO
 
     def test_delta_stderr_matches_the_spread_of_sampled_norms(self, bell, sic):
         # the sample standard deviation over 100 independent records is the
