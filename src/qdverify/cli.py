@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__, dv, gaussian, phasespace, tomo
 from .errors import ParseError, QdvError
-from .povm import DEFAULT_POVM_SEED, default_ic_povm
+from .povm import DEFAULT_POVM_SEED, default_ic_povm, mub_povm
 from .statefile import StateFile, load, render, shot_record_doc, wigner_grid_doc, write
 
 
@@ -61,10 +61,10 @@ def cmd_verify_dv(args) -> int:
     if rho.bipartition is None:
         raise ParseError("verify-dv needs a bipartition in the state file")
     dim_a = rho.bipartition[0]
-    kind = args.povm or ("sic" if dim_a == 2 else "mub")
-    ensemble = dv.condition_on_povm(rho, default_ic_povm(dim_a, seed=args.povm_seed, kind=kind))
+    # mub_povm(2) is the qubit SIC bit for bit; the seed is recorded, not read
+    ensemble = dv.condition_on_povm(rho, mub_povm(dim_a))
     return _report("dv_exact", sf, dv.verify_commutativity(ensemble, args.threshold),
-                   {"povm_kind": kind, "povm_seed": args.povm_seed})
+                   {"povm_kind": "sic" if dim_a == 2 else "mub", "povm_seed": DEFAULT_POVM_SEED})
 
 
 def cmd_verify_gaussian(args) -> int:
@@ -111,7 +111,7 @@ def cmd_tomo(args) -> int:
         if rho.bipartition is None:
             raise ParseError("tomo needs a bipartition in the state file")
         dim_a, dim_b = rho.bipartition
-        povm_seed = args.povm_seed
+        povm_seed = DEFAULT_POVM_SEED
         record = tomo.sample_joint(rho, default_ic_povm(dim_a, seed=povm_seed),
                                    default_ic_povm(dim_b, seed=povm_seed + 1),
                                    args.shots, args.seed)
@@ -137,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-dv", help="commutativity test for a bipartite "
                        "discrete-variable state")
     p.add_argument("state")
-    p.add_argument("--povm", choices=["sic", "mub", "random"], default=None,
-                   help="IC-POVM on A (default: sic for qubits, otherwise mub, the "
-                   "closed-form Wootters-Fields MUBs tensored over the prime factors "
-                   "of its dimension; random is the seeded random POVM that tomo uses)")
-    p.add_argument("--povm-seed", type=int, default=DEFAULT_POVM_SEED)
     p.add_argument("--threshold", type=float, default=dv.DEFAULT_COMMUTATOR_THRESHOLD)
     p.set_defaults(func=cmd_verify_dv)
 
@@ -170,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted and ignored: the benchmark's tomo command line still passes it,
     # until the benchmark's own change drops it
     p.add_argument("--resamples", help=argparse.SUPPRESS)
-    p.add_argument("--povm-seed", type=int, default=DEFAULT_POVM_SEED)
     p.add_argument("--record-out", default=None)
     p.set_defaults(func=cmd_tomo)
     return parser

@@ -101,21 +101,34 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
 
     The one eigensolver. Callers pass values that a boundary type
     (DensityOperator, Povm, GaussianState) has checked, or values built
-    Hermitian from such. It refuses, with NotHermitian, only a spectrum that
-    comes out non-finite, and names the cause: entries that are not finite,
-    or entries so large (about 9e307 or more) that the symmetrisation or
-    eigh overflows.
+    Hermitian from such. Where eigh does not converge, as it can on finite
+    entries far apart in scale, it retries once on each matrix scaled by the
+    power of two that brings its largest entry into [1/2, 1), an exact
+    scale, so an input eigh decomposes at once keeps its bits. It refuses,
+    with NotHermitian, only a spectrum that comes out non-finite or not at
+    all, and names the cause: entries that are not finite, entries so large
+    (about 9e307 or more) that the symmetrisation or eigh overflows, or an
+    eigh that did not converge on the retry either.
     """
     a = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + dag(a)) / 2.0
         try:
-            w, v = np.linalg.eigh((a + dag(a)) / 2.0)
+            w, v = np.linalg.eigh(h)
         except np.linalg.LinAlgError:
-            w = None
+            top = np.frexp(np.abs(h).max(axis=(-2, -1), initial=0.0))[1]
+            scale = np.ldexp(1.0, np.clip(top, -1021, 1021))
+            try:
+                w, v = np.linalg.eigh(h / scale[..., None, None])
+                w = w * scale[..., None]
+            except np.linalg.LinAlgError:
+                w = None
     # n eigenvalues to check, not n^2 entries: a NaN passes every < test
     if w is None or not np.isfinite(w).all():
-        raise NotHermitian("matrix entries overflow the eigensolver" if np.isfinite(a).all()
-                           else "matrix has non-finite entries")
+        if not np.isfinite(a).all():
+            raise NotHermitian("matrix has non-finite entries")
+        raise NotHermitian("the eigensolver did not converge" if w is None and np.isfinite(h).all()
+                           else "matrix entries overflow the eigensolver")
     return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 

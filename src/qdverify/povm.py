@@ -227,10 +227,7 @@ def default_ic_povm(dim: int, seed: int = DEFAULT_POVM_SEED,
                     kind: str | None = None) -> Povm:
     """The qubit SIC, the closed-form MUB POVM or a seeded random IC-POVM,
     as kind ("sic", "mub" or "random"; by default default_kind(dim)) says.
-    The seed must be nonnegative for every kind, though only "random" reads
-    it (DomainError)."""
-    if seed < 0:
-        raise DomainError(f"POVM seed must be nonnegative, got {seed}")
+    Only "random" reads the seed, and it refuses a negative one (DomainError)."""
     kind = kind or default_kind(dim)
     if kind == "sic":
         if dim != 2:

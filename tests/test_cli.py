@@ -46,13 +46,6 @@ def product_file(workdir):
 
 
 @pytest.fixture()
-def qubit_qutrit_file(workdir):
-    # a qubit A side takes the SIC, which reads no POVM seed
-    rho = random_bipartite_state(0, 2, 3)
-    return write_fixture(workdir / "qubit_qutrit.state", statefile.dv_density_doc(rho))
-
-
-@pytest.fixture()
 def qutrit_file(workdir):
     # a qutrit A side takes the MUB POVM in verify-dv and a seeded random
     # IC-POVM in tomo, not the SIC
@@ -86,19 +79,6 @@ class TestVerifyDv:
         code, out, err = run(capsys, "verify-dv", str(bad))
         assert code == 2
         assert "error:" in err
-
-    def test_negative_povm_seed_exit_2(self, capsys, qutrit_file):
-        code, out, err = run(capsys, "verify-dv", qutrit_file, "--povm-seed", "-5")
-        assert code == 2
-        assert out == ""
-        assert "seed" in err
-
-    def test_negative_povm_seed_exit_2_for_a_qubit(self, capsys, bell_file):
-        # the qubit SIC reads no seed, but the flag is refused as for a qutrit
-        code, out, err = run(capsys, "verify-dv", bell_file, "--povm-seed", "-3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: POVM seed must be nonnegative, got -3\n"
 
     def test_input_is_read_once(self, capsys, bell_file, monkeypatch):
         # the digest covers the bytes the verdict was computed from
@@ -142,6 +122,34 @@ class TestVerifyDv:
             assert doc["verdict"] == verdict
             assert doc["seeds"] == {"povm_kind": "mub", "povm_seed": 20240}
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_report_seeds_rebuild_the_measured_povm(self, capsys, workdir, dim):
+        # the benchmark's dv_exact check rebuilds the effects from the
+        # report's seeds with default_ic_povm, conditions on them with numpy,
+        # and reads witness_pair as indices into their outcomes
+        for rho, verdict in ((dv.generate_zero_discord(dim, dim, 1), dv.CONSISTENT_WITH_ZERO),
+                             (random_bipartite_state(0, dim, dim), dv.NONZERO_DISCORD)):
+            path = write_fixture(workdir / "s.state", statefile.dv_density_doc(rho))
+            code, out, _ = run(capsys, "verify-dv", path)
+            doc = json.loads(out)
+            assert (code, doc["verdict"]) == (0, verdict)
+            seeds, wit = doc["seeds"], doc["witnesses"]
+            effects = povm.default_ic_povm(dim, seed=seeds["povm_seed"],
+                                           kind=seeds["povm_kind"]).effects
+            conds = {}
+            for k, m in enumerate(effects):
+                joint = (np.kron(m, np.eye(dim)) @ rho.matrix).reshape((dim,) * 4)
+                block = np.einsum("ijik->jk", joint)
+                if np.trace(block).real > dv.PROB_FLOOR:
+                    conds[k] = block / np.trace(block).real
+            norms = {(j, k): np.linalg.norm(conds[j] @ conds[k] - conds[k] @ conds[j])
+                     for j in conds for k in conds if j < k}
+            if wit["witness_pair"]:
+                j, k = wit["witness_pair"]
+                assert norms[min(j, k), max(j, k)] == pytest.approx(
+                    float(wit["max_commutator_norm"]), rel=1e-12)
+            else:
+                assert max(norms.values()) <= 1e-9
 
     def test_oversized_pair_sweep_exit_2(self, capsys, workdir, monkeypatch):
         # the maximally mixed qutrit pair has no anchor, since its 12 MUB
@@ -621,10 +629,9 @@ class TestTomo:
         # a replay's POVMs come from the record, which input_digest covers
         path = write_fixture(workdir / "qutrit_qubit.state",
                              statefile.dv_density_doc(random_bipartite_state(0, 3, 2)))
-        code, out, _ = run(capsys, "tomo", path, "--povm-seed", "7", "--shots", "500",
-                           "--record-out", "record.json")
+        code, out, _ = run(capsys, "tomo", path, "--shots", "500", "--record-out", "record.json")
         assert code == 0
-        assert json.loads(out)["seeds"]["povm_seed"] == 7
+        assert json.loads(out)["seeds"]["povm_seed"] == 20240
         code, out, _ = run(capsys, "tomo", "record.json")
         assert code == 0
         assert json.loads(out)["seeds"]["povm_seed"] is None
@@ -645,14 +652,10 @@ class TestTomo:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("state, flags", [
-        ("qutrit_file", ["--seed", "-1"]), ("qutrit_file", ["--povm-seed", "-5"]),
-        ("qutrit_file", ["--shots", "10000000000000000000"]),
-        ("bell_file", ["--povm-seed", "-3"]), ("qubit_qutrit_file", ["--povm-seed", "-1"]),
-    ], ids=["negative_seed", "negative_povm_seed", "shots_past_int64",
-            "qubit_negative_povm_seed", "qubit_qutrit_negative_povm_seed"])
-    def test_seed_and_shots_out_of_range_exit_2(self, capsys, request, state, flags):
-        code, out, err = run(capsys, "tomo", request.getfixturevalue(state), *flags)
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--shots", "10000000000000000000"]],
+                             ids=["negative_seed", "shots_past_int64"])
+    def test_seed_and_shots_out_of_range_exit_2(self, capsys, qutrit_file, flags):
+        code, out, err = run(capsys, "tomo", qutrit_file, *flags)
         assert code == 2
         assert out == ""
         assert "error:" in err
@@ -807,6 +810,21 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert out.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify-dv", "--povm", "random"), ("verify-dv", "--povm-seed", "7"),
+    ("tomo", "--povm-seed", "7")], ids=["verify_dv_povm", "verify_dv_povm_seed", "tomo_povm_seed"])
+def test_removed_povm_flags_exit_2(capsys, qutrit_file, command, flag, value):
+    # verify-dv measures mub_povm(d_A) and tomo samples under the default
+    # POVMs at DEFAULT_POVM_SEED; argparse refuses the old flags by raising
+    # SystemExit(2), and any other exception, a traceback, fails here
+    with pytest.raises(SystemExit) as exc:
+        main([command, qutrit_file, flag, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.rstrip().endswith(f"error: unrecognized arguments: {flag} {value}")
+    assert os.listdir(".") == ["qutrits.state"]
+
+
 def test_verifiers_do_not_load_openssl(tmp_path):
     # the input digest uses the interpreter's own SHA-256, so a command that
     # draws no random numbers never imports hashlib's OpenSSL module; all
@@ -901,7 +919,6 @@ def _eigensolves(monkeypatch, capsys, *argv):
 @pytest.mark.parametrize("runs", [
     pytest.param([["verify-dv", "bell2.state"]], id="verify_dv_sic"),
     pytest.param([["verify-dv", "rho3.state"]], id="verify_dv_mub"),
-    pytest.param([["verify-dv", "rho3.state", "--povm", "random"]], id="verify_dv_random"),
     pytest.param([["tomo", "bell2.state", "--shots", "1000"], ["tomo", "bell2.state.shots.json"]],
                  id="tomo_2x2"),
     pytest.param([["tomo", "rho3.state", "--shots", "1000"], ["tomo", "rho3.state.shots.json"]],

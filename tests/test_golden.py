@@ -3,16 +3,15 @@
 Every number here is exact: hand-chosen floats, SIC effects built from one
 square root, a vacuum commuted with itself, a thermal product whose cross
 block is zero, classical states whose conditionals are all diagonal under
-any POVM (so every commutator is exactly zero, also under the seeded random
-POVM of verify_dv_random.json), and a record whose present rows all read
-uniform frequencies. No platform's BLAS, LAPACK or libm can move these
-bytes, so a test run that differs from golden/ has changed the format. The
-files under golden/ were written by these builders and commands when each
-float was still formatted by a call of its own (verify_dv.json and
+any POVM (so every commutator is exactly zero), and a record whose present
+rows all read uniform frequencies. No platform's BLAS, LAPACK or libm can
+move these bytes, so a test run that differs from golden/ has changed the
+format. The files under golden/ were written by these builders and commands
+when each float was still formatted by a call of its own (verify_dv.json and
 tomo.json, with their inputs, when each route still returned a result
-record of its own; verify_dv_random.json and classical3.state when
-verify-dv's default POVM above qubits was still the random one), and every
-later writer has to reproduce them byte for byte.
+record of its own; classical3.state when verify-dv's default POVM above
+qubits was still the random one), and every later writer has to reproduce
+them byte for byte.
 """
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +35,6 @@ REPORTS = {
     "gaussian.json": (["verify-gaussian", "thermal.state", "--outcomes=-1,0.5;1.3,-0.25"],
                       []),
     "verify_dv.json": (["verify-dv", "classical.state"], []),
-    "verify_dv_random.json": (["verify-dv", "classical3.state", "--povm", "random"], []),
     "tomo.json": (["tomo", "uniform_record.state"], []),
 }
 
@@ -87,8 +85,7 @@ def test_documents_keep_their_bytes(tmp_path, name):
 def test_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, report):
     monkeypatch.chdir(tmp_path)
     docs = documents()
-    for name in ("f0.state", "thermal.state", "classical.state", "classical3.state",
-                 "uniform_record.state"):
+    for name in ("f0.state", "thermal.state", "classical.state", "uniform_record.state"):
         statefile.write(name, docs[name])
     argv, emitted = REPORTS[report]
     assert main(list(argv)) == 0

@@ -104,6 +104,48 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian, match="^matrix entries overflow the eigensolver$"):
             hermitian_eig(np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=complex))
 
+    def test_decomposes_a_finite_matrix_eigh_does_not_converge_on(self):
+        # LAPACK's eigh raises "Eigenvalues did not converge" on this 5x5,
+        # whose entries span 5.6e-309 to 3.6e149; the retry on the matrix
+        # scaled by 2^-498 decomposes it
+        h = np.zeros((5, 5), dtype=complex)
+        h[0, 2], h[0, 4] = 3.6e149 - 1.3e118j, -5.6e-309 - 1.4e16j
+        h[1, 2], h[2, 2], h[2, 3] = 1.4e15 + 2e16j, -5.5e16, -1.4e16 - 1.9e16j
+        h = np.triu(h) + np.triu(h, 1).conj().T
+        e = hermitian_eig(h)
+        v, w = e.eigenvectors, e.eigenvalues
+        assert frobenius_norm(h @ v - v * w) <= 1e-15 * frobenius_norm(h)
+        assert frobenius_norm(dag(v) @ v - np.eye(5)) <= 1e-14
+        np.testing.assert_allclose(w[[0, -1]], [3.6e149, -3.6e149], rtol=1e-12)
+        assert np.all(np.diff(w) <= 0.0)
+
+    def test_retries_once_on_each_matrix_scaled_by_a_power_of_two(self, monkeypatch):
+        # eigh failing once: the retry sees each matrix scaled to a largest
+        # entry in [1/2, 1), and its eigenvalues come back exactly rescaled;
+        # eigh failing twice is named as such
+        stack = np.array([np.diag([3.0, -1.0]), np.zeros((2, 2)), [[0, 5e-300], [5e-300, 0]]],
+                         dtype=complex)
+        real, seen = np.linalg.eigh, []
+
+        def failing_first(a):
+            seen.append(a)
+            if len(seen) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_first)
+        w = hermitian_eig(stack).eigenvalues
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[1] * np.array([4.0, 1.0, 2.0 ** -994])[:, None, None],
+                                      stack)
+        np.testing.assert_array_equal(w, [[3.0, -1.0], [0.0, 0.0], [5e-300, -5e-300]])
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NotHermitian, match="^the eigensolver did not converge$"):
+            hermitian_eig(stack)
+
     def test_density_eigenvalues_in_range(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)

@@ -159,8 +159,6 @@ class TestMubPovm:
             np.testing.assert_array_equal(
                 effects, default_ic_povm(dim, seed=20241, kind="mub").effects)
             np.testing.assert_array_equal(effects, mub_povm(dim).effects)
-        with pytest.raises(DomainError, match="POVM seed must be nonnegative"):
-            default_ic_povm(3, seed=-1, kind="mub")
 
     def test_qubit_factor_is_the_sic(self, sic):
         np.testing.assert_array_equal(mub_povm(2).effects, sic.effects)

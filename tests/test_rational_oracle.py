@@ -10,6 +10,13 @@ discord from B to A; when they are not, the blocks' largest commutator norm
 is computed exactly. The u_j come from rational orthogonal matrices:
 Pythagorean rotations on B = C^2 and [[1, 2, 2], [2, 1, -2], [2, -2, 1]] / 3,
 times rotations and signed permutations, on B = C^3.
+
+The rank of the correlation matrix C_ab = Tr[(E_a x F_b) rho], for operator
+bases E_a of A and F_b of B, is also computed exactly, as the rank of the
+realigned matrix R[(a, a'), (b, b')] = rho[(a, b), (a', b')], which is C in
+other bases. A state classical on B has rank(C) <= d_B, and each zero-discord
+state here reads d_B; each discordant mixture reads d_B + 1 at every weight,
+also where verify-dv cannot resolve it.
 """
 import itertools
 import json
@@ -91,6 +98,32 @@ def max_block_commutator_sq(rho, dim_a, dim_b):
     return best
 
 
+def realigned(rho, dim_a, dim_b):
+    """R[(a, a'), (b, b')] = rho[(a, b), (a', b')], as (re, im)."""
+    return tuple(x.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+                 .reshape(dim_a ** 2, dim_b ** 2) for x in rho)
+
+
+def exact_rank(m):
+    """The rank of a Gaussian-rational matrix held as (re, im), by Gaussian
+    elimination over Fraction pairs."""
+    re, im = (x.copy() for x in m)
+    rank = 0
+    for col in range(re.shape[1]):
+        rows = [r for r in range(rank, re.shape[0]) if re[r, col] or im[r, col]]
+        if not rows:
+            continue
+        re[[rank, rows[0]]], im[[rank, rows[0]]] = re[[rows[0], rank]], im[[rows[0], rank]]
+        pr, pi, below = re[rank, col], im[rank, col], slice(rank + 1, None)
+        # f = x / pivot for each row x below, then that row -= f * pivot row
+        fr = (re[below, col] * pr + im[below, col] * pi) / (pr * pr + pi * pi)
+        fi = (im[below, col] * pr - re[below, col] * pi) / (pr * pr + pi * pi)
+        re[below] -= np.outer(fr, re[rank]) - np.outer(fi, im[rank])
+        im[below] -= np.outer(fr, im[rank]) + np.outer(fi, re[rank])
+        rank += 1
+    return rank
+
+
 def verdict_at_threshold_0(rho, dims, tmp_path, capsys):
     """verify-dv --threshold 0 on the state rounded to binary64."""
     m = rho[0].astype(float) + 1j * rho[1].astype(float)
@@ -129,6 +162,7 @@ def test_rational_zero_discord_reads_consistent(dims, tmp_path, capsys):
     for _ in range(6):
         rho = rational_state(dims[0], rational_orthogonal(dims[1], rng), rng)
         assert max_block_commutator_sq(rho, *dims) == 0
+        assert exact_rank(realigned(rho, *dims)) == dims[1]
         assert verdict_at_threshold_0(rho, dims, tmp_path, capsys) == dv.CONSISTENT_WITH_ZERO
 
 
@@ -147,6 +181,7 @@ def test_rational_discordant_mixtures_read_nonzero_beyond_the_margin(dims, tmp_p
         chi = rational_state(dim_a, basis, rng)
         kick = rational_state(dim_a, (basis @ tilt)[:, :1], rng)
         rho = tuple((1 - eps) * x + eps * y for x, y in zip(chi, kick))
+        assert exact_rank(realigned(rho, dim_a, dim_b)) == dim_b + 1
         b_sq = max_block_commutator_sq(rho, dim_a, dim_b)
         if b_sq > margin_sq:
             flagged += 1
