@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDimension, DimMismatch, MissingBipartition, check_threshold
+from .errors import DimMismatch, check_threshold
 from .linalg import (
     DensityOperator,
     admit_memory,
@@ -102,7 +102,7 @@ def povm_blocks(rho: DensityOperator, p: Povm) -> np.ndarray:
     """B's unnormalised conditionals X_k = Tr_A[(M_k x I) rho], one per effect
     of a POVM measured on A, as one (K, d_B, d_B) stack; rho's indices are (a, b, a', b')."""
     if rho.bipartition is None:
-        raise MissingBipartition("conditioning requires a bipartite state")
+        raise DimMismatch("conditioning requires a bipartite state")
     da, db = rho.bipartition
     if p.dim != da:
         raise DimMismatch(f"POVM dim {p.dim} does not match subsystem A dim {da}")
@@ -234,7 +234,7 @@ def generate_zero_discord(dim_a: int, dim_b: int, seed: int) -> DensityOperator:
     density matrix on A. Such states have zero discord from B to A.
     """
     if dim_a < 2 or dim_b < 2:
-        raise BadDimension("both dims must be at least 2")
+        raise DimMismatch("both dims must be at least 2")
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=dim_b)
     weights /= weights.sum()
@@ -251,7 +251,7 @@ def generate_zero_discord(dim_a: int, dim_b: int, seed: int) -> DensityOperator:
 def generate_maximally_entangled(d: int) -> DensityOperator:
     """Density operator of sum_j |jj> / sqrt(d)."""
     if d < 2:
-        raise BadDimension("d must be at least 2")
+        raise DimMismatch("d must be at least 2")
     psi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityOperator(np.outer(psi, psi.conj()), bipartition=(d, d))
 
@@ -299,7 +299,7 @@ def discord_estimate_2q(rho: DensityOperator, n_theta: int = 64,
     an upper bound on the true discord.
     """
     if rho.bipartition != (2, 2):
-        raise BadDimension("estimator requires a 2x2 bipartite state")
+        raise DimMismatch("estimator requires a 2x2 bipartite state")
     t = rho.matrix.reshape(2, 2, 2, 2)
     rho_b = np.einsum("abad->bd", t)
     s_b = _entropy_bits(rho_b)

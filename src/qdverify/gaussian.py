@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateOutcomes, DomainError, Unphysical, check_threshold
+from .errors import DomainError, check_threshold
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
 from .linalg import hermitian_defect, hermitian_eig
 
@@ -43,16 +43,18 @@ OMEGA = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
 class GaussianState:
     """Quadrature means and 4x4 covariance matrix of a two-mode state.
 
-    Construction checks the shape and finiteness (DomainError), symmetry
-    within SYMMETRY_TOL (DomainError) and the uncertainty constraint
-    sigma + (i/4) Omega >= 0 within PHYSICALITY_TOL (Unphysical)."""
+    Construction checks, each with DomainError, the shapes (four means, a
+    4x4 covariance), finiteness, symmetry within SYMMETRY_TOL and the
+    uncertainty constraint sigma + (i/4) Omega >= 0 within PHYSICALITY_TOL."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(4)
+        self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
+        if self.mean.shape != (4,):
+            raise DomainError(f"mean must be 4 quadratures, got shape {self.mean.shape}")
         if self.cov.shape != (4, 4):
             raise DomainError(f"covariance must be 4x4, got {self.cov.shape}")
         if not np.all(np.isfinite(self.cov)) or not np.all(np.isfinite(self.mean)):
@@ -60,7 +62,7 @@ class GaussianState:
         if hermitian_defect(self.cov) > SYMMETRY_TOL:
             raise DomainError("covariance matrix is not symmetric")
         if hermitian_eig(self.cov + 0.25j * OMEGA).eigenvalues[-1] < -PHYSICALITY_TOL:
-            raise Unphysical("covariance violates the uncertainty constraint")
+            raise DomainError("covariance violates the uncertainty constraint")
 
 
 @dataclass
@@ -179,8 +181,8 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
     The state is brought to its standard form, whose frame the outcomes and
     the peaks are in; the peaks are those of the state itself, its mean
     included. The outcomes must differ in both quadratures; otherwise the
-    test is blind to one of the two cross couplings and DegenerateOutcomes
-    is raised. The verdict is decided per quadrature, on the peak shift per
+    test is blind to one of the two cross couplings and DomainError is
+    raised. The verdict is decided per quadrature, on the peak shift per
     unit outcome shift against tol, so it depends neither on how far apart
     the outcomes are nor on the mean, which moves both peaks alike;
     separation reports the raw peak distance. Outcomes, their differences
@@ -193,8 +195,7 @@ def peak_coincidence_test(state: GaussianState, out1: complex, out2: complex,
     if not np.isfinite([out1, out2, out1 - out2]).all():
         raise DomainError("outcomes and their differences must be finite")
     if out1.real == out2.real or out1.imag == out2.imag:
-        raise DegenerateOutcomes(
-            "outcomes must differ in both quadratures to probe both c and d")
+        raise DomainError("outcomes must differ in both quadratures to probe both c and d")
     with np.errstate(over="ignore", invalid="ignore"):    # refused just below
         gain, _ = heterodyne_condition(sf)
         m = sf.local @ state.mean       # the mean in the standard-form frame

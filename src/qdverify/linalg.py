@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, MissingBipartition, NotHermitian, TooLarge
+from .errors import DimMismatch, DomainError, TooLarge
 
 # Structural checks (hermiticity, trace) and spectral checks (eigenvalues,
 # residuals) use different tolerances, fixed here.
@@ -105,7 +105,7 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     entries far apart in scale, it retries once on each matrix scaled by the
     power of two that brings its largest entry into [1/2, 1), an exact
     scale, so an input eigh decomposes at once keeps its bits. It refuses,
-    with NotHermitian, only a spectrum that comes out non-finite or not at
+    with DomainError, only a spectrum that comes out non-finite or not at
     all, and names the cause: entries that are not finite, entries so large
     (about 9e307 or more) that the symmetrisation or eigh overflows, or an
     eigh that did not converge on the retry either.
@@ -126,9 +126,9 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     # n eigenvalues to check, not n^2 entries: a NaN passes every < test
     if w is None or not np.isfinite(w).all():
         if not np.isfinite(a).all():
-            raise NotHermitian("matrix has non-finite entries")
-        raise NotHermitian("the eigensolver did not converge" if w is None and np.isfinite(h).all()
-                           else "matrix entries overflow the eigensolver")
+            raise DomainError("matrix has non-finite entries")
+        raise DomainError("the eigensolver did not converge" if w is None and np.isfinite(h).all()
+                          else "matrix entries overflow the eigensolver")
     return EigenDecomposition(w[..., ::-1], v[..., ::-1])
 
 
@@ -143,9 +143,9 @@ def degeneracy_gap(e: EigenDecomposition) -> np.ndarray:
 class DensityOperator:
     """Hermitian, unit-trace, PSD matrix, optionally tagged bipartite.
 
-    Construction checks the matrix: square and nonempty (DimMismatch),
-    finite, Hermitian (NotHermitian), unit trace and PSD, each within its
-    tolerance (DomainError otherwise).
+    Construction checks the matrix: square and nonempty (DimMismatch), then
+    finite, Hermitian, unit trace and PSD, each within its tolerance
+    (DomainError otherwise).
 
     bipartition, when set, is (dimA, dimB) with the first tensor factor A
     and the second factor B, so index (a, b) maps to row a * dimB + b.
@@ -163,7 +163,7 @@ class DensityOperator:
             raise DomainError("density operator has non-finite entries")
         herm = hermitian_defect(m)
         if herm > HERMITIAN_TOL:
-            raise NotHermitian(f"density operator not Hermitian: {herm:g}")
+            raise DomainError(f"density operator not Hermitian: {herm:g}")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {tr}, not 1 within {TRACE_TOL:g}")
@@ -185,7 +185,7 @@ class DensityOperator:
 def swap_subsystems(rho: DensityOperator) -> DensityOperator:
     """Exchange the roles of A and B in a bipartite density operator."""
     if rho.bipartition is None:
-        raise MissingBipartition("density operator carries no bipartition")
+        raise DimMismatch("density operator carries no bipartition")
     da, db = rho.bipartition
     t = rho.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2)
     return DensityOperator(t.reshape(da * db, da * db), bipartition=(db, da))

@@ -37,8 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dv import CONSISTENT_WITH_ZERO, NONZERO_DISCORD, Verdict
-from .errors import (DimMismatch, DomainError, GeometryMismatch, TruncationTail,
-                     UnresolvedGrid)
+from .errors import DimMismatch, DomainError, TruncationTail
 from .linalg import admit_memory, random_density_matrix
 
 CONVENTION_TAG = "vacuum-variance=1/4"
@@ -305,7 +304,7 @@ def _star_product(f: np.ndarray, g: np.ndarray, geom: GridGeometry) -> np.ndarra
 
 def _require_same_geometry(a, b) -> GridGeometry:
     if a.geometry != b.geometry:
-        raise GeometryMismatch(f"{a.geometry} vs {b.geometry}")
+        raise DimMismatch(f"{a.geometry} vs {b.geometry}")
     return a.geometry
 
 
@@ -375,10 +374,10 @@ def moyal_witness(a, b, names=("a", "b"), extent: float = DEFAULT_EXTENT,
     value_stderr the larger of that and uncertainty_band(a, b), and the
     witnesses add the band and whether the largest |value| exceeds it.
 
-    Two grids of different geometry are refused with GeometryMismatch, and a
+    Two grids of different geometry are refused with DimMismatch, and a
     band or Fock transform that overflows with DomainError, naming both by
     names. An input is refused, named by names, with TruncationTail for a
-    heavy Fock tail, and on the grid route with UnresolvedGrid when its
+    heavy Fock tail, and on the grid route with DomainError when its
     largest |W| on the outermost rows and columns exceeds the threshold (a box
     too small) or its outer frequency bands move the commutator by more (too
     coarse). The self-commutator Im(W*W) is no such check: it vanishes for
@@ -392,8 +391,8 @@ def moyal_witness(a, b, names=("a", "b"), extent: float = DEFAULT_EXTENT,
     grids = [x.geometry for x in (a, b) if isinstance(x, WignerGrid)]
     geom = grids[0] if grids else square_geometry(extent, points)
     if len(grids) == 2 and grids[1] != geom:
-        raise GeometryMismatch(f"{names[0]} and {names[1]} are grids of different "
-                               f"geometry: {geom} vs {grids[1]}")
+        raise DimMismatch(f"{names[0]} and {names[1]} are grids of different "
+                          f"geometry: {geom} vs {grids[1]}")
     # no array of the route has more than max(nx, np)^2 complex entries
     admit_memory(16 * MOYAL_GRID_ARRAYS * max(geom.nx, geom.np) ** 2,
                  f"a {geom.nx}x{geom.np} grid needs", "the Moyal route")
@@ -417,7 +416,7 @@ def moyal_witness(a, b, names=("a", "b"), extent: float = DEFAULT_EXTENT,
             edge = float(max(v[[0, -1]].max(), v[:, [0, -1]].max()))
             aliasing = grid_max_abs(moyal_commutator(_outer_bands(w), partner))[0]
             if max(edge, aliasing) > threshold:
-                raise UnresolvedGrid(
+                raise DomainError(
                     f"{name}: the grid cannot resolve this input (edge value "
                     f"{edge:.3g}, outer-band commutator {aliasing:.3g}, threshold "
                     f"{threshold:.3g}); widen the extent or add points")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CompletenessFailure, DimMismatch, DomainError,
-                     NotInformationallyComplete)
+from .errors import DimMismatch, DomainError, NotInformationallyComplete
 from .linalg import (
     PSD_TOL,
     HERMITIAN_TOL,
@@ -115,11 +114,16 @@ def _frame(p: Povm) -> tuple:
     return basis, coords, e, bool(w[-1] > RANK_CUTOFF * w[0])
 
 
-def sic_qubit() -> Povm:
-    """Qubit SIC-POVM, four subnormalized projectors on tetrahedron axes."""
+def _sic_effects() -> np.ndarray:
+    """The qubit SIC's four subnormalized projectors on tetrahedron axes."""
     eye = np.eye(2, dtype=complex)
     nx, ny, nz = SIC_QUBIT_DIRECTIONS.T[:, :, None, None]
-    return Povm(2, (eye + nx * _PAULI_X + ny * _PAULI_Y + nz * _PAULI_Z) / 4.0)
+    return (eye + nx * _PAULI_X + ny * _PAULI_Y + nz * _PAULI_Z) / 4.0
+
+
+def sic_qubit() -> Povm:
+    """Qubit SIC-POVM, the four effects of _sic_effects, checked."""
+    return Povm(2, _sic_effects())
 
 
 def is_informationally_complete(p: Povm) -> bool:
@@ -136,7 +140,7 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
     divided by dim^2, is clipped to the PSD cone, and the whole set is then
     renormalized symmetrically (S^{-1/2} M S^{-1/2} with S the sum) so
     completeness of the sum is exact by construction. Resamples up to ten
-    times if the completeness check fails, then raises CompletenessFailure.
+    times if the completeness check fails, then raises NotInformationallyComplete.
 
     Each attempt draws K = dim^2 blocks of [re, im] dim x dim normals, in
     that order: effect k's perturbation is the Hermitian part of re + i im,
@@ -173,7 +177,7 @@ def random_ic_povm(dim: int, seed: int) -> Povm:
         povm = Povm(dim, (effects + dag(effects)) / 2.0)
         if is_informationally_complete(povm):
             return povm
-    raise CompletenessFailure(
+    raise NotInformationallyComplete(
         f"no informationally complete POVM after 10 attempts (dim={dim}, seed={seed})")
 
 
@@ -209,7 +213,7 @@ def mub_povm(dim: int) -> Povm:
                  f"{n_effects} effects on a {dim}-level system need", "the mub POVM")
     effects = np.ones((1, 1, 1))
     for p in primes:
-        f = sic_qubit().effects if p == 2 else _mub_effects(p)
+        f = _sic_effects() if p == 2 else _mub_effects(p)
         m = effects.shape[1] * p
         effects = np.einsum("aij,bkl->abikjl", effects, f).reshape(-1, m, m)
     return Povm(dim, effects)

@@ -344,6 +344,8 @@ def _load_dv_density(doc: dict) -> StateFile:
     if matrix.shape != (dim, dim):
         raise ParseError(f"matrix shape {matrix.shape} does not match dim {dim}")
     bip = doc.get("bipartition")
+    if bip is not None and not (isinstance(bip, list) and len(bip) == 2):
+        raise ParseError(f"bipartition must be a list of two integers, got {bip!r}")
     bipartition = tuple(parse_int(v, "bipartition") for v in bip) if bip is not None else None
     rho = DensityOperator(matrix, bipartition=bipartition)
     cutoff = doc.get("fock_cutoff")

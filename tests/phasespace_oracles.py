@@ -20,7 +20,7 @@ from math import pi
 import numpy as np
 
 from qdverify import phasespace as ph
-from qdverify.errors import DimMismatch, DomainError, GeometryMismatch, TruncationTail
+from qdverify.errors import DimMismatch, DomainError, TruncationTail
 
 
 @dataclass
@@ -99,11 +99,11 @@ def char_commutator(chi_k: CharGrid, chi_k2: CharGrid) -> CharGrid:
     zx = -geom.x_min / geom.dx
     zp = -geom.p_min / geom.dp
     if abs(zx - round(zx)) > 1e-9 or abs(zp - round(zp)) > 1e-9:
-        raise GeometryMismatch("char_commutator needs the phase-space origin "
-                               "on the grid lattice")
+        raise DimMismatch("char_commutator needs the phase-space origin "
+                          "on the grid lattice")
     zx, zp = int(round(zx)), int(round(zp))
     if not (0 <= zx < nx and 0 <= zp < npts):
-        raise GeometryMismatch("char_commutator needs the origin inside the grid")
+        raise DimMismatch("char_commutator needs the origin inside the grid")
     a = chi_k.values
     b = chi_k2.values
     pad = np.zeros((2 * nx - 1, 2 * npts - 1), dtype=complex)
@@ -150,7 +150,7 @@ def moyal_commutator_quadrature(wk: ph.WignerGrid,
     """
     geom = ph._require_same_geometry(wk, wk2)
     if abs(geom.dx - geom.dp) > 1e-12 or geom.nx != geom.np:
-        raise GeometryMismatch("quadrature reference expects a square grid")
+        raise DimMismatch("quadrature reference expects a square grid")
     n = geom.nx
     xs = geom.xs()
     ps = geom.ps()

@@ -11,7 +11,7 @@ both constructions.
 import numpy as np
 
 from qdverify import povm
-from qdverify.errors import CompletenessFailure, DimMismatch, DomainError
+from qdverify.errors import DimMismatch, DomainError, NotInformationallyComplete
 from qdverify.linalg import dag, hermitian_eig
 
 
@@ -51,5 +51,5 @@ def random_ic_povm_loop(dim: int, seed: int) -> povm.Povm:
         p = povm.Povm(dim, (effects + dag(effects)) / 2.0)
         if povm.is_informationally_complete(p):
             return p
-    raise CompletenessFailure(
+    raise NotInformationallyComplete(
         f"no informationally complete POVM after 10 attempts (dim={dim}, seed={seed})")

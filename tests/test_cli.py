@@ -268,6 +268,14 @@ class TestVerifyGaussian:
         assert err == (f"error: {path}: invalid gaussian payload: "
                        "covariance violates the uncertainty constraint\n")
 
+    def test_three_quadrature_mean_is_refused_at_load(self, capsys, workdir):
+        path = write_fixture(workdir / "mean3.state", statefile.gaussian_doc(
+            SimpleNamespace(mean=np.zeros(3), cov=np.eye(4) / 4)))
+        code, out, err = run(capsys, "verify-gaussian", path, "--outcomes", "0,0;1,1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: invalid gaussian payload: "
+                       "mean must be 4 quadratures, got shape (3,)\n")
+
     def test_golden(self, capsys, workdir):
         path = write_fixture(workdir / "g.state",
                              statefile.gaussian_doc(gaussian.two_mode_squeezed_vacuum(0.3)))
@@ -943,6 +951,10 @@ def test_every_eigh_call_goes_through_hermitian_eig(capsys, workdir, monkeypatch
 @pytest.mark.parametrize("rho", [
     pytest.param(lambda: dv.generate_zero_discord(3, 3, 11), id="zero_discord"),
     pytest.param(lambda: dv.generate_maximally_entangled(3), id="maximally_entangled"),
+    # mub_povm's qubit factor is a raw SIC, validated only in the product
+    pytest.param(lambda: dv.generate_zero_discord(2, 2, 11), id="zero_discord_2x2"),
+    pytest.param(lambda: dv.generate_zero_discord(4, 2, 11), id="zero_discord_4x2"),
+    pytest.param(lambda: dv.generate_zero_discord(6, 2, 11), id="zero_discord_6x2"),
 ])
 def test_verify_dv_eigensolves_state_povm_and_conditionals_once(capsys, workdir,
                                                                 monkeypatch, rho):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_bipartite_state, random_product_state, reconstruct_joint
 from qdverify import dv
-from qdverify.errors import BadDimension, DimMismatch
+from qdverify.errors import DimMismatch
 from qdverify.linalg import (
     DensityOperator,
     commutator,
@@ -273,9 +273,9 @@ class TestGenerators:
         assert frobenius_norm(commutator(*conds)) > 1e-3
 
     def test_bad_dims(self):
-        with pytest.raises(BadDimension):
+        with pytest.raises(DimMismatch, match="^both dims must be at least 2$"):
             dv.generate_zero_discord(1, 2, 0)
-        with pytest.raises(BadDimension):
+        with pytest.raises(DimMismatch, match="^d must be at least 2$"):
             dv.generate_maximally_entangled(1)
 
 
@@ -320,7 +320,7 @@ class TestDiscordEstimator:
 
     def test_requires_two_qubits(self):
         rho = random_bipartite_state(0, 2, 3)
-        with pytest.raises(BadDimension):
+        with pytest.raises(DimMismatch, match="^estimator requires a 2x2 bipartite state$"):
             dv.discord_estimate_2q(rho)
 
     def test_matches_the_scan_and_descent_one_angle_pair_at_a_time(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdverify import gaussian as gs
-from qdverify.errors import DegenerateOutcomes, DomainError, Unphysical
+from qdverify.errors import DomainError
 from qdverify.linalg import hermitian_eig
 
 
@@ -48,8 +48,12 @@ class TestValidatePhysical:
         assert hermitian_eig(m).eigenvalues[-1] >= -gs.PHYSICALITY_TOL
 
     def test_subvacuum_rejected(self):
-        with pytest.raises(Unphysical, match="^covariance violates the uncertainty constraint$"):
+        with pytest.raises(DomainError, match="^covariance violates the uncertainty constraint$"):
             gs.GaussianState(np.zeros(4), np.eye(4) / 8)
+
+    def test_mean_must_be_four_quadratures(self):
+        with pytest.raises(DomainError, match=r"^mean must be 4 quadratures, got shape \(2, 2\)$"):
+            gs.GaussianState(np.zeros((2, 2)), np.eye(4) / 4)
 
     def test_an_overflowing_asymmetry_is_refused_without_a_warning(self):
         cov = np.eye(4)
@@ -155,7 +159,7 @@ class TestStandardForm:
             assert sf.a * sf.b >= sf.d ** 2 - 1e-10
 
     def test_unphysical_rejected(self):
-        with pytest.raises(Unphysical):
+        with pytest.raises(DomainError, match="^covariance violates the uncertainty constraint$"):
             gs.standard_form(gs.GaussianState(np.zeros(4), np.eye(4) / 8))
 
 
@@ -247,11 +251,12 @@ class TestPeakCoincidence:
         assert res.witnesses["separation"] == 0.0
 
     def test_degenerate_outcomes_rejected(self):
+        degenerate = "^outcomes must differ in both quadratures to probe both c and d$"
         state = gs.GaussianState(np.zeros(4),
                                  gs.StandardForm(0.5, 0.5, 0.2, 0.0, np.eye(4)).as_cov())
-        with pytest.raises(DegenerateOutcomes):
+        with pytest.raises(DomainError, match=degenerate):
             gs.peak_coincidence_test(state, 0.0 + 0.0j, 0.0 + 1.0j, tol=1e-9)
-        with pytest.raises(DegenerateOutcomes):
+        with pytest.raises(DomainError, match=degenerate):
             gs.peak_coincidence_test(state, 0.5 + 0.2j, 0.9 + 0.2j, tol=1e-9)
 
     def test_overflowing_peaks_rejected(self):
@@ -287,7 +292,7 @@ class TestZeroDiscordDecision:
             assert direct == via_form
 
     def test_unphysical_rejected(self):
-        with pytest.raises(Unphysical):
+        with pytest.raises(DomainError, match="^covariance violates the uncertainty constraint$"):
             gs.GaussianState(np.zeros(4), np.eye(4) / 100)
 
 

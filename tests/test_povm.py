@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from povm_oracles import random_ic_povm_loop
 from qdverify import povm as povm_mod
-from qdverify.errors import (CompletenessFailure, DimMismatch, DomainError,
-                             NotInformationallyComplete)
+from qdverify.errors import DimMismatch, DomainError, NotInformationallyComplete
 from qdverify.linalg import dag, frobenius_norm, hermitian_eig, random_density_matrix
 from qdverify.povm import (
     Povm,
@@ -270,7 +269,8 @@ def test_default_ic_povm_dispatch():
 
 def test_completeness_failure_after_retries(monkeypatch):
     monkeypatch.setattr(povm_mod, "is_informationally_complete", lambda p: False)
-    with pytest.raises(CompletenessFailure):
+    with pytest.raises(NotInformationallyComplete,
+                       match="^no informationally complete POVM after 10 attempts"):
         povm_mod.random_ic_povm(2, seed=0)
 
 

@@ -431,6 +431,18 @@ class TestStrictMode:
         with pytest.raises(ParseError, match="must be an integer"):
             statefile.load(str(path))
 
+    @pytest.mark.parametrize("bip, shown", [([2], "[2]"), (2, "2"), ("2x1", "'2x1'")],
+                             ids=["one_entry", "integer", "string"])
+    def test_malformed_bipartition_is_refused_by_name(self, tmp_path, bip, shown):
+        from qdverify.linalg import DensityOperator
+        doc = statefile.dv_density_doc(DensityOperator(np.eye(2) / 2))
+        doc["bipartition"] = bip
+        path = tmp_path / "b.state"
+        statefile.write(str(path), doc)
+        with pytest.raises(ParseError) as info:
+            statefile.load(str(path))
+        assert str(info.value) == f"{path}: bipartition must be a list of two integers, got {shown}"
+
 
 def test_emitted_files_are_ascii_and_stable(tmp_path, bell):
     doc = statefile.dv_density_doc(bell)
